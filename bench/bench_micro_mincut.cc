@@ -1,17 +1,18 @@
 // Microbenchmark: the min-cut solver family on random communication-
 // graph-shaped inputs — the paper's lift-to-front (relabel-to-front)
-// algorithm, Edmonds-Karp, and the production highest-label push-relabel
-// solver with warm-started incremental re-cuts. All are exact over
-// integer CapUnits; this quantifies both the cost of the paper's
-// algorithm choice and the payoff of flow reuse across drifting epochs.
+// algorithm, the test-only Edmonds-Karp oracle, and the production
+// highest-label push-relabel solver with warm-started incremental re-cuts.
+// All run on the same CSR network and are exact over integer CapUnits;
+// this quantifies both the cost of the paper's algorithm choice and the
+// payoff of flow reuse across drifting epochs.
 //
 // Besides the google-benchmark timing mode:
 //   --coign-cut-table     deterministic table of exact cut values (all
 //                         solvers, cold and warm, several sizes/seeds);
 //                         exits nonzero on any disagreement. CI byte-diffs
-//                         two same-seed tables: no timing noise, so any
-//                         diff is a real change in what the solvers
-//                         compute.
+//                         the table against tests/golden/: no timing
+//                         noise, so any diff is a real change in what the
+//                         solvers compute.
 //   --coign-epoch-series  seeded capacity-drift epoch sequences at several
 //                         sizes, timing cold relabel-to-front vs cold
 //                         push-relabel vs one warm-started session; exits
@@ -32,12 +33,12 @@
 
 #include "bench/harness.h"
 #include "src/mincut/compact_flow_network.h"
-#include "src/mincut/edmonds_karp.h"
 #include "src/mincut/incremental.h"
 #include "src/mincut/push_relabel.h"
 #include "src/mincut/relabel_to_front.h"
 #include "src/support/rng.h"
 #include "src/support/str_util.h"
+#include "tests/oracles/mincut_oracles.h"
 
 namespace coign {
 namespace {
@@ -70,14 +71,6 @@ std::vector<BenchEdge> BuildEdges(int nodes, double edge_probability, uint64_t s
   return edges;
 }
 
-FlowNetwork ToFlowNetwork(int nodes, const std::vector<BenchEdge>& edges) {
-  FlowNetwork network(nodes);
-  for (const BenchEdge& edge : edges) {
-    network.AddEdge(edge.a, edge.b, edge.capacity);
-  }
-  return network;
-}
-
 CompactFlowNetwork ToCompactNetwork(int nodes, const std::vector<BenchEdge>& edges) {
   CompactFlowNetwork network(nodes);
   for (const BenchEdge& edge : edges) {
@@ -87,13 +80,13 @@ CompactFlowNetwork ToCompactNetwork(int nodes, const std::vector<BenchEdge>& edg
   return network;
 }
 
-FlowNetwork BuildGraph(int nodes, double edge_probability, uint64_t seed) {
-  return ToFlowNetwork(nodes, BuildEdges(nodes, edge_probability, seed));
+CompactFlowNetwork BuildGraph(int nodes, double edge_probability, uint64_t seed) {
+  return ToCompactNetwork(nodes, BuildEdges(nodes, edge_probability, seed));
 }
 
 void BM_RelabelToFront(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
-  FlowNetwork network = BuildGraph(nodes, 8.0 / nodes, 7);
+  const CompactFlowNetwork network = BuildGraph(nodes, 8.0 / nodes, 7);
   CapUnits cut_value = 0;
   for (auto _ : state) {
     // The const& entry point copies internally; the copy is part of what a
@@ -108,7 +101,7 @@ BENCHMARK(BM_RelabelToFront)->Arg(32)->Arg(128)->Arg(512)->Arg(1024);
 
 void BM_EdmondsKarp(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
-  FlowNetwork network = BuildGraph(nodes, 8.0 / nodes, 7);
+  const CompactFlowNetwork network = BuildGraph(nodes, 8.0 / nodes, 7);
   CapUnits cut_value = 0;
   for (auto _ : state) {
     const CutResult cut = MinCutEdmondsKarp(network, 0, 1);
@@ -162,7 +155,7 @@ int PrintCutTable() {
   for (const int nodes : {32, 128, 512}) {
     for (uint64_t seed = 7; seed < 15; ++seed) {
       std::vector<BenchEdge> edges = BuildEdges(nodes, 8.0 / nodes, seed);
-      const FlowNetwork network = ToFlowNetwork(nodes, edges);
+      const CompactFlowNetwork network = ToCompactNetwork(nodes, edges);
       const CutResult rtf = MinCutRelabelToFront(network, 0, 1);
       const CutResult ek = MinCutEdmondsKarp(network, 0, 1);
       const CutResult pr = MinCutPushRelabel(network, 0, 1);
@@ -206,9 +199,9 @@ double ElapsedSeconds(std::chrono::steady_clock::time_point start) {
 }
 
 // Epoch-series benchmark: a drifting capacity sequence solved three ways —
-// cold relabel-to-front each epoch (the pre-engine production path), cold
-// push-relabel each epoch, and one warm session carrying flow across
-// epochs. Every epoch's three cut values must agree exactly.
+// cold relabel-to-front each epoch (the paper's algorithm, CSR build +
+// solve), cold push-relabel each epoch, and one warm session carrying flow
+// across epochs. Every epoch's three cut values must agree exactly.
 int RunEpochSeries(const std::string& json_path, bool enforce_speedup) {
   constexpr int kEpochs = 24;
   constexpr uint64_t kSeed = 7;
@@ -244,8 +237,7 @@ int RunEpochSeries(const std::string& json_path, bool enforce_speedup) {
       }
 
       auto start = std::chrono::steady_clock::now();
-      const FlowNetwork flow = ToFlowNetwork(nodes, edges);
-      const CutResult rtf = MinCutRelabelToFront(flow, 0, 1);
+      const CutResult rtf = MinCutRelabelToFront(ToCompactNetwork(nodes, edges), 0, 1);
       cold_rtf_seconds += ElapsedSeconds(start);
 
       start = std::chrono::steady_clock::now();

@@ -2,17 +2,27 @@
 
 #include <algorithm>
 
-#include "src/mincut/compact_flow_network.h"
-#include "src/mincut/edmonds_karp.h"
 #include "src/mincut/relabel_to_front.h"
 
 namespace coign {
 namespace {
 
 // Per-edge capacity in exact units — the quantization boundary (see the
-// comment at the FlowNetwork construction below).
+// comment at the cut in Analyze below).
 CapUnits EdgeCapacity(const ConcreteEdge& edge) {
   return edge.constraint ? kInfiniteCapacity : SecondsToCapUnits(edge.seconds);
+}
+
+// The CSR network for a concrete graph, one undirected edge per concrete
+// edge (edge id == concrete edge index, which the session's delta path
+// relies on).
+CompactFlowNetwork BuildFlowNetwork(const ConcreteGraph& concrete) {
+  CompactFlowNetwork network(concrete.node_count());
+  for (const ConcreteEdge& edge : concrete.edges()) {
+    network.AddEdge(edge.a, edge.b, EdgeCapacity(edge));
+  }
+  network.Finalize();
+  return network;
 }
 
 struct GraphSignatures {
@@ -58,15 +68,8 @@ CutResult ProfileAnalysisEngine::SolveWithSession(const ConcreteGraph& concrete,
     return session->last_cut_;
   }
   if (!session->has_cut_ || signatures.topology != session->topology_signature_) {
-    // New or re-shaped graph: build the CSR network directly from the
-    // concrete edges (edge id == concrete edge index, which is what the
-    // delta path below relies on).
-    CompactFlowNetwork network(concrete.node_count());
-    for (const ConcreteEdge& edge : concrete.edges()) {
-      network.AddEdge(edge.a, edge.b, EdgeCapacity(edge));
-    }
-    network.Finalize();
-    session->incremental_.Reset(std::move(network), ConcreteGraph::kClientNode,
+    // New or re-shaped graph: build the network afresh.
+    session->incremental_.Reset(BuildFlowNetwork(concrete), ConcreteGraph::kClientNode,
                                 ConcreteGraph::kServerNode);
     session->topology_signature_ = signatures.topology;
   } else {
@@ -119,20 +122,13 @@ Result<AnalysisResult> ProfileAnalysisEngine::Analyze(const IccProfile& profile,
   // reports) stays in seconds.
   CutResult cut;
   if (options_.algorithm == CutAlgorithm::kPushRelabel) {
-    // Production path: flat CSR network, built straight from the concrete
-    // edges. A caller-provided session warm-starts across calls; without
-    // one the solve is cold but still avoids the adjacency-list network.
+    // Production path. A caller-provided session warm-starts across
+    // calls; without one the solve is cold.
     MinCutSession local_session;
     cut = SolveWithSession(concrete, session != nullptr ? session : &local_session);
   } else {
-    FlowNetwork flow(concrete.node_count());
-    for (const ConcreteEdge& edge : concrete.edges()) {
-      flow.AddEdge(edge.a, edge.b, EdgeCapacity(edge));
-    }
-    cut = options_.algorithm == CutAlgorithm::kRelabelToFront
-              ? MinCutRelabelToFront(flow, ConcreteGraph::kClientNode,
-                                     ConcreteGraph::kServerNode)
-              : MinCutEdmondsKarp(flow, ConcreteGraph::kClientNode, ConcreteGraph::kServerNode);
+    cut = MinCutRelabelToFront(BuildFlowNetwork(concrete), ConcreteGraph::kClientNode,
+                               ConcreteGraph::kServerNode);
   }
 
   if (cut.cut_value == kInfiniteCapacity) {

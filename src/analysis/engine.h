@@ -4,11 +4,11 @@
 // (× network profile) → concrete graph → minimum cut → distribution.
 // The production cut is highest-label push-relabel on a flat CSR network,
 // warm-startable across calls through a MinCutSession; the paper's
-// lift-to-front algorithm and Edmonds-Karp remain selectable for
-// cross-checking and ablation. All three return the identical exact cut:
-// for a maximum flow the residual-reachable source side is the unique
-// minimal minimum cut, so the distribution does not depend on the
-// algorithm (or on warm vs cold starts).
+// lift-to-front algorithm remains selectable for cross-checking and
+// ablation. Both return the identical exact cut: for a maximum flow the
+// residual-reachable source side is the unique minimal minimum cut, so the
+// distribution does not depend on the algorithm (or on warm vs cold
+// starts).
 
 #ifndef COIGN_SRC_ANALYSIS_ENGINE_H_
 #define COIGN_SRC_ANALYSIS_ENGINE_H_
@@ -20,7 +20,7 @@
 #include "src/graph/constraints.h"
 #include "src/graph/distribution.h"
 #include "src/graph/icc_graph.h"
-#include "src/mincut/flow_network.h"
+#include "src/mincut/compact_flow_network.h"
 #include "src/mincut/incremental.h"
 #include "src/net/network_profiler.h"
 #include "src/profile/icc_profile.h"
@@ -29,9 +29,8 @@
 namespace coign {
 
 enum class CutAlgorithm {
-  kPushRelabel,     // Production: highest-label push-relabel, CSR, warm-startable.
+  kPushRelabel,     // Production: highest-label push-relabel, warm-startable.
   kRelabelToFront,  // The paper's lift-to-front min-cut (differential oracle).
-  kEdmondsKarp,     // Baseline for verification/ablation.
 };
 
 struct AnalysisOptions {

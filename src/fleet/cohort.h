@@ -33,8 +33,10 @@ struct CohortingOptions {
   double bandwidth_buckets_per_decade = 8.0;
   // Drop-rate axis: links at or below the clean threshold share the clean
   // bucket (0); lossier links bucket on their own log10 grid so a client
-  // fighting packet loss never shares a plan with a clean one — retry
-  // inflation moves its cut toward fewer, larger messages.
+  // fighting packet loss never shares a plan with a clean one. Its plan's
+  // predicted times carry the retry inflation, but its cut is the clean
+  // link's: InflateForLoss scales both network terms by the same factor,
+  // which cannot move the minimum cut.
   double clean_drop_threshold = 5e-4;
   double loss_buckets_per_decade = 2.0;
 };

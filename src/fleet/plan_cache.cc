@@ -13,6 +13,9 @@ namespace coign {
 
 namespace {
 
+// The only snapshot format this build reads and writes.
+constexpr char kVersion[] = "v4";
+
 // Exact double round-trip: serialize the bit pattern, not a decimal
 // approximation, so a reloaded cache prices cuts byte-identically.
 std::string DoubleHex(double value) {
@@ -22,22 +25,22 @@ std::string DoubleHex(double value) {
 }
 
 bool ParseDoubleHex(const std::string& hex, double* out) {
-  if (hex.size() != 16) {
+  uint64_t bits = 0;
+  if (!ParseLowerHex(hex, 16, &bits)) {
     return false;
   }
-  uint64_t bits = 0;
-  for (char c : hex) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    bits = (bits << 4) | static_cast<uint64_t>(digit);
-  }
   std::memcpy(out, &bits, sizeof(bits));
+  return true;
+}
+
+// Parses the "crc <8hex>" lines terminating record blocks.
+bool ParseCrcLine(const std::string& line, uint32_t* out) {
+  uint64_t bits = 0;
+  if (!StartsWith(line, "crc ") ||
+      !ParseLowerHex(std::string_view(line).substr(4), 8, &bits)) {
+    return false;
+  }
+  *out = static_cast<uint32_t>(bits);
   return true;
 }
 
@@ -110,13 +113,11 @@ void PlanCache::Clear() {
 
 std::string PlanCache::Serialize() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  // v2 appended the loss bucket to each entry line; v3 appends the exact
-  // fixed-point cut value (CapUnits) to each plan line; v4 terminates each
-  // record block with a `crc` line over the block's text, so a loader can
-  // localize disk damage to single records. Older snapshots still load:
-  // v1 entries get a clean loss bucket, and v1/v2 plans get
-  // cut_value_units = 0 (recomputed on the next cache miss).
-  std::string out = StrFormat("plan-cache v4 %zu\n", lru_.size());
+  // Each record block (entry line with the loss bucket, plan line ending
+  // in the exact fixed-point cut value, place and edge lines) ends with a
+  // `crc` line over the block's text, so a loader can localize disk
+  // damage to single records.
+  std::string out = StrFormat("plan-cache %s %zu\n", kVersion, lru_.size());
   // Least-recent first: replaying inserts in file order rebuilds the
   // exact LRU sequence (the last line loaded ends up most recent).
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
@@ -154,16 +155,12 @@ std::string PlanCache::Serialize() const {
   return out;
 }
 
-Status PlanCache::ParseRecord(std::istream& in, bool has_loss_bucket,
-                              bool has_cut_units, Entry* entry) {
+Status PlanCache::ParseRecord(std::istream& in, Entry* entry) {
   std::string tag;
   unsigned long long fingerprint = 0;
   if (!(in >> tag >> fingerprint >> entry->key.bucket.latency_bucket >>
-        entry->key.bucket.bandwidth_bucket) ||
+        entry->key.bucket.bandwidth_bucket >> entry->key.bucket.loss_bucket) ||
       tag != "entry") {
-    return InvalidArgumentError("plan cache: bad entry line");
-  }
-  if (has_loss_bucket && !(in >> entry->key.bucket.loss_bucket)) {
     return InvalidArgumentError("plan cache: bad entry line");
   }
   entry->key.profile_fingerprint = static_cast<uint64_t>(fingerprint);
@@ -171,21 +168,16 @@ Status PlanCache::ParseRecord(std::istream& in, bool has_loss_bucket,
   std::string predicted_hex, total_hex;
   unsigned long long client_instances = 0, server_instances = 0;
   size_t placements = 0, edges = 0;
+  long long units = 0;
   if (!(in >> tag >> predicted_hex >> total_hex >> plan.client_classifications >>
         plan.server_classifications >> client_instances >> server_instances >>
         plan.non_remotable_pairs >> plan.distribution.default_machine >> placements >>
-        edges) ||
+        edges >> units) ||
       tag != "plan" || !ParseDoubleHex(predicted_hex, &plan.predicted_comm_seconds) ||
       !ParseDoubleHex(total_hex, &plan.total_comm_seconds)) {
     return InvalidArgumentError("plan cache: bad plan line");
   }
-  if (has_cut_units) {
-    long long units = 0;
-    if (!(in >> units)) {
-      return InvalidArgumentError("plan cache: bad plan line");
-    }
-    plan.cut_value_units = static_cast<CapUnits>(units);
-  }
+  plan.cut_value_units = static_cast<CapUnits>(units);
   plan.client_instances = static_cast<uint64_t>(client_instances);
   plan.server_instances = static_cast<uint64_t>(server_instances);
   for (size_t p = 0; p < placements; ++p) {
@@ -208,103 +200,63 @@ Status PlanCache::ParseRecord(std::istream& in, bool has_loss_bucket,
   return Status::Ok();
 }
 
-namespace {
-
-// Parses the "crc <8hex>" lines terminating v4 record blocks.
-bool ParseCrcLine(const std::string& line, uint32_t* out) {
-  if (line.size() != 12 || line.compare(0, 4, "crc ") != 0) {
-    return false;
-  }
-  uint32_t bits = 0;
-  for (size_t i = 4; i < 12; ++i) {
-    const char c = line[i];
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    bits = (bits << 4) | static_cast<uint32_t>(digit);
-  }
-  *out = bits;
-  return true;
-}
-
-}  // namespace
-
 Status PlanCache::Load(const std::string& text) {
   std::istringstream in(text);
   std::string tag, version;
-  size_t count = 0;
-  if (!(in >> tag >> version) || tag != "plan-cache" ||
-      (version != "v1" && version != "v2" && version != "v3" && version != "v4")) {
+  if (!(in >> tag >> version) || tag != "plan-cache") {
     return InvalidArgumentError("plan cache: bad header");
   }
+  if (version != kVersion) {
+    return InvalidArgumentError(StrFormat(
+        "plan cache: unsupported version %s (this build reads %s)", version.c_str(), kVersion));
+  }
+  // Scan record blocks up to their `crc` lines and verify each block
+  // before trusting a word of it. A block that fails its checksum — or
+  // parses to garbage under a valid one, or repeats a key — is skipped and
+  // counted, never fatal. The header count is advisory only: damage
+  // changes how many records survive.
+  const size_t header_end = text.find('\n');
+  std::vector<std::string> lines;
+  if (header_end != std::string::npos) {
+    std::istringstream body(text.substr(header_end + 1));
+    std::string line;
+    while (std::getline(body, line)) {
+      lines.push_back(line);
+    }
+  }
+  const bool unterminated = !text.empty() && text.back() != '\n';
   std::list<Entry> loaded;
   uint64_t skipped = 0;
-  if (version != "v4") {
-    // v1-v3 predate per-record checksums: damage cannot be localized, so
-    // any malformed byte fails the whole load (original strict semantics).
-    if (!(in >> count)) {
-      return InvalidArgumentError("plan cache: bad header");
+  std::unordered_map<PlanCacheKey, char, PlanCacheKeyHash> seen;
+  std::string block;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const bool last = i + 1 == lines.size();
+    uint32_t expected = 0;
+    if ((last && unterminated) || !ParseCrcLine(lines[i], &expected)) {
+      block += lines[i];
+      block += '\n';
+      continue;
     }
-    const bool has_loss_bucket = version != "v1";
-    const bool has_cut_units = version == "v3";
-    for (size_t i = 0; i < count; ++i) {
-      Entry entry;
-      COIGN_RETURN_IF_ERROR(ParseRecord(in, has_loss_bucket, has_cut_units, &entry));
-      // File order is least-recent first; push_front keeps front = most recent.
-      loaded.push_front(std::move(entry));
-    }
-  } else {
-    // v4: scan record blocks up to their `crc` lines and verify each
-    // block before trusting a word of it. A block that fails its checksum
-    // — or parses to garbage under a valid one, or repeats a key — is
-    // skipped and counted, never fatal. The header count is advisory
-    // only: damage changes how many records survive.
-    const size_t header_end = text.find('\n');
-    std::vector<std::string> lines;
-    if (header_end != std::string::npos) {
-      std::istringstream body(text.substr(header_end + 1));
-      std::string line;
-      while (std::getline(body, line)) {
-        lines.push_back(line);
-      }
-    }
-    const bool unterminated = !text.empty() && text.back() != '\n';
-    std::unordered_map<PlanCacheKey, char, PlanCacheKeyHash> seen;
-    std::string block;
-    for (size_t i = 0; i < lines.size(); ++i) {
-      const bool last = i + 1 == lines.size();
-      uint32_t expected = 0;
-      if ((last && unterminated) || !ParseCrcLine(lines[i], &expected)) {
-        block += lines[i];
-        block += '\n';
-        continue;
-      }
-      if (Crc32c(block) != expected) {
-        ++skipped;
-        block.clear();
-        continue;
-      }
-      std::istringstream record_in(block);
-      Entry entry;
-      const Status parsed = ParseRecord(record_in, /*has_loss_bucket=*/true,
-                                        /*has_cut_units=*/true, &entry);
+    if (Crc32c(block) != expected) {
+      ++skipped;
       block.clear();
-      if (!parsed.ok() || seen.count(entry.key) != 0) {
-        ++skipped;
-        continue;
-      }
-      seen.emplace(entry.key, 0);
-      loaded.push_front(std::move(entry));
+      continue;
     }
-    // Leftover block lines with no terminating crc line are a torn
-    // append: the record never became durable, dropped without counting
-    // as corruption.
+    std::istringstream record_in(block);
+    Entry entry;
+    const Status parsed = ParseRecord(record_in, &entry);
+    block.clear();
+    if (!parsed.ok() || seen.count(entry.key) != 0) {
+      ++skipped;
+      continue;
+    }
+    seen.emplace(entry.key, 0);
+    // File order is least-recent first; push_front keeps front = most recent.
+    loaded.push_front(std::move(entry));
   }
+  // Leftover block lines with no terminating crc line are a torn append:
+  // the record never became durable, dropped without counting as
+  // corruption.
 
   std::lock_guard<std::mutex> lock(mutex_);
   lru_.clear();
@@ -322,9 +274,6 @@ Status PlanCache::Load(const std::string& text) {
   for (Entry& entry : loaded) {
     if (lru_.size() >= capacity_) {
       break;  // Oldest entries beyond capacity are dropped.
-    }
-    if (index_.count(entry.key) != 0) {
-      return InvalidArgumentError("plan cache: duplicate key in snapshot");
     }
     lru_.push_back(std::move(entry));
     index_[lru_.back().key] = std::prev(lru_.end());

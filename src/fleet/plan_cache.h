@@ -52,7 +52,7 @@ struct PlanCacheStats {
   uint64_t misses = 0;
   uint64_t insertions = 0;
   uint64_t evictions = 0;
-  // Damaged v4 snapshot segments dropped on load (checksum mismatch,
+  // Damaged snapshot records dropped on load (checksum mismatch,
   // unparseable record under a valid checksum, or duplicate key).
   uint64_t corrupt_skipped = 0;
 
@@ -95,13 +95,15 @@ class PlanCache {
   // trip is the identity down to the last ULP. Stats are not persisted —
   // a warm start is capacity, not traffic.
   //
-  // Serialize writes the v4 form: every record block is followed by a
-  // `crc` line carrying the CRC32C of the block's text. Load still reads
-  // v1-v3 with their original strict semantics (any damage fails the
-  // load); v4 damage is localized — a record whose checksum or contents
-  // no longer verify is skipped and counted in stats().corrupt_skipped,
-  // a tail with no terminating crc line is a torn append and dropped
-  // silently, and everything intact loads normally.
+  // The format is v4: every record block is followed by a `crc` line
+  // carrying the CRC32C of the block's text. Damage is localized — a
+  // record whose checksum or contents no longer verify (or whose key
+  // repeats an earlier record's) is skipped and counted in
+  // stats().corrupt_skipped, a tail with no terminating crc line is a torn
+  // append and dropped silently, and everything intact loads normally.
+  // Snapshots in the older v1-v3 formats are rejected with
+  // InvalidArgument naming the version found; the cache refills itself on
+  // the next plan.
   std::string Serialize() const;
   // Replaces the contents with a parsed snapshot. Entries beyond this
   // cache's capacity are dropped oldest-first; stats are left untouched
@@ -117,8 +119,7 @@ class PlanCache {
   };
 
   // Parses one record (entry/plan/place/edge lines) from `in`.
-  static Status ParseRecord(std::istream& in, bool has_loss_bucket,
-                            bool has_cut_units, Entry* entry);
+  static Status ParseRecord(std::istream& in, Entry* entry);
 
   const size_t capacity_;
   mutable std::mutex mutex_;

@@ -76,9 +76,10 @@ Result<FleetPlanResult> FleetPartitionService::Plan(
   std::vector<Status> task_status(misses.size());
   pool_.ParallelFor(misses.size(), [&](size_t task_index) {
     CohortPlan& plan = result.plans[misses[task_index]];
-    // Lossy cohorts price their cut on the loss-inflated representative:
-    // expected retransmissions make every message slower, which pushes the
-    // min cut toward fewer, larger crossings than the clean bucket's plan.
+    // Lossy cohorts price their plan on the loss-inflated representative:
+    // expected retransmissions scale both network terms by 1/(1-p), which
+    // raises every predicted time but leaves the min cut where the clean
+    // link puts it (a common factor cannot move the argmin).
     const NetworkProfile pricing = NetworkProfile::Exact(
         InflateForLoss(plan.cohort.representative, plan.cohort.representative_drop));
     // Per-slot warm start: cohort graphs share topology (same profile),

@@ -8,29 +8,21 @@ CompactFlowNetwork::CompactFlowNetwork(int node_count) : node_count_(node_count)
   assert(node_count >= 0);
 }
 
-int CompactFlowNetwork::AddPair(int from, int to, CapUnits capacity, CapUnits reverse_capacity,
-                                bool directed) {
+int CompactFlowNetwork::Stage(int from, int to, CapUnits capacity, bool directed) {
   assert(!finalized_);
   assert(from >= 0 && from < node_count_);
   assert(to >= 0 && to < node_count_);
   assert(capacity >= 0);
-  assert(reverse_capacity >= 0);
-  StagedEdge edge;
-  edge.from = from;
-  edge.to = to;
-  edge.capacity = capacity;
-  edge.reverse_capacity = reverse_capacity;
-  edge.directed = directed;
-  edges_.push_back(edge);
+  edges_.push_back(StagedEdge{from, to, capacity, directed});
   return static_cast<int>(edges_.size()) - 1;
 }
 
 int CompactFlowNetwork::AddArc(int from, int to, CapUnits capacity) {
-  return AddPair(from, to, capacity, 0, /*directed=*/true);
+  return Stage(from, to, capacity, /*directed=*/true);
 }
 
 int CompactFlowNetwork::AddEdge(int a, int b, CapUnits capacity) {
-  return AddPair(a, b, capacity, capacity, /*directed=*/false);
+  return Stage(a, b, capacity, /*directed=*/false);
 }
 
 void CompactFlowNetwork::Finalize() {
@@ -41,9 +33,9 @@ void CompactFlowNetwork::Finalize() {
   const size_t n = static_cast<size_t>(node_count_);
   first_out_.assign(n + 1, 0);
   // Each staged edge contributes one arc at its tail and one at its head.
-  // Placing them by a stable counting sort over the staged order yields
-  // the same per-node arc order FlowNetwork's AddArc/AddEdge appends
-  // produce, which keeps cut_edges extraction byte-identical.
+  // Placing them by a stable counting sort over the staged order keeps
+  // each node's arcs in edge-insertion order — the scan order every
+  // solver, and cut_edges extraction, follows.
   for (const StagedEdge& edge : edges_) {
     ++first_out_[static_cast<size_t>(edge.from) + 1];
     ++first_out_[static_cast<size_t>(edge.to) + 1];
@@ -63,84 +55,9 @@ void CompactFlowNetwork::Finalize() {
     arcs_[static_cast<size_t>(forward)].capacity = edge.capacity;
     arcs_[static_cast<size_t>(backward)].to = edge.from;
     arcs_[static_cast<size_t>(backward)].reverse = forward;
-    arcs_[static_cast<size_t>(backward)].capacity = edge.reverse_capacity;
+    arcs_[static_cast<size_t>(backward)].capacity = edge.directed ? 0 : edge.capacity;
     edge_forward_[i] = forward;
   }
-}
-
-CompactFlowNetwork CompactFlowNetwork::FromFlowNetwork(const FlowNetwork& network) {
-  // FlowNetwork appends each arc pair atomically (forward at `from`,
-  // partner at `to`), so every node's slot order is the restriction of
-  // one global edge-insertion order. Rebuilding any linear extension of
-  // the per-node slot orders reproduces identical per-node CSR order.
-  // (A naive (node, slot) sweep is NOT such an extension: a pair first
-  // seen via its low-numbered head can jump ahead of a pair that precedes
-  // it at the shared tail.) Replay with per-node cursors instead: a pair
-  // is ready only when it is the next unconsumed slot at *both*
-  // endpoints; staging ready pairs until none remain is a valid
-  // extension, and one always exists because the original insertion
-  // sequence is one.
-  const int n = network.node_count();
-  CompactFlowNetwork compact(n);
-  std::vector<size_t> cursor(static_cast<size_t>(n), 0);
-  size_t total_pairs = 0;
-  for (int v = 0; v < n; ++v) {
-    total_pairs += network.ArcsFrom(v).size();
-  }
-  total_pairs /= 2;
-
-  std::vector<int> stack;
-  stack.reserve(static_cast<size_t>(n));
-  for (int v = n - 1; v >= 0; --v) {
-    stack.push_back(v);
-  }
-  size_t staged = 0;
-  auto stage_pair = [&](int v, const FlowArc& arc, const FlowArc& partner) {
-    // Direction is recoverable from capacities: an AddArc partner is a
-    // zero-capacity stub, an AddEdge partner matches the forward
-    // capacity. Equal (incl. both-zero) pairs are behaviorally symmetric
-    // either way; an asymmetric nonzero pair (only possible if capacities
-    // were edited post-build) is staged verbatim via AddPair.
-    if (partner.capacity == arc.capacity) {
-      compact.AddPair(v, arc.to, arc.capacity, partner.capacity, /*directed=*/false);
-    } else if (partner.capacity == 0) {
-      compact.AddPair(v, arc.to, arc.capacity, 0, /*directed=*/true);
-    } else if (arc.capacity == 0) {
-      compact.AddPair(arc.to, v, partner.capacity, 0, /*directed=*/true);
-    } else {
-      compact.AddPair(v, arc.to, arc.capacity, partner.capacity, /*directed=*/true);
-    }
-  };
-  while (!stack.empty()) {
-    const int v = stack.back();
-    stack.pop_back();
-    while (cursor[static_cast<size_t>(v)] < network.ArcsFrom(v).size()) {
-      const FlowArc& arc = network.ArcsFrom(v)[cursor[static_cast<size_t>(v)]];
-      const int w = arc.to;
-      if (w == v) {
-        // Self-loop pair occupies two consecutive slots at v.
-        const FlowArc& partner = network.ArcsFrom(v)[arc.reverse_index];
-        stage_pair(v, arc, partner);
-        cursor[static_cast<size_t>(v)] += 2;
-        ++staged;
-        continue;
-      }
-      if (cursor[static_cast<size_t>(w)] != arc.reverse_index) {
-        break;  // Partner is not next at its node yet; revisit later.
-      }
-      const FlowArc& partner = network.ArcsFrom(w)[arc.reverse_index];
-      assert(partner.to == v);
-      stage_pair(v, arc, partner);
-      ++cursor[static_cast<size_t>(v)];
-      ++cursor[static_cast<size_t>(w)];
-      ++staged;
-      stack.push_back(w);  // w's next slot may have become ready.
-    }
-  }
-  assert(staged == total_pairs);
-  (void)total_pairs;
-  compact.Finalize();
-  return compact;
 }
 
 void CompactFlowNetwork::SetEdgeCapacity(int edge_id, CapUnits capacity) {
@@ -152,7 +69,6 @@ void CompactFlowNetwork::SetEdgeCapacity(int edge_id, CapUnits capacity) {
   CompactArc& forward = arcs_[static_cast<size_t>(edge_forward_[static_cast<size_t>(edge_id)])];
   forward.capacity = capacity;
   if (!edge.directed) {
-    edge.reverse_capacity = capacity;
     arcs_[static_cast<size_t>(forward.reverse)].capacity = capacity;
   }
 }
@@ -162,30 +78,18 @@ CapUnits CompactFlowNetwork::EdgeCapacity(int edge_id) const {
   return edges_[static_cast<size_t>(edge_id)].capacity;
 }
 
+int CutResult::SourceSideCount() const {
+  int count = 0;
+  for (bool b : in_source_side) {
+    count += b ? 1 : 0;
+  }
+  return count;
+}
+
 void CompactFlowNetwork::ResetFlow() {
   for (CompactArc& arc : arcs_) {
     arc.flow = 0;
   }
-}
-
-uint64_t CompactFlowNetwork::TopologySignature() const {
-  // FNV-1a, matching the style of fleet::ProfileFingerprint. Capacities
-  // are deliberately excluded: equal signatures mean a session can apply
-  // the new capacities as deltas instead of rebuilding.
-  uint64_t hash = 14695981039346656037ull;
-  const auto mix = [&hash](uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (byte * 8)) & 0xff;
-      hash *= 1099511628211ull;
-    }
-  };
-  mix(static_cast<uint64_t>(node_count_));
-  for (const StagedEdge& edge : edges_) {
-    mix(static_cast<uint64_t>(edge.from));
-    mix(static_cast<uint64_t>(edge.to));
-    mix(edge.directed ? 1u : 0u);
-  }
-  return hash;
 }
 
 CutResult CompactFlowNetwork::ExtractCut(int source, CapUnits flow_value) const {
@@ -223,7 +127,12 @@ CutResult CompactFlowNetwork::ExtractCut(int source, CapUnits flow_value) const 
       }
     }
   }
-  // Same sentinel promotion rule as ExtractCut(FlowNetwork...).
+  // A sentinel arc crossing the partition means the constraint set is
+  // infeasible: every s-t cut severs a pin. Promote to the sentinel
+  // exactly, so every solver reports infeasibility identically. (A
+  // sentinel arc can only be saturated — and thus end up crossing — when
+  // the max flow itself reached the sentinel, so this is a no-op except
+  // on infeasible inputs or genuinely saturated flows.)
   if (sentinel_crossing) {
     result.cut_value = kInfiniteCapacity;
   }

@@ -72,7 +72,13 @@ bool IncrementalMinCut::RepairFlow() {
     const int end = network_.first_out(v + 1);
     CapUnits balance = 0;
     for (int a = network_.first_out(v); a < end; ++a) {
-      balance -= network_.arc(a).flow;  // Exact: guard above bounds |flow|.
+      // Every |flow| is finite (guard above), but a sum of sentinel-scale
+      // flows can still leave the exact range; such a flow is not soundly
+      // repairable.
+      balance = SatSub(balance, network_.arc(a).flow);
+      if (balance == kInfiniteCapacity || balance == -kInfiniteCapacity) {
+        return false;
+      }
     }
     balance_[static_cast<size_t>(v)] = balance;
   }
@@ -118,7 +124,10 @@ bool IncrementalMinCut::RepairFlow() {
       balance_[static_cast<size_t>(v)] += amount;
       CapUnits& downstream = balance_[static_cast<size_t>(arc.to)];
       const bool was_deficit = downstream < 0;
-      downstream -= amount;
+      downstream = SatSub(downstream, amount);
+      if (downstream == -kInfiniteCapacity) {
+        return false;  // Same sentinel-scale bound as the balances above.
+      }
       if (!was_deficit && downstream < 0 && arc.to != source_ && arc.to != sink_) {
         deficit_queue_.push_back(arc.to);
       }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/mincut/relabel_to_front.h"
+#include "src/mincut/push_relabel.h"
 
 namespace coign {
 
@@ -20,8 +20,9 @@ MultiwayCutResult MultiwayCutIsolation(int node_count, const EdgeList& edges,
   };
   std::vector<Isolating> cuts(k);
 
+  PushRelabelSolver solver;
   for (size_t t = 0; t < k; ++t) {
-    FlowNetwork network(node_count + 1);
+    CompactFlowNetwork network(node_count + 1);
     const int super_sink = node_count;
     for (const auto& [a, b, weight] : edges) {
       network.AddEdge(a, b, weight);
@@ -31,7 +32,9 @@ MultiwayCutResult MultiwayCutIsolation(int node_count, const EdgeList& edges,
         network.AddArc(terminals[other], super_sink, kInfiniteCapacity);
       }
     }
-    const CutResult cut = MinCutRelabelToFront(network, terminals[t], super_sink);
+    network.Finalize();
+    const CapUnits flow = solver.Solve(network, terminals[t], super_sink);
+    const CutResult cut = network.ExtractCut(terminals[t], flow);
     cuts[t].value = cut.cut_value;
     cuts[t].side = cut.in_source_side;
     cuts[t].side.resize(static_cast<size_t>(node_count));  // Drop the super-sink.

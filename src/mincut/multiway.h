@@ -6,15 +6,18 @@
 // minimum cut for each terminal (terminal vs all other terminals merged
 // into a super-sink), discard the most expensive one, and take the union of
 // the rest. Nodes claimed by no isolating cut stay with the discarded
-// terminal.
+// terminal. Each isolating cut is solved by the production push-relabel
+// solver; on feasible inputs its source side is the unique minimal minimum
+// cut, so the assignment does not depend on the max-flow algorithm.
 
 #ifndef COIGN_SRC_MINCUT_MULTIWAY_H_
 #define COIGN_SRC_MINCUT_MULTIWAY_H_
 
 #include <functional>
+#include <tuple>
 #include <vector>
 
-#include "src/mincut/flow_network.h"
+#include "src/mincut/compact_flow_network.h"
 
 namespace coign {
 

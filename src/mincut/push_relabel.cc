@@ -283,12 +283,12 @@ CapUnits PushRelabelSolver::Solve(CompactFlowNetwork& net, int source, int sink)
   return excess_[static_cast<size_t>(sink)];
 }
 
-CutResult MinCutPushRelabel(const FlowNetwork& network, int source, int sink) {
-  CompactFlowNetwork compact = CompactFlowNetwork::FromFlowNetwork(network);
-  compact.ResetFlow();
+CutResult MinCutPushRelabel(const CompactFlowNetwork& network, int source, int sink) {
+  CompactFlowNetwork working = network;
+  working.ResetFlow();
   PushRelabelSolver solver;
-  const CapUnits flow = solver.Solve(compact, source, sink);
-  return compact.ExtractCut(source, flow);
+  const CapUnits flow = solver.Solve(working, source, sink);
+  return working.ExtractCut(source, flow);
 }
 
 }  // namespace coign

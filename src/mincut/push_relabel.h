@@ -1,7 +1,7 @@
 // Highest-label push-relabel max-flow on CompactFlowNetwork.
 //
 // This is the production solver behind CutAlgorithm::kPushRelabel; the
-// CLRS relabel-to-front and Edmonds-Karp implementations stay as
+// paper's CLRS relabel-to-front and the test-only Edmonds-Karp stay as
 // differential oracles (see tests/mincut_equivalence_test.cc). Two
 // heuristics make it fast on the repeated-cut workloads:
 //
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "src/mincut/compact_flow_network.h"
-#include "src/mincut/flow_network.h"
 
 namespace coign {
 
@@ -91,9 +90,10 @@ class PushRelabelSolver {
 };
 
 // Cold-solve convenience entry with the same signature as
-// MinCutRelabelToFront / MinCutEdmondsKarp, for the differential oracles
-// and the parameterized algorithm tests. Converts to CSR per call.
-CutResult MinCutPushRelabel(const FlowNetwork& network, int source, int sink);
+// MinCutRelabelToFront, for the differential oracles and the parameterized
+// algorithm tests. Solves from zero flow on a per-call working copy of the
+// finalized `network`.
+CutResult MinCutPushRelabel(const CompactFlowNetwork& network, int source, int sink);
 
 }  // namespace coign
 

@@ -28,14 +28,18 @@ namespace {
 // arguments that do not depend on excess values being conserved.
 class RelabelToFront {
  public:
-  RelabelToFront(FlowNetwork& network, int source, int sink)
+  RelabelToFront(CompactFlowNetwork& network, int source, int sink)
       : network_(network),
         source_(source),
         sink_(sink),
         n_(network.node_count()),
         height_(static_cast<size_t>(n_), 0),
         excess_(static_cast<size_t>(n_), 0),
-        current_arc_(static_cast<size_t>(n_), 0) {}
+        current_arc_(static_cast<size_t>(n_), 0) {
+    for (int v = 0; v < n_; ++v) {
+      current_arc_[static_cast<size_t>(v)] = network_.first_out(v);
+    }
+  }
 
   CapUnits Run() {
     InitializePreflow();
@@ -91,13 +95,15 @@ class RelabelToFront {
  private:
   void InitializePreflow() {
     height_[static_cast<size_t>(source_)] = n_;
-    for (FlowArc& arc : network_.ArcsFrom(source_)) {
+    const int end = network_.first_out(source_ + 1);
+    for (int a = network_.first_out(source_); a < end; ++a) {
+      CompactArc& arc = network_.arc(a);
       const CapUnits amount = arc.Residual();
       if (amount <= 0) {
         continue;
       }
       arc.flow = SatAdd(arc.flow, amount);
-      FlowArc& reverse = network_.ArcsFrom(arc.to)[arc.reverse_index];
+      CompactArc& reverse = network_.arc(arc.reverse);
       reverse.flow = SatSub(reverse.flow, amount);
       excess_[static_cast<size_t>(arc.to)] =
           SatAdd(excess_[static_cast<size_t>(arc.to)], amount);
@@ -106,10 +112,10 @@ class RelabelToFront {
     }
   }
 
-  void Push(int u, FlowArc& arc) {
+  void Push(int u, CompactArc& arc) {
     const CapUnits amount = std::min(excess_[static_cast<size_t>(u)], arc.Residual());
     arc.flow = SatAdd(arc.flow, amount);
-    FlowArc& reverse = network_.ArcsFrom(arc.to)[arc.reverse_index];
+    CompactArc& reverse = network_.arc(arc.reverse);
     reverse.flow = SatSub(reverse.flow, amount);
     excess_[static_cast<size_t>(u)] -= amount;  // Exact: amount <= excess.
     excess_[static_cast<size_t>(arc.to)] =
@@ -118,7 +124,9 @@ class RelabelToFront {
 
   void Lift(int u) {
     int min_height = 2 * n_;
-    for (const FlowArc& arc : network_.ArcsFrom(u)) {
+    const int end = network_.first_out(u + 1);
+    for (int a = network_.first_out(u); a < end; ++a) {
+      const CompactArc& arc = network_.arc(a);
       if (arc.Residual() > 0) {
         min_height = std::min(min_height, height_[static_cast<size_t>(arc.to)]);
       }
@@ -128,13 +136,12 @@ class RelabelToFront {
 
   void Discharge(int u) {
     while (excess_[static_cast<size_t>(u)] > 0) {
-      auto& arcs = network_.ArcsFrom(u);
-      if (current_arc_[static_cast<size_t>(u)] >= arcs.size()) {
+      if (current_arc_[static_cast<size_t>(u)] >= network_.first_out(u + 1)) {
         Lift(u);
-        current_arc_[static_cast<size_t>(u)] = 0;
+        current_arc_[static_cast<size_t>(u)] = network_.first_out(u);
         continue;
       }
-      FlowArc& arc = arcs[current_arc_[static_cast<size_t>(u)]];
+      CompactArc& arc = network_.arc(current_arc_[static_cast<size_t>(u)]);
       if (arc.Residual() > 0 &&
           height_[static_cast<size_t>(u)] == height_[static_cast<size_t>(arc.to)] + 1) {
         Push(u, arc);
@@ -144,18 +151,19 @@ class RelabelToFront {
     }
   }
 
-  FlowNetwork& network_;
+  CompactFlowNetwork& network_;
   const int source_;
   const int sink_;
   const int n_;
   std::vector<int> height_;
   std::vector<CapUnits> excess_;
-  std::vector<size_t> current_arc_;
+  std::vector<int> current_arc_;  // Global arc index, per node.
 };
 
 }  // namespace
 
-CutResult MinCutRelabelToFront(const FlowNetwork& original, int source, int sink) {
+CutResult MinCutRelabelToFront(const CompactFlowNetwork& original, int source, int sink) {
+  assert(original.finalized());
   assert(source != sink);
   assert(source >= 0 && source < original.node_count());
   assert(sink >= 0 && sink < original.node_count());
@@ -163,10 +171,11 @@ CutResult MinCutRelabelToFront(const FlowNetwork& original, int source, int sink
   // All mutation — preflow and relabeling — happens on this per-call
   // copy, which is what makes the entry point safe to call from many
   // worker threads at once.
-  FlowNetwork network = original;
+  CompactFlowNetwork network = original;
+  network.ResetFlow();
   RelabelToFront algorithm(network, source, sink);
   const CapUnits flow = algorithm.Run();
-  return ExtractCut(network, source, flow);
+  return network.ExtractCut(source, flow);
 }
 
 }  // namespace coign

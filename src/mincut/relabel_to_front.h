@@ -9,17 +9,18 @@
 #ifndef COIGN_SRC_MINCUT_RELABEL_TO_FRONT_H_
 #define COIGN_SRC_MINCUT_RELABEL_TO_FRONT_H_
 
-#include "src/mincut/flow_network.h"
+#include "src/mincut/compact_flow_network.h"
 
 namespace coign {
 
 // Computes a maximum s-t flow with relabel-to-front push-relabel and
 // returns the induced minimum cut. Arithmetic is exact (CapUnits), so the
-// cut value always equals MinCutEdmondsKarp's on the same input. The input
-// network is not modified: all flow happens on a per-call working copy, so
-// concurrent cuts — even over the same FlowNetwork — are safe.
-// source != sink.
-CutResult MinCutRelabelToFront(const FlowNetwork& network, int source, int sink);
+// cut value always equals the production push-relabel solver's on the same
+// input and, on feasible inputs, so does the partition (the unique minimal
+// minimum cut). `network` must be finalized and is not modified: the solve
+// starts from zero flow on a per-call working copy, so concurrent cuts —
+// even over the same network — are safe. source != sink.
+CutResult MinCutRelabelToFront(const CompactFlowNetwork& network, int source, int sink);
 
 }  // namespace coign
 

@@ -24,6 +24,11 @@ std::string_view MigrationPhaseName(MigrationPhase phase) {
 
 namespace {
 
+// The header is "migration-journal v2", the only format this build reads
+// and writes.
+constexpr char kHeaderTag[] = "migration-journal ";
+constexpr char kVersion[] = "v2";
+
 Result<MigrationPhase> PhaseByName(const std::string& name) {
   if (name == "intent") {
     return MigrationPhase::kIntent;
@@ -81,10 +86,10 @@ std::vector<MigrationRecord> MigrationJournal::InFlight() const {
 }
 
 std::string MigrationJournal::Serialize() const {
-  // v2: each record line ends with the CRC32C of its own body, so the
-  // loader can localize mid-file damage to single records instead of
-  // rejecting the whole journal.
-  std::string out = "migration-journal v2\n";
+  // Each record line ends with the CRC32C of its own body, so the loader
+  // can localize mid-file damage to single records instead of rejecting
+  // the whole journal.
+  std::string out = StrFormat("%s%s\n", kHeaderTag, kVersion);
   for (const MigrationRecord& record : records_) {
     const std::string body =
         StrFormat("rec %s %llu %d %d %llu",
@@ -99,21 +104,14 @@ std::string MigrationJournal::Serialize() const {
 
 namespace {
 
-// Sets `truncated` when the line ends mid-record — fewer fields than a
-// complete record carries. A line with all its fields but unusable contents
-// (bad tag, unknown phase) is corruption, never tearing: a torn write can
-// only lose a suffix, not rewrite completed fields.
-Result<MigrationRecord> ParseRecordLine(const std::string& line, bool* truncated) {
-  *truncated = false;
+// Parses one record body ("rec <phase> <instance> <from> <to> <bytes>").
+Result<MigrationRecord> ParseRecordLine(const std::string& line) {
   std::istringstream fields(line);
   std::string tag, phase_name;
   MigrationRecord record;
   unsigned long long instance = 0, bytes = 0;
-  if (!(fields >> tag >> phase_name >> instance >> record.from >> record.to >> bytes)) {
-    *truncated = true;
-    return InvalidArgumentError("migration journal: truncated record: " + line);
-  }
-  if (tag != "rec") {
+  if (!(fields >> tag >> phase_name >> instance >> record.from >> record.to >> bytes) ||
+      tag != "rec") {
     return InvalidArgumentError("migration journal: bad record: " + line);
   }
   Result<MigrationPhase> phase = PhaseByName(phase_name);
@@ -126,36 +124,15 @@ Result<MigrationRecord> ParseRecordLine(const std::string& line, bool* truncated
   return record;
 }
 
-// Parses the 8-hex-digit CRC field v2 lines end with.
-bool ParseCrcHex(const std::string& hex, uint32_t* out) {
-  if (hex.size() != 8) {
-    return false;
-  }
-  uint32_t bits = 0;
-  for (char c : hex) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    bits = (bits << 4) | static_cast<uint32_t>(digit);
-  }
-  *out = bits;
-  return true;
-}
-
 }  // namespace
 
 Result<MigrationJournal> MigrationJournal::Parse(const std::string& text) {
   // Durability boundary: a record exists only once its terminating newline
   // is on disk. A crash mid-append leaves a torn tail — bytes after the
-  // last newline, or a final terminated line whose fields were cut short —
-  // and recovery must treat exactly that suffix as never written. Earlier
-  // records are covered by later newlines, so damage there is corruption,
-  // not tearing, and stays a hard error.
+  // last newline, or a final terminated line whose CRC field was cut
+  // short — and recovery must treat exactly that suffix as never written.
+  // Earlier records are covered by later newlines, so damage there is
+  // corruption, not tearing.
   const size_t last_newline = text.find_last_of('\n');
   bool torn = last_newline == std::string::npos || last_newline + 1 < text.size();
   const std::string body =
@@ -163,11 +140,15 @@ Result<MigrationJournal> MigrationJournal::Parse(const std::string& text) {
 
   std::istringstream in(body);
   std::string line;
-  if (!std::getline(in, line) ||
-      (line != "migration-journal v1" && line != "migration-journal v2")) {
+  if (!std::getline(in, line) || !StartsWith(line, kHeaderTag)) {
     return InvalidArgumentError("migration journal: bad header");
   }
-  const bool checksummed = line == "migration-journal v2";
+  const std::string version = line.substr(std::string_view(kHeaderTag).size());
+  if (version != kVersion) {
+    return InvalidArgumentError(
+        StrFormat("migration journal: unsupported version %s (this build reads %s)",
+                  version.c_str(), kVersion));
+  }
   std::vector<std::string> lines;
   while (std::getline(in, line)) {
     if (!line.empty()) {
@@ -176,32 +157,16 @@ Result<MigrationJournal> MigrationJournal::Parse(const std::string& text) {
   }
   MigrationJournal journal;
   for (size_t i = 0; i < lines.size(); ++i) {
-    const bool last = i + 1 == lines.size();
-    if (!checksummed) {
-      // v1: no per-record checksum, so mid-file damage is unlocatable and
-      // stays a hard error; only the cut-short final record is tearing.
-      bool truncated = false;
-      Result<MigrationRecord> record = ParseRecordLine(lines[i], &truncated);
-      if (!record.ok()) {
-        if (truncated && last) {
-          torn = true;
-          break;
-        }
-        return record.status();
-      }
-      journal.Append(*record);
-      continue;
-    }
-    // v2: verify the trailing CRC before trusting a word of the record.
-    // A final line whose CRC field never finished is a torn append; any
+    // Verify the trailing CRC before trusting a word of the record. A
+    // final line whose CRC field never finished is a torn append; any
     // earlier line that fails to verify — or parses to garbage under a
     // valid checksum — is corruption, skipped and counted so the caller
     // can quarantine instead of losing the whole journal.
     const size_t space = lines[i].find_last_of(' ');
-    uint32_t expected = 0;
+    uint64_t expected = 0;
     if (space == std::string::npos ||
-        !ParseCrcHex(lines[i].substr(space + 1), &expected)) {
-      if (last) {
+        !ParseLowerHex(std::string_view(lines[i]).substr(space + 1), 8, &expected)) {
+      if (i + 1 == lines.size()) {
         torn = true;
         break;
       }
@@ -209,12 +174,11 @@ Result<MigrationJournal> MigrationJournal::Parse(const std::string& text) {
       continue;
     }
     const std::string record_body = lines[i].substr(0, space);
-    bool truncated = false;
     if (Crc32c(record_body) != expected) {
       ++journal.corrupt_skipped_;
       continue;
     }
-    Result<MigrationRecord> record = ParseRecordLine(record_body, &truncated);
+    Result<MigrationRecord> record = ParseRecordLine(record_body);
     if (!record.ok()) {
       ++journal.corrupt_skipped_;
       continue;

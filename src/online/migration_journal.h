@@ -65,16 +65,16 @@ class MigrationJournal {
   // (intent/prepared) — what crash recovery must roll back. Append order.
   std::vector<MigrationRecord> InFlight() const;
 
-  // Exact text round-trip for durability across restarts. Serialize writes
-  // the v2 form: every record line carries a trailing CRC32C of its own
-  // text. Parse reads v1 (no CRCs) and v2. Both tolerate a torn tail — a
-  // crash mid-append leaves bytes after the final newline or a truncated
-  // final record, and either is dropped (it was never durably written);
-  // recovered_torn_tail() reports whether a tail was dropped. Mid-file
-  // damage diverges by version: v1 has no way to localize it and fails
-  // hard; v2 skips exactly the records whose CRC or fields no longer
-  // check out and counts them in corrupt_skipped() — the caller decides
-  // whether to quarantine.
+  // Exact text round-trip for durability across restarts, in the v2
+  // format: every record line carries a trailing CRC32C of its own text.
+  // Parse tolerates a torn tail — a crash mid-append leaves bytes after
+  // the final newline or a truncated final record, and either is dropped
+  // (it was never durably written); recovered_torn_tail() reports whether
+  // a tail was dropped. Mid-file damage is localized: exactly the records
+  // whose CRC or fields no longer check out are skipped and counted in
+  // corrupt_skipped() — the caller decides whether to quarantine. A
+  // journal in the older v1 format (no CRCs) is rejected with
+  // InvalidArgument naming the version found.
   std::string Serialize() const;
   static Result<MigrationJournal> Parse(const std::string& text);
 
@@ -85,7 +85,7 @@ class MigrationJournal {
   static Result<MigrationJournal> LoadFromFile(const std::string& path);
 
   bool recovered_torn_tail() const { return recovered_torn_tail_; }
-  // Records dropped by the v2 loader because their checksum (or their
+  // Records dropped by the loader because their checksum (or their
   // contents under a valid checksum) no longer verified.
   size_t corrupt_skipped() const { return corrupt_skipped_; }
 

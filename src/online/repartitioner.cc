@@ -63,11 +63,19 @@ OnlineRepartitioner::OnlineRepartitioner(ObjectSystem* system, CoignRuntime* run
   assert(system_ != nullptr && runtime_ != nullptr);
   // A journal file left by a previous process means that process died with
   // a migration in flight: pick it up as the pending migration so the first
-  // healthy epoch boundary runs crash recovery against it.
+  // healthy epoch boundary runs crash recovery against it. A file that
+  // exists but cannot be read is moved aside, never left where the next
+  // persisted snapshot (or its removal) would destroy it unread.
   if (!options_.journal_path.empty()) {
     Result<MigrationJournal> loaded =
         MigrationJournal::LoadFromFile(options_.journal_path);
-    if (loaded.ok() && !loaded->empty()) {
+    if (!loaded.ok() && loaded.status().code() != StatusCode::kNotFound) {
+      const std::string aside = options_.journal_path + ".unreadable";
+      const bool moved = std::rename(options_.journal_path.c_str(), aside.c_str()) == 0;
+      COIGN_LOG(kWarning, "journal %s is unreadable (%s); %s %s",
+                options_.journal_path.c_str(), loaded.status().ToString().c_str(),
+                moved ? "kept it aside as" : "could not move it aside to", aside.c_str());
+    } else if (loaded.ok() && !loaded->empty()) {
       if (loaded->recovered_torn_tail()) {
         COIGN_LOG(kWarning, "journal %s had a torn tail; dropped the partial record",
                   options_.journal_path.c_str());

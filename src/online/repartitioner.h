@@ -64,7 +64,9 @@ struct OnlineOptions {
   // Non-empty: the pending migration journal is snapshotted to this file
   // after every journaled step, an existing file is recovered from at
   // construction (torn tails tolerated), and the file is removed when the
-  // migration completes or is abandoned.
+  // migration completes or is abandoned. An existing file that cannot be
+  // parsed (damaged header, unsupported version) is logged and renamed to
+  // `<journal_path>.unreadable` for inspection instead of being dropped.
   std::string journal_path;
 };
 

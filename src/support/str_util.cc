@@ -66,4 +66,24 @@ std::string FormatBytes(uint64_t bytes) {
   return StrFormat("%.1f %s", value, kUnits[unit]);
 }
 
+bool ParseLowerHex(std::string_view text, size_t digits, uint64_t* out) {
+  if (digits == 0 || digits > 16 || text.size() != digits) {
+    return false;
+  }
+  uint64_t value = 0;
+  for (const char c : text) {
+    int digit;
+    if (c >= '0' && c <= '9') {
+      digit = c - '0';
+    } else if (c >= 'a' && c <= 'f') {
+      digit = c - 'a' + 10;
+    } else {
+      return false;
+    }
+    value = (value << 4) | static_cast<uint64_t>(digit);
+  }
+  *out = value;
+  return true;
+}
+
 }  // namespace coign

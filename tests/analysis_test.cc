@@ -156,17 +156,22 @@ TEST(AnalysisEngineTest, ApiConstraintDerivationCanBeDisabled) {
   EXPECT_NEAR(result->predicted_comm_seconds, 0.0, 1e-12);
 }
 
-TEST(AnalysisEngineTest, BothCutAlgorithmsChooseEquallyGoodDistributions) {
-  const IccProfile profile = WorkerProfile(5000, 5200);
+TEST(AnalysisEngineTest, BothCutAlgorithmsChooseTheIdenticalDistribution) {
+  // The paper's lift-to-front and the production push-relabel solver both
+  // extract the unique minimal minimum cut: the same exact value in units
+  // and the same placement, whichever side Worker lands on.
   AnalysisOptions rtf_options;
   rtf_options.algorithm = CutAlgorithm::kRelabelToFront;
-  AnalysisOptions ek_options;
-  ek_options.algorithm = CutAlgorithm::kEdmondsKarp;
-  Result<AnalysisResult> rtf = ProfileAnalysisEngine(rtf_options).Analyze(profile, FastNetwork());
-  Result<AnalysisResult> ek = ProfileAnalysisEngine(ek_options).Analyze(profile, FastNetwork());
-  ASSERT_TRUE(rtf.ok());
-  ASSERT_TRUE(ek.ok());
-  EXPECT_NEAR(rtf->predicted_comm_seconds, ek->predicted_comm_seconds, 1e-9);
+  for (const IccProfile& profile : {WorkerProfile(5000, 5200), WorkerProfile(9000, 100)}) {
+    Result<AnalysisResult> rtf =
+        ProfileAnalysisEngine(rtf_options).Analyze(profile, FastNetwork());
+    Result<AnalysisResult> pr = ProfileAnalysisEngine().Analyze(profile, FastNetwork());
+    ASSERT_TRUE(rtf.ok());
+    ASSERT_TRUE(pr.ok());
+    EXPECT_GT(rtf->cut_value_units, 0);
+    EXPECT_EQ(rtf->cut_value_units, pr->cut_value_units);
+    EXPECT_EQ(rtf->distribution.placement, pr->distribution.placement);
+  }
 }
 
 TEST(AnalysisEngineTest, SessionWarmStartsAreInvisibleInResults) {

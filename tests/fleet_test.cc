@@ -141,6 +141,48 @@ TEST(CohortTest, InflateForLossChargesExpectedRetransmissions) {
   EXPECT_DOUBLE_EQ(untouched.bytes_per_second, base.bytes_per_second);
 }
 
+TEST(CohortTest, LossInflationNeverMovesACut) {
+  // InflateForLoss scales both network terms by 1/(1-p), so every edge's
+  // predicted time scales by the same factor and the minimum cut cannot
+  // move: the loss axis only keeps lossy clients out of clean cohorts.
+  // Checked at each lossy client's own link, inflated and clean.
+  FleetPopulationOptions population;
+  population.client_count = 2000;
+  population.lossy_fraction = 0.5;
+  const std::vector<FleetClient> fleet = GenerateFleet(population, 42);
+  // Gui <-chatty-> Worker <-bulk-> Store: Worker's side depends on the
+  // link's latency-bandwidth product, which the fleet spreads over two
+  // decades.
+  IccProfile profile = TestProfile(/*gui_bytes=*/64, /*store_bytes=*/180000);
+  CallKey chatty;
+  chatty.src = 0;
+  chatty.dst = 1;
+  chatty.iid = Guid::FromName("iid:IFleetTest");
+  for (int call = 1; call < 100; ++call) {
+    profile.RecordCall(chatty, 64, 64, true);
+  }
+  const ProfileAnalysisEngine engine;
+  size_t lossy = 0;
+  std::set<MachineId> worker_sides;
+  for (const FleetClient& client : fleet) {
+    if (client.fault_rates.drop <= 0.0) {
+      continue;
+    }
+    ++lossy;
+    Result<AnalysisResult> clean = engine.Analyze(profile, NetworkProfile::Exact(client.network));
+    Result<AnalysisResult> inflated = engine.Analyze(
+        profile, NetworkProfile::Exact(InflateForLoss(client.network, client.fault_rates.drop)));
+    ASSERT_TRUE(clean.ok());
+    ASSERT_TRUE(inflated.ok());
+    EXPECT_EQ(inflated->distribution.placement, clean->distribution.placement)
+        << "client " << client.id << " drop " << client.fault_rates.drop;
+    worker_sides.insert(clean->distribution.MachineFor(1));
+  }
+  EXPECT_GT(lossy, 500u);
+  // Not vacuous: across the fleet's links Worker lands on both sides.
+  EXPECT_EQ(worker_sides.size(), 2u);
+}
+
 TEST(CohortTest, GenerateFleetLossyFractionDrawsLossyClients) {
   FleetPopulationOptions options;
   options.client_count = 400;
@@ -307,13 +349,22 @@ TEST(PlanCacheTest, LoadRejectsMalformedSnapshots) {
   PlanCache cache(4);
   EXPECT_FALSE(cache.Load("not a cache").ok());
   EXPECT_FALSE(cache.Load("plan-cache v9 0\n").ok());
-  EXPECT_FALSE(cache.Load("plan-cache v1 1\nentry oops\n").ok());
-  // v4 (checksummed records) is current; v3 (exact cut values), v2 (loss
-  // buckets, no cut units) and v1 still load. Empty snapshots are fine in
-  // all versions.
-  EXPECT_TRUE(cache.Load("plan-cache v4 0\n").ok());
-  EXPECT_TRUE(cache.Load("plan-cache v3 0\n").ok());
-  EXPECT_TRUE(cache.Load("plan-cache v2 0\n").ok());
+  EXPECT_TRUE(cache.Load("plan-cache v4 0\n").ok());  // Empty is fine.
+}
+
+TEST(PlanCacheTest, OlderFormatVersionsAreRejectedByName) {
+  // Only v4 (checksummed records) loads. A v1-v3 snapshot, even an empty
+  // one, is an InvalidArgument that names the version found and the
+  // version this build reads.
+  for (const std::string version : {"v1", "v2", "v3"}) {
+    PlanCache cache(4);
+    const Status status = cache.Load("plan-cache " + version + " 0\n");
+    ASSERT_FALSE(status.ok()) << version;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << version;
+    EXPECT_NE(status.message().find("unsupported version " + version), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("reads v4"), std::string::npos) << status.ToString();
+  }
 }
 
 TEST(PlanCacheTest, V4DamageIsLocalizedToTheDamagedRecord) {
@@ -343,36 +394,6 @@ TEST(PlanCacheTest, V4DamageIsLocalizedToTheDamagedRecord) {
   ASSERT_TRUE(torn_cache.Load(torn).ok());
   EXPECT_EQ(torn_cache.size(), 2u);
   EXPECT_EQ(torn_cache.stats().corrupt_skipped, 0u);
-}
-
-TEST(PlanCacheTest, V3SnapshotsStillLoadStrictly) {
-  PlanCache cache(8);
-  cache.Insert(PlanCacheKey{11, CohortKey{0, 1}}, SnapshotPlan(0.125));
-  cache.Insert(PlanCacheKey{11, CohortKey{2, 3}}, SnapshotPlan(1.0 / 3.0));
-  // Rewrite the v4 snapshot as its v3 equivalent: same record lines, no
-  // crc lines, v3 header.
-  std::istringstream in(cache.Serialize());
-  std::string line;
-  std::getline(in, line);
-  std::string v3 = "plan-cache v3 2\n";
-  while (std::getline(in, line)) {
-    if (line.compare(0, 4, "crc ") != 0) {
-      v3 += line;
-      v3 += '\n';
-    }
-  }
-  PlanCache reloaded(8);
-  ASSERT_TRUE(reloaded.Load(v3).ok());
-  EXPECT_EQ(reloaded.size(), 2u);
-  EXPECT_TRUE(reloaded.Lookup(PlanCacheKey{11, CohortKey{2, 3}}).has_value());
-  // v3 has no checksums to localize damage: any mangled byte still fails
-  // the whole load.
-  std::string mangled = v3;
-  const size_t plan_pos = mangled.find("plan ");
-  ASSERT_NE(plan_pos, std::string::npos);
-  mangled[plan_pos] = 'q';
-  PlanCache strict(8);
-  EXPECT_FALSE(strict.Load(mangled).ok());
 }
 
 TEST(FleetServiceTest, CacheFileRoundTripServesWarmRestart) {

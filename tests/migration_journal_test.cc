@@ -89,8 +89,8 @@ TEST(MigrationJournalPersistTest, DamageBeforeTheTailIsSkippedAndCounted) {
   EXPECT_FALSE(parsed->recovered_torn_tail());
 }
 
-// Strips the v2 CRC fields off a serialized journal, producing the v1 form
-// old snapshots on disk still carry.
+// Strips the v2 CRC fields off a serialized journal, producing the older
+// v1 form.
 std::string ToV1(const MigrationJournal& journal) {
   std::istringstream in(journal.Serialize());
   std::string line;
@@ -103,22 +103,19 @@ std::string ToV1(const MigrationJournal& journal) {
   return out;
 }
 
-TEST(MigrationJournalPersistTest, V1SnapshotsStillLoad) {
-  const MigrationJournal journal = TestJournal();
-  Result<MigrationJournal> parsed = MigrationJournal::Parse(ToV1(journal));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ExpectSameRecords(journal, *parsed);
-  EXPECT_EQ(parsed->corrupt_skipped(), 0u);
-}
-
-TEST(MigrationJournalPersistTest, V1DamageBeforeTheTailStaysAHardError) {
-  // v1 has no per-record checksum: mid-file damage cannot be localized and
-  // must still fail loudly rather than be silently dropped.
-  std::string text = ToV1(TestJournal());
-  const size_t first_rec = text.find("rec intent");
-  ASSERT_NE(first_rec, std::string::npos);
-  text.replace(first_rec, 10, "rec mangle");
-  EXPECT_FALSE(MigrationJournal::Parse(text).ok());
+TEST(MigrationJournalPersistTest, V1JournalsAreRejectedByName) {
+  // Only v2 (per-record CRCs) parses. A v1 journal is an InvalidArgument
+  // that names the version found and the version this build reads — never
+  // an empty journal, which would silently drop its in-flight records.
+  Result<MigrationJournal> parsed = MigrationJournal::Parse(ToV1(TestJournal()));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("unsupported version v1"), std::string::npos)
+      << parsed.status().ToString();
+  EXPECT_NE(parsed.status().message().find("reads v2"), std::string::npos)
+      << parsed.status().ToString();
+  EXPECT_FALSE(MigrationJournal::Parse("migration-journal v1\n").ok());
+  EXPECT_FALSE(MigrationJournal::Parse("not a journal\n").ok());
 }
 
 TEST(MigrationJournalPersistTest, FlippedCrcDigitDropsOnlyThatRecord) {

@@ -26,12 +26,11 @@
 #include <vector>
 
 #include "src/mincut/compact_flow_network.h"
-#include "src/mincut/edmonds_karp.h"
-#include "src/mincut/flow_network.h"
 #include "src/mincut/incremental.h"
 #include "src/mincut/push_relabel.h"
 #include "src/mincut/relabel_to_front.h"
 #include "src/support/rng.h"
+#include "tests/oracles/mincut_oracles.h"
 
 namespace coign {
 namespace {
@@ -56,8 +55,8 @@ struct GraphSpec {
   std::vector<SpecEdge> edges;
 };
 
-FlowNetwork BuildNetwork(const GraphSpec& spec) {
-  FlowNetwork network(spec.node_count);
+CompactFlowNetwork BuildNetwork(const GraphSpec& spec) {
+  CompactFlowNetwork network(spec.node_count);
   for (const SpecEdge& edge : spec.edges) {
     if (edge.directed) {
       network.AddArc(edge.a, edge.b, edge.capacity);
@@ -65,12 +64,13 @@ FlowNetwork BuildNetwork(const GraphSpec& spec) {
       network.AddEdge(edge.a, edge.b, edge.capacity);
     }
   }
+  network.Finalize();
   return network;
 }
 
 std::string Describe(const GraphSpec& spec) {
   std::ostringstream out;
-  out << "FlowNetwork network(" << spec.node_count << ");  // source="
+  out << "CompactFlowNetwork network(" << spec.node_count << ");  // source="
       << spec.source << " sink=" << spec.sink << "\n";
   for (const SpecEdge& edge : spec.edges) {
     out << "network." << (edge.directed ? "AddArc" : "AddEdge") << "(" << edge.a
@@ -83,71 +83,6 @@ std::string Describe(const GraphSpec& spec) {
     out << ");\n";
   }
   return out.str();
-}
-
-// ---------------------------------------------------------------------------
-// Reference oracle: exhaustive minimum cut by partition enumeration.
-//
-// Independent of both flow algorithms — it never routes a unit of flow.
-// For every subset S with source in S and sink out of S, sum the capacity
-// of stored arcs leaving S (undirected edges contribute their arc in the
-// crossing direction; AddArc's zero-capacity reverse stubs add nothing)
-// and take the exact minimum. Saturating addition makes the infeasible
-// case (every cut crosses a sentinel) come out as exactly
-// kInfiniteCapacity, matching the algorithms' promotion rule. Exponential
-// in non-terminal nodes, so the generator keeps graphs <= 12 nodes.
-
-CapUnits ReferenceMinCut(const GraphSpec& spec) {
-  const FlowNetwork network = BuildNetwork(spec);
-  const int n = network.node_count();
-  std::vector<int> inner;
-  for (int v = 0; v < n; ++v) {
-    if (v != spec.source && v != spec.sink) {
-      inner.push_back(v);
-    }
-  }
-  CapUnits best = kInfiniteCapacity;
-  const uint64_t subsets = uint64_t{1} << inner.size();
-  std::vector<bool> in_s(static_cast<size_t>(n), false);
-  for (uint64_t mask = 0; mask < subsets; ++mask) {
-    std::fill(in_s.begin(), in_s.end(), false);
-    in_s[static_cast<size_t>(spec.source)] = true;
-    for (size_t i = 0; i < inner.size(); ++i) {
-      if ((mask >> i) & 1) {
-        in_s[static_cast<size_t>(inner[i])] = true;
-      }
-    }
-    CapUnits crossing = 0;
-    for (int v = 0; v < n; ++v) {
-      if (!in_s[static_cast<size_t>(v)]) {
-        continue;
-      }
-      for (const FlowArc& arc : network.ArcsFrom(v)) {
-        if (!in_s[static_cast<size_t>(arc.to)]) {
-          crossing = SatAdd(crossing, arc.capacity);
-        }
-      }
-    }
-    best = std::min(best, crossing);
-  }
-  return best;
-}
-
-// Capacity crossing the partition claimed by a cut result, recomputed
-// exactly from the network's arcs (forward arcs leaving the source side).
-CapUnits PartitionCapacity(const FlowNetwork& network, const CutResult& cut) {
-  CapUnits total = 0;
-  for (int node = 0; node < network.node_count(); ++node) {
-    if (!cut.in_source_side[static_cast<size_t>(node)]) {
-      continue;
-    }
-    for (const FlowArc& arc : network.ArcsFrom(node)) {
-      if (!cut.in_source_side[static_cast<size_t>(arc.to)]) {
-        total = SatAdd(total, arc.capacity);
-      }
-    }
-  }
-  return total;
 }
 
 // ---------------------------------------------------------------------------
@@ -286,11 +221,11 @@ CapUnits PerturbedCapacity(size_t index, CapUnits capacity) {
 
 Disagreement CheckGraph(const GraphSpec& spec) {
   Disagreement result;
-  const FlowNetwork network = BuildNetwork(spec);
+  const CompactFlowNetwork network = BuildNetwork(spec);
   const CutResult lift = MinCutRelabelToFront(network, spec.source, spec.sink);
   const CutResult baseline = MinCutEdmondsKarp(network, spec.source, spec.sink);
   const CutResult highest = MinCutPushRelabel(network, spec.source, spec.sink);
-  const CapUnits reference = ReferenceMinCut(spec);
+  const CapUnits reference = ReferenceMinCut(network, spec.source, spec.sink);
 
   // Warm leg: cold-solve perturbed capacities, then apply the true
   // capacities as deltas and re-solve warm.
@@ -337,7 +272,7 @@ Disagreement CheckGraph(const GraphSpec& spec) {
     }
     // Max-flow/min-cut certificate: the capacity crossing the returned
     // partition equals the reported cut value, exactly.
-    const CapUnits crossing = PartitionCapacity(network, cut);
+    const CapUnits crossing = PartitionCapacity(network, cut.in_source_side);
     if (crossing != cut.cut_value) {
       why << name << " partition crosses " << crossing << " but reports "
           << cut.cut_value << "; ";
@@ -403,7 +338,7 @@ TEST(MinCutDifferentialFuzzTest, BothAlgorithmsMatchTheReferenceOracleExactly) {
              << " of " << spec.edges.size() << " edges): " << residual.what
              << "\n" << Describe(minimal);
     }
-    if (ReferenceMinCut(spec) == kInfiniteCapacity) {
+    if (ReferenceMinCut(BuildNetwork(spec), spec.source, spec.sink) == kInfiniteCapacity) {
       ++infeasible;
     }
   }
@@ -452,8 +387,7 @@ TEST(MinCutDifferentialFuzzTest, ReplaysDeterministically) {
   // The generator itself is part of the test's determinism contract.
   auto fingerprint = [](uint64_t seed) {
     const GraphSpec spec = GenGraph(seed);
-    const FlowNetwork network = BuildNetwork(spec);
-    return MinCutRelabelToFront(network, spec.source, spec.sink).cut_value;
+    return MinCutRelabelToFront(BuildNetwork(spec), spec.source, spec.sink).cut_value;
   };
   EXPECT_EQ(fingerprint(11), fingerprint(11));
   EXPECT_EQ(fingerprint(12), fingerprint(12));
@@ -465,11 +399,12 @@ TEST(MinCutDifferentialFuzzTest, NearEqualCapacitiesStayExact) {
   // difference: the cut must pick the smaller side exactly. This is the
   // family-1 failure mode pinned as a unit test.
   constexpr CapUnits base = CapUnits{1} << 53;
-  FlowNetwork network(4);
+  CompactFlowNetwork network(4);
   network.AddArc(0, 2, base + 1);
   network.AddArc(2, 1, base);      // This path's bottleneck: base.
   network.AddArc(0, 3, base);
   network.AddArc(3, 1, base - 1);  // This path's bottleneck: base - 1.
+  network.Finalize();
   const CutResult lift = MinCutRelabelToFront(network, 0, 1);
   const CutResult baseline = MinCutEdmondsKarp(network, 0, 1);
   EXPECT_EQ(lift.cut_value, 2 * base - 1);

@@ -23,12 +23,11 @@
 #include <vector>
 
 #include "src/mincut/compact_flow_network.h"
-#include "src/mincut/edmonds_karp.h"
-#include "src/mincut/flow_network.h"
 #include "src/mincut/incremental.h"
 #include "src/mincut/push_relabel.h"
 #include "src/mincut/relabel_to_front.h"
 #include "src/support/rng.h"
+#include "tests/oracles/mincut_oracles.h"
 
 namespace coign {
 namespace {
@@ -56,8 +55,8 @@ struct DeltaCase {
   std::vector<std::vector<Delta>> steps;
 };
 
-FlowNetwork BuildNetwork(const DeltaCase& c, const std::vector<CapUnits>& capacities) {
-  FlowNetwork network(c.node_count);
+CompactFlowNetwork BuildNetwork(const DeltaCase& c, const std::vector<CapUnits>& capacities) {
+  CompactFlowNetwork network(c.node_count);
   for (size_t i = 0; i < c.edges.size(); ++i) {
     if (c.edges[i].directed) {
       network.AddArc(c.edges[i].a, c.edges[i].b, capacities[i]);
@@ -65,60 +64,8 @@ FlowNetwork BuildNetwork(const DeltaCase& c, const std::vector<CapUnits>& capaci
       network.AddEdge(c.edges[i].a, c.edges[i].b, capacities[i]);
     }
   }
+  network.Finalize();
   return network;
-}
-
-// Exhaustive partition-enumeration minimum cut, independent of any flow
-// algorithm (same construction as mincut_equivalence_test).
-CapUnits ReferenceMinCut(const DeltaCase& c, const std::vector<CapUnits>& capacities) {
-  const FlowNetwork network = BuildNetwork(c, capacities);
-  const int n = network.node_count();
-  std::vector<int> inner;
-  for (int v = 0; v < n; ++v) {
-    if (v != c.source && v != c.sink) {
-      inner.push_back(v);
-    }
-  }
-  CapUnits best = kInfiniteCapacity;
-  const uint64_t subsets = uint64_t{1} << inner.size();
-  std::vector<bool> in_s(static_cast<size_t>(n), false);
-  for (uint64_t mask = 0; mask < subsets; ++mask) {
-    std::fill(in_s.begin(), in_s.end(), false);
-    in_s[static_cast<size_t>(c.source)] = true;
-    for (size_t i = 0; i < inner.size(); ++i) {
-      if ((mask >> i) & 1) {
-        in_s[static_cast<size_t>(inner[i])] = true;
-      }
-    }
-    CapUnits crossing = 0;
-    for (int v = 0; v < n; ++v) {
-      if (!in_s[static_cast<size_t>(v)]) {
-        continue;
-      }
-      for (const FlowArc& arc : network.ArcsFrom(v)) {
-        if (!in_s[static_cast<size_t>(arc.to)]) {
-          crossing = SatAdd(crossing, arc.capacity);
-        }
-      }
-    }
-    best = std::min(best, crossing);
-  }
-  return best;
-}
-
-CapUnits PartitionCapacity(const FlowNetwork& network, const CutResult& cut) {
-  CapUnits total = 0;
-  for (int node = 0; node < network.node_count(); ++node) {
-    if (!cut.in_source_side[static_cast<size_t>(node)]) {
-      continue;
-    }
-    for (const FlowArc& arc : network.ArcsFrom(node)) {
-      if (!cut.in_source_side[static_cast<size_t>(arc.to)]) {
-        total = SatAdd(total, arc.capacity);
-      }
-    }
-  }
-  return total;
 }
 
 std::string CapString(CapUnits capacity) {
@@ -185,11 +132,11 @@ Failure RunCase(const DeltaCase& c) {
       }
     }
     const CutResult live = session.Solve();
-    const FlowNetwork network = BuildNetwork(c, capacities);
+    const CompactFlowNetwork network = BuildNetwork(c, capacities);
     const CutResult cold = MinCutPushRelabel(network, c.source, c.sink);
     const CutResult lift = MinCutRelabelToFront(network, c.source, c.sink);
     const CutResult baseline = MinCutEdmondsKarp(network, c.source, c.sink);
-    const CapUnits reference = ReferenceMinCut(c, capacities);
+    const CapUnits reference = ReferenceMinCut(network, c.source, c.sink);
 
     const auto complain = [&why, step](const std::string& text) {
       why << "step " << step << ": " << text << "; ";
@@ -212,7 +159,7 @@ Failure RunCase(const DeltaCase& c) {
         live.in_source_side[static_cast<size_t>(c.sink)]) {
       complain("session returned a non-separating partition");
     } else {
-      const CapUnits crossing = PartitionCapacity(network, live);
+      const CapUnits crossing = PartitionCapacity(network, live.in_source_side);
       if (crossing != live.cut_value) {
         complain("session partition crosses " + std::to_string(crossing) +
                  " but reports " + std::to_string(live.cut_value));
@@ -375,8 +322,9 @@ TEST(MinCutIncrementalFuzzTest, ShrinkerReducesStepsAndDeltas) {
         capacities[delta.edge] = delta.capacity;
       }
     }
-    const FlowNetwork network = BuildNetwork(candidate, capacities);
-    return MinCutEdmondsKarp(network, candidate.source, candidate.sink).cut_value != 5;
+    return MinCutEdmondsKarp(BuildNetwork(candidate, capacities), candidate.source,
+                             candidate.sink)
+               .cut_value != 5;
   };
   ASSERT_TRUE(fails(c));
 

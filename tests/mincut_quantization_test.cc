@@ -1,6 +1,7 @@
 // Property tests for the single quantization boundary between the
 // prediction layer (double seconds) and the min-cut layer (integer
-// CapUnits). Two claims, both from the documented bound in flow_network.h:
+// CapUnits). Two claims, both from the documented bound in
+// compact_flow_network.h:
 //
 //  1. Round-tripping seconds -> CapUnits -> seconds moves any value by at
 //     most 1 unit (1 ps) for times inside the analysis domain, so a cut
@@ -16,15 +17,16 @@
 #include <tuple>
 #include <vector>
 
-#include "src/mincut/edmonds_karp.h"
-#include "src/mincut/flow_network.h"
+#include "src/mincut/compact_flow_network.h"
 #include "src/mincut/relabel_to_front.h"
 #include "src/support/rng.h"
+#include "tests/oracles/mincut_oracles.h"
 
 namespace coign {
 namespace {
 
-constexpr double kPerEdgeBoundSeconds = 1e-12;  // 1 unit, per flow_network.h.
+// 1 unit, per compact_flow_network.h.
+constexpr double kPerEdgeBoundSeconds = 1e-12;
 
 TEST(QuantizationTest, RoundTripStaysWithinOneUnitAcrossMagnitudes) {
   // Magnitudes from sub-nanosecond message costs to kiloseconds of bulk
@@ -65,10 +67,11 @@ TEST(QuantizationTest, PartitionValuePerturbedByAtMostOneUnitPerEdge) {
         }
       }
     }
-    FlowNetwork network(n);
+    CompactFlowNetwork network(n);
     for (const auto& [a, b, w] : edges) {
       network.AddEdge(a, b, SecondsToCapUnits(w));
     }
+    network.Finalize();
     const CutResult cut = MinCutEdmondsKarp(network, 0, n - 1);
 
     double unquantized = 0.0;
@@ -109,8 +112,8 @@ TEST(QuantizationTest, CutMembershipInvariantWhenGapsExceedTheBound) {
       }
     }
 
-    FlowNetwork quantized(n);
-    FlowNetwork exact(n);
+    CompactFlowNetwork quantized(n);
+    CompactFlowNetwork exact(n);
     for (const auto& [a, b, p] : edges) {
       const double micros = static_cast<double>(int64_t{1} << p);
       // Jitter below the representable quantization step: must not matter.
@@ -119,6 +122,8 @@ TEST(QuantizationTest, CutMembershipInvariantWhenGapsExceedTheBound) {
       exact.AddEdge(a, b, (int64_t{1} << p) * 1'000'000);  // us -> ps, exact.
     }
 
+    quantized.Finalize();
+    exact.Finalize();
     const CutResult from_quantized = MinCutRelabelToFront(quantized, 0, n - 1);
     const CutResult from_exact = MinCutRelabelToFront(exact, 0, n - 1);
     const CutResult ek_quantized = MinCutEdmondsKarp(quantized, 0, n - 1);

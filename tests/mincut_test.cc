@@ -3,16 +3,16 @@
 #include <tuple>
 #include <vector>
 
-#include "src/mincut/edmonds_karp.h"
-#include "src/mincut/flow_network.h"
+#include "src/mincut/compact_flow_network.h"
 #include "src/mincut/push_relabel.h"
 #include "src/mincut/relabel_to_front.h"
 #include "src/support/rng.h"
+#include "tests/oracles/mincut_oracles.h"
 
 namespace coign {
 namespace {
 
-using CutFn = CutResult (*)(const FlowNetwork&, int, int);
+using CutFn = CutResult (*)(const CompactFlowNetwork&, int, int);
 
 struct AlgorithmParam {
   const char* name;
@@ -22,8 +22,9 @@ struct AlgorithmParam {
 class MinCutAlgorithmTest : public ::testing::TestWithParam<AlgorithmParam> {};
 
 TEST_P(MinCutAlgorithmTest, SingleEdge) {
-  FlowNetwork network(2);
+  CompactFlowNetwork network(2);
   network.AddEdge(0, 1, 5);
+  network.Finalize();
   const CutResult cut = GetParam().fn(network, 0, 1);
   EXPECT_EQ(cut.cut_value, 5);
   EXPECT_TRUE(cut.in_source_side[0]);
@@ -32,9 +33,10 @@ TEST_P(MinCutAlgorithmTest, SingleEdge) {
 }
 
 TEST_P(MinCutAlgorithmTest, DisconnectedTerminalsHaveZeroCut) {
-  FlowNetwork network(4);
+  CompactFlowNetwork network(4);
   network.AddEdge(0, 2, 9);
   network.AddEdge(1, 3, 9);
+  network.Finalize();
   const CutResult cut = GetParam().fn(network, 0, 1);
   EXPECT_EQ(cut.cut_value, 0);
   EXPECT_TRUE(cut.cut_edges.empty());
@@ -42,7 +44,7 @@ TEST_P(MinCutAlgorithmTest, DisconnectedTerminalsHaveZeroCut) {
 
 TEST_P(MinCutAlgorithmTest, ClassicClrsExample) {
   // CLRS figure-style network: directed arcs.
-  FlowNetwork network(6);
+  CompactFlowNetwork network(6);
   network.AddArc(0, 1, 16);
   network.AddArc(0, 2, 13);
   network.AddArc(1, 2, 10);
@@ -53,6 +55,7 @@ TEST_P(MinCutAlgorithmTest, ClassicClrsExample) {
   network.AddArc(4, 3, 7);
   network.AddArc(3, 5, 20);
   network.AddArc(4, 5, 4);
+  network.Finalize();
   const CutResult cut = GetParam().fn(network, 0, 5);
   EXPECT_EQ(cut.cut_value, 23);  // The textbook max flow.
 }
@@ -60,11 +63,12 @@ TEST_P(MinCutAlgorithmTest, ClassicClrsExample) {
 TEST_P(MinCutAlgorithmTest, PathBottleneck) {
   // Capacities in units (3/2 of the old float fixture, scaled by 2 to
   // stay integral): the bottleneck edge decides the cut exactly.
-  FlowNetwork network(5);
+  CompactFlowNetwork network(5);
   network.AddEdge(0, 1, 20);
   network.AddEdge(1, 2, 3);  // Bottleneck.
   network.AddEdge(2, 3, 20);
   network.AddEdge(3, 4, 20);
+  network.Finalize();
   const CutResult cut = GetParam().fn(network, 0, 4);
   EXPECT_EQ(cut.cut_value, 3);
   EXPECT_TRUE(cut.in_source_side[1]);
@@ -74,9 +78,10 @@ TEST_P(MinCutAlgorithmTest, PathBottleneck) {
 TEST_P(MinCutAlgorithmTest, InfiniteConstraintEdgeNeverCut) {
   // A "pinned" node wired to the source with kInfiniteCapacity must end up
   // on the source side even when all its other traffic points at the sink.
-  FlowNetwork network(3);
+  CompactFlowNetwork network(3);
   network.AddEdge(0, 2, kInfiniteCapacity);  // Constraint: 2 stays with 0.
   network.AddEdge(2, 1, 100);                // Heavy traffic toward the sink.
+  network.Finalize();
   const CutResult cut = GetParam().fn(network, 0, 1);
   EXPECT_EQ(cut.cut_value, 100);
   EXPECT_TRUE(cut.in_source_side[2]);
@@ -85,9 +90,10 @@ TEST_P(MinCutAlgorithmTest, InfiniteConstraintEdgeNeverCut) {
 TEST_P(MinCutAlgorithmTest, StarGraphCutsCheaperSide) {
   // Node 2 talks 1 unit to the client and 3 to the server: it belongs on
   // the server side; the cut pays only the client edge.
-  FlowNetwork network(3);
+  CompactFlowNetwork network(3);
   network.AddEdge(0, 2, 1);
   network.AddEdge(2, 1, 3);
+  network.Finalize();
   const CutResult cut = GetParam().fn(network, 0, 1);
   EXPECT_EQ(cut.cut_value, 1);
   EXPECT_FALSE(cut.in_source_side[2]);
@@ -98,10 +104,11 @@ TEST_P(MinCutAlgorithmTest, InfeasibleSentinelPathReportsInfiniteCut) {
   // algorithms must report exactly kInfiniteCapacity — the analysis
   // engine's unsatisfiable-constraints signal — and terminate doing so
   // (the float era could spin here; exact arithmetic cannot).
-  FlowNetwork network(3);
+  CompactFlowNetwork network(3);
   network.AddEdge(0, 2, kInfiniteCapacity);
   network.AddEdge(2, 1, kInfiniteCapacity);
   network.AddEdge(0, 1, 7);  // Finite traffic alongside the pins.
+  network.Finalize();
   const CutResult cut = GetParam().fn(network, 0, 1);
   EXPECT_EQ(cut.cut_value, kInfiniteCapacity);
 }
@@ -110,12 +117,13 @@ TEST_P(MinCutAlgorithmTest, ParallelSentinelArcsIntoOneNodeStayExact) {
   // Two sentinel arcs feeding node 3 saturate its stored excess in
   // push-relabel (kInf + kInf clamps); the surplus must drain back to the
   // source without disturbing the finite cut value.
-  FlowNetwork network(5);
+  CompactFlowNetwork network(5);
   network.AddArc(0, 2, kInfiniteCapacity);
   network.AddArc(0, 3, kInfiniteCapacity);
   network.AddArc(2, 3, kInfiniteCapacity);
   network.AddArc(3, 4, 11);
   network.AddArc(4, 1, 6);
+  network.Finalize();
   const CutResult cut = GetParam().fn(network, 0, 1);
   EXPECT_EQ(cut.cut_value, 6);
 }
@@ -124,13 +132,14 @@ TEST_P(MinCutAlgorithmTest, SummedCapacitiesNearInt64MaxSaturateToSentinel) {
   // Three parallel finite edges each close to the finite maximum: the true
   // max flow exceeds int64 range, so the reported value must saturate to
   // exactly the sentinel in both algorithms rather than wrapping.
-  FlowNetwork network(5);
+  CompactFlowNetwork network(5);
   network.AddArc(0, 2, kMaxFiniteCapacity - 2);
   network.AddArc(0, 3, kMaxFiniteCapacity - 2);
   network.AddArc(0, 4, kMaxFiniteCapacity - 2);
   network.AddArc(2, 1, kMaxFiniteCapacity - 2);
   network.AddArc(3, 1, kMaxFiniteCapacity - 2);
   network.AddArc(4, 1, kMaxFiniteCapacity - 2);
+  network.Finalize();
   const CutResult cut = GetParam().fn(network, 0, 1);
   EXPECT_EQ(cut.cut_value, kInfiniteCapacity);
 }
@@ -138,9 +147,10 @@ TEST_P(MinCutAlgorithmTest, SummedCapacitiesNearInt64MaxSaturateToSentinel) {
 TEST_P(MinCutAlgorithmTest, NearMaxFiniteCapacitySingleEdgeIsExact) {
   // One edge just below the sentinel: the flow is huge but representable,
   // and the result must be bit-exact, not approximately large.
-  FlowNetwork network(3);
+  CompactFlowNetwork network(3);
   network.AddArc(0, 2, kMaxFiniteCapacity - 1);
   network.AddArc(2, 1, kMaxFiniteCapacity - 7);
+  network.Finalize();
   const CutResult cut = GetParam().fn(network, 0, 1);
   EXPECT_EQ(cut.cut_value, kMaxFiniteCapacity - 7);
 }
@@ -177,7 +187,7 @@ TEST(SaturatingArithmeticTest, SubSaturatesAtTheRails) {
 TEST(SaturatingArithmeticTest, ResidualOfSentinelArcSaturates) {
   // A sentinel-capacity arc whose reverse owes sentinel-scale flow has a
   // residual beyond int64 range; it must clamp to the sentinel, not wrap.
-  FlowArc arc;
+  CompactArc arc;
   arc.capacity = kInfiniteCapacity;
   arc.flow = -kInfiniteCapacity;
   EXPECT_EQ(arc.Residual(), kInfiniteCapacity);
@@ -216,14 +226,13 @@ TEST_P(RandomGraphTest, AlgorithmsAgreeAndCutsAreConsistent) {
     }
   }
 
-  FlowNetwork network1(n);
-  FlowNetwork network2(n);
+  CompactFlowNetwork network(n);
   for (const auto& [a, b, w] : edges) {
-    network1.AddEdge(a, b, w);
-    network2.AddEdge(a, b, w);
+    network.AddEdge(a, b, w);
   }
-  const CutResult rtf = MinCutRelabelToFront(network1, 0, n - 1);
-  const CutResult ek = MinCutEdmondsKarp(network2, 0, n - 1);
+  network.Finalize();
+  const CutResult rtf = MinCutRelabelToFront(network, 0, n - 1);
+  const CutResult ek = MinCutEdmondsKarp(network, 0, n - 1);
 
   EXPECT_EQ(rtf.cut_value, ek.cut_value);
 
@@ -246,28 +255,31 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphTest,
 TEST(FlowNetworkTest, CutsDoNotMutateTheInputNetwork) {
   // The const& entry points work on per-call copies: repeated cuts over
   // the same network agree, and the caller's arcs keep zero flow.
-  FlowNetwork network(3);
+  CompactFlowNetwork network(3);
   network.AddEdge(0, 1, 2);
   network.AddEdge(1, 2, 2);
+  network.Finalize();
   const CutResult first = MinCutRelabelToFront(network, 0, 2);
   const CutResult second = MinCutRelabelToFront(network, 0, 2);
   EXPECT_EQ(first.cut_value, second.cut_value);
-  for (int node = 0; node < network.node_count(); ++node) {
-    for (const FlowArc& arc : network.ArcsFrom(node)) {
-      EXPECT_EQ(arc.flow, 0);
-    }
+  for (int a = 0; a < network.arc_count(); ++a) {
+    EXPECT_EQ(network.arc(a).flow, 0);
   }
-  // ResetFlow stays available for callers that build flows by hand.
-  network.ResetFlow();
+  // Flow a caller left on the input (e.g. a solved session's network) is
+  // ignored: the one-shot entry points always start cold.
+  PushRelabelSolver solver;
+  EXPECT_EQ(solver.Solve(network, 0, 2), first.cut_value);
   EXPECT_EQ(MinCutRelabelToFront(network, 0, 2).cut_value, first.cut_value);
+  EXPECT_EQ(MinCutPushRelabel(network, 0, 2).in_source_side, first.in_source_side);
 }
 
 TEST(FlowNetworkTest, ExtractCutListsSaturatedCrossingEdges) {
-  FlowNetwork network(4);
+  CompactFlowNetwork network(4);
   network.AddEdge(0, 1, 1);
   network.AddEdge(0, 2, 1);
   network.AddEdge(1, 3, 1);
   network.AddEdge(2, 3, 1);
+  network.Finalize();
   const CutResult cut = MinCutRelabelToFront(network, 0, 3);
   EXPECT_EQ(cut.cut_value, 2);
   EXPECT_EQ(cut.cut_edges.size(), 2u);

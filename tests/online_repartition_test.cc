@@ -1,9 +1,15 @@
 // Tests for the online repartitioning subsystem: the sliding-window
 // accountant, the rent-or-buy policy (hysteresis, migration-cost gates),
-// the live migrator, and the drift-detector edge cases the online loop
-// depends on.
+// the live migrator, migration-journal recovery across restarts, and the
+// drift-detector edge cases the online loop depends on.
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <memory>
+#include <string>
 
 #include "src/apps/component_library.h"
 #include "src/apps/octarine.h"
@@ -11,6 +17,7 @@
 #include "src/net/network_model.h"
 #include "src/online/circuit_breaker.h"
 #include "src/online/measure_online.h"
+#include "src/online/migration_journal.h"
 #include "src/online/migrator.h"
 #include "src/online/policy.h"
 #include "src/online/window.h"
@@ -315,6 +322,83 @@ TEST_F(MigratorTest, UnclassifiedInstancesStayPut) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->instances_moved, 0u);
   EXPECT_EQ(system_.LiveInstances()[0].machine, kClientMachine);
+}
+
+// --- Journal persistence across restarts (OnlineOptions::journal_path) ------
+
+class JournalRestartTest : public MigratorTest {
+ protected:
+  // A distributed-mode runtime plus a repartitioner whose options point at
+  // `path`, as a restarted process would build them.
+  std::unique_ptr<OnlineRepartitioner> Restart(const std::string& path) {
+    ConfigurationRecord config;
+    config.mode = RuntimeMode::kDistributed;
+    runtime_ = std::make_unique<CoignRuntime>(&system_, config);
+    OnlineOptions options;
+    options.journal_path = path;
+    return std::make_unique<OnlineRepartitioner>(
+        &system_, runtime_.get(), profile_,
+        NetworkProfile::Exact(NetworkModel::TenBaseT()), options);
+  }
+
+  static bool FileExists(const std::string& path) {
+    return std::ifstream(path).good();
+  }
+
+  IccProfile profile_;
+  std::unique_ptr<CoignRuntime> runtime_;
+};
+
+TEST_F(JournalRestartTest, InFlightJournalIsResumedAtTheFirstEpoch) {
+  // The previous process crashed mid-copy: its journal says the instance
+  // was headed to the server, and the copy had already landed there.
+  ASSERT_TRUE(system_.CreateInstanceByName("Echo", "IEcho").ok());
+  const InstanceId instance = system_.LiveInstances()[0].id;
+  ASSERT_TRUE(system_.MoveInstance(instance, kServerMachine).ok());
+  MigrationJournal crashed;
+  crashed.Append({MigrationPhase::kIntent, instance, kClientMachine, kServerMachine, 512});
+  const std::string path = ::testing::TempDir() + "/coign_journal_resume.txt";
+  ASSERT_TRUE(crashed.SaveToFile(path).ok());
+
+  Transport transport(NetworkModel::TenBaseT());
+  std::unique_ptr<OnlineRepartitioner> repartitioner = Restart(path);
+  ASSERT_TRUE(repartitioner->has_pending_migration());
+  ASSERT_EQ(repartitioner->pending_journal()->InFlight().size(), 1u);
+  EXPECT_EQ(repartitioner->pending_journal()->InFlight()[0].instance, instance);
+
+  // The first epoch boundary runs crash recovery: the in-flight copy is
+  // rolled back to its source, the re-attempt has nothing left to move,
+  // and the completed migration removes the snapshot file.
+  repartitioner->SetMigrationTransport(&transport, nullptr);
+  ASSERT_TRUE(repartitioner->EndEpoch().ok());
+  EXPECT_EQ(repartitioner->stats().migration_resumes, 1u);
+  EXPECT_EQ(repartitioner->stats().migration_rollbacks, 1u);
+  EXPECT_EQ(system_.MachineOf(instance).value(), kClientMachine);
+  EXPECT_FALSE(repartitioner->has_pending_migration());
+  EXPECT_FALSE(FileExists(path));
+}
+
+TEST_F(JournalRestartTest, UnreadableJournalIsKeptAsideNotDeleted) {
+  // A damaged header and an older-format (v1) journal both fail to parse.
+  // Neither may be dropped unread: each is renamed to <path>.unreadable
+  // with its bytes intact, and the run starts with no pending migration.
+  const std::string path = ::testing::TempDir() + "/coign_journal_unreadable.txt";
+  const std::string aside = path + ".unreadable";
+  for (const std::string text :
+       {"migration-journal v1\nrec intent 7 0 1 512\n", "migration-jXurnal v2\n"}) {
+    std::remove(aside.c_str());
+    std::ofstream(path) << text;
+    std::unique_ptr<OnlineRepartitioner> repartitioner = Restart(path);
+    EXPECT_FALSE(repartitioner->has_pending_migration());
+    EXPECT_FALSE(FileExists(path));
+    std::ifstream kept(aside);
+    const std::string kept_text((std::istreambuf_iterator<char>(kept)),
+                                std::istreambuf_iterator<char>());
+    EXPECT_EQ(kept_text, text);
+    ASSERT_TRUE(repartitioner->EndEpoch().ok());
+    EXPECT_TRUE(FileExists(aside));
+  }
+  std::remove(aside.c_str());
 }
 
 // --- DetectDrift edge cases -------------------------------------------------

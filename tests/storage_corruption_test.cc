@@ -1,16 +1,15 @@
 // Disk-corruption fuzz sweep over the checksummed persistence formats.
 //
-// The storage-integrity contract: a plan-cache or migration-journal
-// snapshot damaged on disk must never crash the loader and must never be
-// consumed as garbage. v4 cache / v2 journal snapshots localize damage —
-// a single flipped bit loses at most the records it touches (skipped and
-// counted), a truncated tail is recovered as a torn append — while the
-// legacy strict formats (cache v1-v3, journal v1) may reject the whole
-// load but must still return a Status like civilized code. The exhaustive
-// sweeps run every single-bit flip and every truncation point; the seeded
-// random sweep adds byte overwrites and multi-bit damage across every
-// format version. Run under ASan/UBSan in CI, this is the "never crash,
-// never lie" proof for the storage layer.
+// The storage-integrity contract: a plan-cache (v4) or migration-journal
+// (v2) snapshot damaged on disk must never crash the loader and must never
+// be consumed as garbage. Damage is localized — a single flipped bit loses
+// at most the records it touches (skipped and counted), a truncated tail
+// is recovered as a torn append — and anything the loader cannot use at
+// all (a wrecked header) comes back as a Status like civilized code. The
+// exhaustive sweeps run every single-bit flip and every truncation point;
+// the seeded random sweep adds byte overwrites and multi-bit damage. Run
+// under ASan/UBSan in CI, this is the "never crash, never lie" proof for
+// the storage layer.
 
 #include <gtest/gtest.h>
 
@@ -54,34 +53,6 @@ std::string CacheSnapshotV4(size_t entries) {
                  FuzzPlan(0.125 * (i + 1)));
   }
   return cache.Serialize();
-}
-
-// Downgrades a v4 snapshot to the older strict formats by reversing the
-// version history: v3 drops the crc lines, v2 additionally drops the
-// fixed-point cut value from plan lines, v1 additionally drops the loss
-// bucket from entry lines.
-std::string DowngradeCache(const std::string& v4, const std::string& version) {
-  std::vector<std::string> lines = SplitString(v4, '\n');
-  std::string out;
-  size_t records = 0;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    std::string line = lines[i];
-    if (line.empty() || line.compare(0, 4, "crc ") == 0) {
-      continue;
-    }
-    if (line.compare(0, 6, "entry ") == 0) {
-      ++records;
-      if (version == "v1") {
-        line = line.substr(0, line.find_last_of(' '));
-      }
-    }
-    if (line.compare(0, 5, "plan ") == 0 && version != "v3") {
-      line = line.substr(0, line.find_last_of(' '));
-    }
-    out += line;
-    out += '\n';
-  }
-  return StrFormat("plan-cache %s %zu\n", version.c_str(), records) + out;
 }
 
 // Record blocks (record lines + their crc line) of a v4 snapshot — the
@@ -181,55 +152,34 @@ TEST(StorageCorruptionTest, JournalV2SurvivesEverySingleBitFlipInTheBody) {
   }
 }
 
-TEST(StorageCorruptionTest, JournalTruncationIsTearingInBothVersions) {
+TEST(StorageCorruptionTest, JournalTruncationIsTearing) {
   MigrationJournal journal;
   for (InstanceId instance = 1; instance <= 3; ++instance) {
     journal.Append({MigrationPhase::kPrepared, instance, kClientMachine,
                     kServerMachine, 128});
   }
-  const std::string v2 = journal.Serialize();
-  std::string v1 = v2;
-  // Downgrade: strip each line's trailing CRC field and swap the header.
-  {
-    std::string out;
-    for (const std::string& line : SplitString(v2, '\n')) {
-      if (line.empty()) {
-        continue;
-      }
-      out += line.compare(0, 4, "rec ") == 0 ? line.substr(0, line.find_last_of(' '))
-                                             : line;
-      out += '\n';
-    }
-    v1 = out;
-    v1.replace(v1.find("v2"), 2, "v1");
-  }
-
-  for (const std::string& text : {v2, v1}) {
-    const size_t body_start = text.find('\n') + 1;
-    for (size_t keep = body_start; keep <= text.size(); ++keep) {
-      Result<MigrationJournal> parsed = MigrationJournal::Parse(text.substr(0, keep));
-      ASSERT_TRUE(parsed.ok())
-          << "keep " << keep << ": " << parsed.status().ToString();
-      EXPECT_EQ(parsed->corrupt_skipped(), 0u) << "keep " << keep;
-      EXPECT_LE(parsed->size(), journal.size()) << "keep " << keep;
-      if (keep < text.size()) {
-        EXPECT_TRUE(parsed->recovered_torn_tail() || parsed->size() < journal.size() ||
-                    keep + 1 == text.size())
-            << "keep " << keep;
-      }
+  const std::string text = journal.Serialize();
+  const size_t body_start = text.find('\n') + 1;
+  for (size_t keep = body_start; keep <= text.size(); ++keep) {
+    Result<MigrationJournal> parsed = MigrationJournal::Parse(text.substr(0, keep));
+    ASSERT_TRUE(parsed.ok())
+        << "keep " << keep << ": " << parsed.status().ToString();
+    EXPECT_EQ(parsed->corrupt_skipped(), 0u) << "keep " << keep;
+    EXPECT_LE(parsed->size(), journal.size()) << "keep " << keep;
+    if (keep < text.size()) {
+      EXPECT_TRUE(parsed->recovered_torn_tail() || parsed->size() < journal.size() ||
+                  keep + 1 == text.size())
+          << "keep " << keep;
     }
   }
 }
 
-// The legacy strict formats have no way to localize damage, so a corrupted
-// load may fail outright — but it must fail with a Status, never crash,
-// whatever bytes the disk serves. Seeded random damage: bit flips, byte
-// overwrites, truncations, and combinations, over every format version.
-TEST(StorageCorruptionTest, RandomDamageNeverCrashesAnyVersion) {
-  const std::string v4 = CacheSnapshotV4(4);
-  const std::vector<std::string> cache_snapshots = {
-      v4, DowngradeCache(v4, "v3"), DowngradeCache(v4, "v2"),
-      DowngradeCache(v4, "v1")};
+// Damage anywhere — the header included — may fail a load outright, but
+// it must fail with a Status, never crash, whatever bytes the disk serves.
+// Seeded random damage: bit flips, byte overwrites, truncations, and
+// combinations.
+TEST(StorageCorruptionTest, RandomDamageNeverCrashesALoader) {
+  const std::string cache_snapshot = CacheSnapshotV4(4);
 
   MigrationJournal journal;
   for (InstanceId instance = 1; instance <= 4; ++instance) {
@@ -238,22 +188,7 @@ TEST(StorageCorruptionTest, RandomDamageNeverCrashesAnyVersion) {
     journal.Append({MigrationPhase::kRolledBack, instance, kClientMachine,
                     kServerMachine, 256});
   }
-  const std::string journal_v2 = journal.Serialize();
-  std::string journal_v1 = journal_v2;
-  {
-    std::string out;
-    for (const std::string& line : SplitString(journal_v2, '\n')) {
-      if (line.empty()) {
-        continue;
-      }
-      out += line.compare(0, 4, "rec ") == 0 ? line.substr(0, line.find_last_of(' '))
-                                             : line;
-      out += '\n';
-    }
-    journal_v1 = out;
-    journal_v1.replace(journal_v1.find("v2"), 2, "v1");
-  }
-  const std::vector<std::string> journal_snapshots = {journal_v2, journal_v1};
+  const std::string journal_snapshot = journal.Serialize();
 
   Rng rng(2026);
   const auto damage = [&rng](std::string text) {
@@ -281,19 +216,14 @@ TEST(StorageCorruptionTest, RandomDamageNeverCrashesAnyVersion) {
   };
 
   for (int trial = 0; trial < 400; ++trial) {
-    for (const std::string& snapshot : cache_snapshots) {
-      PlanCache cache(8);
-      const Status status = cache.Load(damage(snapshot));
-      if (status.ok()) {
-        (void)cache.Serialize();  // A surviving cache must still function.
-      }
+    PlanCache cache(8);
+    if (cache.Load(damage(cache_snapshot)).ok()) {
+      (void)cache.Serialize();  // A surviving cache must still function.
     }
-    for (const std::string& snapshot : journal_snapshots) {
-      Result<MigrationJournal> parsed = MigrationJournal::Parse(damage(snapshot));
-      if (parsed.ok()) {
-        (void)parsed->InFlight();
-        (void)parsed->Serialize();
-      }
+    Result<MigrationJournal> parsed = MigrationJournal::Parse(damage(journal_snapshot));
+    if (parsed.ok()) {
+      (void)parsed->InFlight();
+      (void)parsed->Serialize();
     }
   }
 }

@@ -50,5 +50,30 @@ TEST(FormatBytesTest, UnitsScale) {
   EXPECT_EQ(FormatBytes(3u * 1024 * 1024 + 200 * 1024), "3.2 MB");
 }
 
+TEST(ParseLowerHexTest, ParsesExactWidthLowercase) {
+  uint64_t value = 0;
+  EXPECT_TRUE(ParseLowerHex("0123abcd", 8, &value));
+  EXPECT_EQ(value, 0x0123abcdu);
+  EXPECT_TRUE(ParseLowerHex("ffffffffffffffff", 16, &value));
+  EXPECT_EQ(value, ~uint64_t{0});
+  EXPECT_TRUE(ParseLowerHex("0", 1, &value));
+  EXPECT_EQ(value, 0u);
+}
+
+TEST(ParseLowerHexTest, RejectsEverythingElseAndLeavesTheOutputAlone) {
+  uint64_t value = 42;
+  // Storage writes lowercase only: uppercase is damage, not an alias.
+  EXPECT_FALSE(ParseLowerHex("0123ABCD", 8, &value));
+  EXPECT_FALSE(ParseLowerHex("0123abc", 8, &value));    // Short.
+  EXPECT_FALSE(ParseLowerHex("0123abcde", 8, &value));  // Long.
+  EXPECT_FALSE(ParseLowerHex("0123abcg", 8, &value));
+  EXPECT_FALSE(ParseLowerHex("-123abcd", 8, &value));
+  EXPECT_FALSE(ParseLowerHex(" 123abcd", 8, &value));
+  EXPECT_FALSE(ParseLowerHex(std::string("0123\0bcd", 8), 8, &value));
+  EXPECT_FALSE(ParseLowerHex("", 0, &value));
+  EXPECT_FALSE(ParseLowerHex("00000000000000000", 17, &value));  // Over 64 bits.
+  EXPECT_EQ(value, 42u);
+}
+
 }  // namespace
 }  // namespace coign
