@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/mincut/incremental.h"
 #include "src/mincut/relabel_to_front.h"
 
 namespace coign {
@@ -14,8 +15,7 @@ CapUnits EdgeCapacity(const ConcreteEdge& edge) {
 }
 
 // The CSR network for a concrete graph, one undirected edge per concrete
-// edge (edge id == concrete edge index, which the session's delta path
-// relies on).
+// edge.
 CompactFlowNetwork BuildFlowNetwork(const ConcreteGraph& concrete) {
   CompactFlowNetwork network(concrete.node_count());
   for (const ConcreteEdge& edge : concrete.edges()) {
@@ -25,68 +25,7 @@ CompactFlowNetwork BuildFlowNetwork(const ConcreteGraph& concrete) {
   return network;
 }
 
-struct GraphSignatures {
-  uint64_t topology = 0;  // Node count + edge endpoints.
-  uint64_t full = 0;      // Topology + exact capacities.
-};
-
-GraphSignatures FingerprintConcrete(const ConcreteGraph& concrete) {
-  uint64_t hash = 14695981039346656037ull;
-  const auto mix = [&hash](uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (byte * 8)) & 0xff;
-      hash *= 1099511628211ull;
-    }
-  };
-  GraphSignatures signatures;
-  mix(static_cast<uint64_t>(concrete.node_count()));
-  for (const ConcreteEdge& edge : concrete.edges()) {
-    mix(static_cast<uint64_t>(edge.a));
-    mix(static_cast<uint64_t>(edge.b));
-  }
-  signatures.topology = hash;
-  for (const ConcreteEdge& edge : concrete.edges()) {
-    mix(static_cast<uint64_t>(EdgeCapacity(edge)));
-  }
-  signatures.full = hash;
-  return signatures;
-}
-
 }  // namespace
-
-CutResult ProfileAnalysisEngine::SolveWithSession(const ConcreteGraph& concrete,
-                                                  MinCutSession* session) const {
-  const GraphSignatures signatures = FingerprintConcrete(concrete);
-  if (session->has_cut_ && signatures.full == session->graph_fingerprint_) {
-    // Unchanged window: the previous cut is the answer. Counts as a
-    // warm-start hit whose entire flow was reused.
-    ++session->stats_.warm_start_hits;
-    if (session->last_cut_.cut_value != kInfiniteCapacity) {
-      session->stats_.flow_reused_units =
-          SatAdd(session->stats_.flow_reused_units, session->last_cut_.cut_value);
-    }
-    return session->last_cut_;
-  }
-  if (!session->has_cut_ || signatures.topology != session->topology_signature_) {
-    // New or re-shaped graph: build the network afresh.
-    session->incremental_.Reset(BuildFlowNetwork(concrete), ConcreteGraph::kClientNode,
-                                ConcreteGraph::kServerNode);
-    session->topology_signature_ = signatures.topology;
-  } else {
-    // Same topology, drifted capacities: stage deltas against the
-    // retained flow.
-    const auto& edges = concrete.edges();
-    for (size_t i = 0; i < edges.size(); ++i) {
-      session->incremental_.SetEdgeCapacity(static_cast<int>(i), EdgeCapacity(edges[i]));
-    }
-  }
-  const CutResult cut = session->incremental_.Solve();
-  session->stats_.Accumulate(session->incremental_.last_stats());
-  session->graph_fingerprint_ = signatures.full;
-  session->last_cut_ = cut;
-  session->has_cut_ = true;
-  return cut;
-}
 
 Result<AnalysisResult> ProfileAnalysisEngine::Analyze(const IccProfile& profile,
                                                       const NetworkProfile& network) const {
@@ -122,10 +61,13 @@ Result<AnalysisResult> ProfileAnalysisEngine::Analyze(const IccProfile& profile,
   // reports) stays in seconds.
   CutResult cut;
   if (options_.algorithm == CutAlgorithm::kPushRelabel) {
-    // Production path. A caller-provided session warm-starts across
-    // calls; without one the solve is cold.
-    MinCutSession local_session;
-    cut = SolveWithSession(concrete, session != nullptr ? session : &local_session);
+    IncrementalMinCut solver;
+    solver.Reset(BuildFlowNetwork(concrete), ConcreteGraph::kClientNode,
+                 ConcreteGraph::kServerNode);
+    cut = solver.Solve();
+    if (session != nullptr) {
+      session->stats_.Accumulate(solver.last_stats());
+    }
   } else {
     cut = MinCutRelabelToFront(BuildFlowNetwork(concrete), ConcreteGraph::kClientNode,
                                ConcreteGraph::kServerNode);

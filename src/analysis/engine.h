@@ -2,13 +2,12 @@
 //
 // Pipeline: ICC profile + location constraints → abstract ICC graph →
 // (× network profile) → concrete graph → minimum cut → distribution.
-// The production cut is highest-label push-relabel on a flat CSR network,
-// warm-startable across calls through a MinCutSession; the paper's
-// lift-to-front algorithm remains selectable for cross-checking and
-// ablation. Both return the identical exact cut: for a maximum flow the
+// The production cut is one cold highest-label push-relabel solve on a
+// flat CSR network built for the call; the paper's lift-to-front
+// algorithm remains selectable for cross-checking and ablation. Both
+// return the identical exact cut: for a maximum flow the
 // residual-reachable source side is the unique minimal minimum cut, so the
-// distribution does not depend on the algorithm (or on warm vs cold
-// starts).
+// distribution does not depend on the algorithm.
 
 #ifndef COIGN_SRC_ANALYSIS_ENGINE_H_
 #define COIGN_SRC_ANALYSIS_ENGINE_H_
@@ -21,7 +20,7 @@
 #include "src/graph/distribution.h"
 #include "src/graph/icc_graph.h"
 #include "src/mincut/compact_flow_network.h"
-#include "src/mincut/incremental.h"
+#include "src/mincut/push_relabel.h"
 #include "src/net/network_profiler.h"
 #include "src/profile/icc_profile.h"
 #include "src/support/status.h"
@@ -29,7 +28,7 @@
 namespace coign {
 
 enum class CutAlgorithm {
-  kPushRelabel,     // Production: highest-label push-relabel, warm-startable.
+  kPushRelabel,     // Production: highest-label push-relabel.
   kRelabelToFront,  // The paper's lift-to-front min-cut (differential oracle).
 };
 
@@ -69,34 +68,23 @@ struct AnalysisResult {
   std::vector<CutEdgeReport> cut_edges;
 };
 
-// Warm-start cut state carried across Analyze calls. A session retains
-// the CSR flow network and the previous maximum flow; when the next
-// Analyze sees the same graph topology it applies capacity drift as
-// deltas and resumes the solve instead of starting cold, and when the
-// whole graph (topology + capacities) is byte-identical it returns the
-// previous cut outright. Results are bit-for-bit identical with and
-// without a session — the session only changes how much work the solve
-// performs. Each session belongs to exactly one caller thread at a time
-// (the fleet service keeps one per worker slot; the online repartitioner
-// keeps one per policy).
+// Solver-work accounting carried across Analyze calls. Every call still
+// builds its own network and solves it cold, so results are identical
+// with and without a session; the session only sums the push-relabel
+// counters (relabel-to-front solves add nothing). A session belongs to one
+// caller thread at a time (the online repartitioner keeps one per
+// policy).
 class MinCutSession {
  public:
   MinCutSession() = default;
 
-  // Cumulative solver work and warm-start accounting across the
-  // session's lifetime (a fingerprint short-circuit counts as a
-  // warm-start hit whose entire flow is reused).
+  // Cumulative push-relabel work across the session's lifetime.
   const MinCutSolveStats& stats() const { return stats_; }
 
  private:
   friend class ProfileAnalysisEngine;
 
-  IncrementalMinCut incremental_;
-  CutResult last_cut_;
   MinCutSolveStats stats_;
-  uint64_t topology_signature_ = 0;
-  uint64_t graph_fingerprint_ = 0;
-  bool has_cut_ = false;
 };
 
 // Re-entrancy contract: Analyze is const and keeps all working state
@@ -104,9 +92,9 @@ class MinCutSession {
 // underneath likewise operates on per-call state. One engine may serve
 // concurrent Analyze calls from many threads — the fleet partitioning
 // service computes per-cohort cuts in parallel through a single engine.
-// The session overload concentrates all cross-call mutation in the
-// caller-owned MinCutSession, so concurrency is preserved as long as a
-// given session is used by one thread at a time.
+// The session overload's only cross-call mutation is the caller-owned
+// MinCutSession's counters, so a given session must be used by one
+// thread at a time.
 class ProfileAnalysisEngine {
  public:
   explicit ProfileAnalysisEngine(AnalysisOptions options = {}) : options_(options) {}
@@ -115,14 +103,11 @@ class ProfileAnalysisEngine {
   Result<AnalysisResult> Analyze(const IccProfile& profile,
                                  const NetworkProfile& network) const;
 
-  // Same, reusing `session` to warm-start the cut when the graph repeats
-  // or drifts. Null session behaves exactly like the overload above.
+  // Same, adding the solve's push-relabel work to `session` (may be null).
   Result<AnalysisResult> Analyze(const IccProfile& profile, const NetworkProfile& network,
                                  MinCutSession* session) const;
 
  private:
-  CutResult SolveWithSession(const ConcreteGraph& concrete, MinCutSession* session) const;
-
   AnalysisOptions options_;
 };
 

@@ -1,32 +1,12 @@
 #include "src/analysis/multiway.h"
 
+#include "src/analysis/prediction.h"
 #include "src/com/class_registry.h"
 #include "src/graph/constraints.h"
 #include "src/graph/icc_graph.h"
 #include "src/mincut/multiway.h"
 
 namespace coign {
-
-double PredictMultiwayCommunicationSeconds(const IccProfile& profile,
-                                           const Distribution& distribution,
-                                           const NetworkProfile& network) {
-  double seconds = 0.0;
-  for (const auto& [key, summary] : profile.calls()) {
-    const MachineId src =
-        key.src == kNoClassification ? kClientMachine : distribution.MachineFor(key.src);
-    const MachineId dst =
-        key.dst == kNoClassification ? kClientMachine : distribution.MachineFor(key.dst);
-    if (src == dst) {
-      continue;
-    }
-    const double messages = static_cast<double>(summary.requests.total_count() +
-                                                summary.replies.total_count());
-    const double bytes = static_cast<double>(summary.requests.total_bytes() +
-                                             summary.replies.total_bytes());
-    seconds += messages * network.per_message_seconds + bytes * network.seconds_per_byte;
-  }
-  return seconds;
-}
 
 Result<MultiwayAnalysisResult> AnalyzeMultiway(const IccProfile& profile,
                                                const NetworkProfile& network,
@@ -117,7 +97,7 @@ Result<MultiwayAnalysisResult> AnalyzeMultiway(const IccProfile& profile,
   }
   result.distribution.default_machine = options.gui_machine;
   result.crossing_seconds =
-      PredictMultiwayCommunicationSeconds(profile, result.distribution, network);
+      PredictCommunicationSeconds(profile, result.distribution, network);
   return result;
 }
 

@@ -46,12 +46,6 @@ Result<MultiwayAnalysisResult> AnalyzeMultiway(const IccProfile& profile,
                                                const NetworkProfile& network,
                                                const MultiwayOptions& options);
 
-// Predicted communication of a multi-machine distribution (every
-// cross-machine pair counts, whatever the machines).
-double PredictMultiwayCommunicationSeconds(const IccProfile& profile,
-                                           const Distribution& distribution,
-                                           const NetworkProfile& network);
-
 }  // namespace coign
 
 #endif  // COIGN_SRC_ANALYSIS_MULTIWAY_H_

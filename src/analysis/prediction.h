@@ -31,7 +31,9 @@ ExecutionPrediction PredictExecutionTime(const IccProfile& profile,
                                          const Distribution& distribution,
                                          const NetworkProfile& network);
 
-// Predicted communication-only time (the Table 4 quantity).
+// Predicted communication-only time (the Table 4 quantity). Every call
+// pair whose ends sit on different machines counts, whatever the machine
+// ids, so multiway distributions are priced here too.
 double PredictCommunicationSeconds(const IccProfile& profile,
                                    const Distribution& distribution,
                                    const NetworkProfile& network);

@@ -36,7 +36,6 @@ FleetPartitionService::FleetPartitionService(FleetServiceOptions options)
       cache_(options.cache_capacity),
       pool_(options.worker_threads) {
   cache_.SetObservability(options_.obs);
-  cut_sessions_.resize(static_cast<size_t>(pool_.slot_count()));
 }
 
 Result<FleetPlanResult> FleetPartitionService::Plan(
@@ -82,10 +81,7 @@ Result<FleetPlanResult> FleetPartitionService::Plan(
     // link puts it (a common factor cannot move the argmin).
     const NetworkProfile pricing = NetworkProfile::Exact(
         InflateForLoss(plan.cohort.representative, plan.cohort.representative_drop));
-    // Per-slot warm start: cohort graphs share topology (same profile),
-    // so each solve after a slot's first resumes from retained flow.
-    Result<AnalysisResult> analyzed = engine_.Analyze(
-        profile, pricing, &cut_sessions_[static_cast<size_t>(WorkerPool::CurrentSlot())]);
+    Result<AnalysisResult> analyzed = engine_.Analyze(profile, pricing);
     if (analyzed.ok()) {
       plan.analysis = *std::move(analyzed);
     } else {
@@ -156,8 +152,7 @@ Result<FleetPlanResult> FleetPartitionService::Plan(
     const int cohort_index = result.CohortIndexOf(client.id);
     const ExecutionPrediction cohort_prediction = PredictExecutionTime(
         profile, result.plans[cohort_index].analysis.distribution, exact);
-    Result<AnalysisResult> optimal = engine_.Analyze(
-        profile, exact, &cut_sessions_[static_cast<size_t>(WorkerPool::CurrentSlot())]);
+    Result<AnalysisResult> optimal = engine_.Analyze(profile, exact);
     if (!optimal.ok()) {
       regret_status[i] = optimal.status();
       return;

@@ -124,15 +124,6 @@ class FleetPartitionService {
   ProfileAnalysisEngine engine_;
   PlanCache cache_;
   WorkerPool pool_;
-  // One warm-start cut session per pool slot (coordinator + workers).
-  // Successive analyses on the same thread share a fleet profile and
-  // differ only in network pricing, so most solves within a Plan() call —
-  // and across repeat calls — resume from retained flow instead of
-  // starting cold. Sessions never change results (warm and cold cuts are
-  // bit-identical), so the byte-identical-output determinism contract is
-  // untouched; no mincut metrics are emitted from the fleet path for the
-  // same reason — counters would vary with thread count.
-  std::vector<MinCutSession> cut_sessions_;
 };
 
 }  // namespace coign

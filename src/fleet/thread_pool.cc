@@ -1,24 +1,12 @@
 #include "src/fleet/thread_pool.h"
 
 namespace coign {
-namespace {
-
-// Slot 0 belongs to any thread that never entered a WorkerLoop — the
-// coordinator and the serial path included.
-thread_local int thread_slot = 0;
-
-}  // namespace
-
-int WorkerPool::CurrentSlot() { return thread_slot; }
 
 WorkerPool::WorkerPool(int threads) {
   for (int i = 1; i < threads; ++i) {
     // threads counts workers including the coordinating caller, which
     // participates in every batch — so an N-thread pool spawns N-1.
-    workers_.emplace_back([this, i] {
-      thread_slot = i;
-      WorkerLoop();
-    });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 

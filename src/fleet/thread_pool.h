@@ -33,18 +33,6 @@ class WorkerPool {
   // Worker threads owned by the pool (0 in serial mode).
   int worker_count() const { return static_cast<int>(workers_.size()); }
 
-  // Stable slot index of the calling thread: 0 for the coordinator (and
-  // for every caller outside a pool, including the serial path), 1..N-1
-  // for pool workers. Lets callers keep per-thread scratch — e.g. one
-  // warm-startable min-cut session per slot — without locking. Slots are
-  // process-wide thread identities, not pool-scoped: a thread owned by
-  // one pool reports its slot in that pool.
-  static int CurrentSlot();
-
-  // Number of distinct slots CurrentSlot can report for work run through
-  // this pool: workers plus the participating coordinator.
-  int slot_count() const { return worker_count() + 1; }
-
   // Runs task(i) for i in [0, count), blocking until every index has
   // finished. Tasks run concurrently and must not touch shared mutable
   // state without their own synchronization. Not re-entrant: one

@@ -8,21 +8,20 @@ CompactFlowNetwork::CompactFlowNetwork(int node_count) : node_count_(node_count)
   assert(node_count >= 0);
 }
 
-int CompactFlowNetwork::Stage(int from, int to, CapUnits capacity, bool directed) {
+void CompactFlowNetwork::Stage(int from, int to, CapUnits capacity, bool directed) {
   assert(!finalized_);
   assert(from >= 0 && from < node_count_);
   assert(to >= 0 && to < node_count_);
   assert(capacity >= 0);
   edges_.push_back(StagedEdge{from, to, capacity, directed});
-  return static_cast<int>(edges_.size()) - 1;
 }
 
-int CompactFlowNetwork::AddArc(int from, int to, CapUnits capacity) {
-  return Stage(from, to, capacity, /*directed=*/true);
+void CompactFlowNetwork::AddArc(int from, int to, CapUnits capacity) {
+  Stage(from, to, capacity, /*directed=*/true);
 }
 
-int CompactFlowNetwork::AddEdge(int a, int b, CapUnits capacity) {
-  return Stage(a, b, capacity, /*directed=*/false);
+void CompactFlowNetwork::AddEdge(int a, int b, CapUnits capacity) {
+  Stage(a, b, capacity, /*directed=*/false);
 }
 
 void CompactFlowNetwork::Finalize() {
@@ -44,10 +43,8 @@ void CompactFlowNetwork::Finalize() {
     first_out_[v + 1] += first_out_[v];
   }
   arcs_.assign(edges_.size() * 2, CompactArc{});
-  edge_forward_.assign(edges_.size(), 0);
   std::vector<int> next_slot(first_out_.begin(), first_out_.end() - 1);
-  for (size_t i = 0; i < edges_.size(); ++i) {
-    const StagedEdge& edge = edges_[i];
+  for (const StagedEdge& edge : edges_) {
     const int forward = next_slot[static_cast<size_t>(edge.from)]++;
     const int backward = next_slot[static_cast<size_t>(edge.to)]++;
     arcs_[static_cast<size_t>(forward)].to = edge.to;
@@ -56,26 +53,7 @@ void CompactFlowNetwork::Finalize() {
     arcs_[static_cast<size_t>(backward)].to = edge.from;
     arcs_[static_cast<size_t>(backward)].reverse = forward;
     arcs_[static_cast<size_t>(backward)].capacity = edge.directed ? 0 : edge.capacity;
-    edge_forward_[i] = forward;
   }
-}
-
-void CompactFlowNetwork::SetEdgeCapacity(int edge_id, CapUnits capacity) {
-  assert(finalized_);
-  assert(edge_id >= 0 && edge_id < edge_count());
-  assert(capacity >= 0);
-  StagedEdge& edge = edges_[static_cast<size_t>(edge_id)];
-  edge.capacity = capacity;
-  CompactArc& forward = arcs_[static_cast<size_t>(edge_forward_[static_cast<size_t>(edge_id)])];
-  forward.capacity = capacity;
-  if (!edge.directed) {
-    arcs_[static_cast<size_t>(forward.reverse)].capacity = capacity;
-  }
-}
-
-CapUnits CompactFlowNetwork::EdgeCapacity(int edge_id) const {
-  assert(edge_id >= 0 && edge_id < edge_count());
-  return edges_[static_cast<size_t>(edge_id)].capacity;
 }
 
 int CutResult::SourceSideCount() const {

@@ -21,9 +21,7 @@
 // [first_out(v), first_out(v+1)), and each arc stores the *global* index
 // of its paired reverse arc. Building is a stable counting sort over the
 // staged edge list, so each node's arcs appear in edge-insertion order and
-// every solver scans them in that order. Every staged edge keeps an id (its
-// insertion index); the warm-start session uses ids to apply capacity
-// deltas in O(1) without re-building.
+// every solver scans them in that order.
 //
 // Re-entrancy contract: CompactFlowNetwork is a plain value type with no
 // shared or global state. The one-shot min-cut entry points take it by
@@ -138,13 +136,12 @@ class CompactFlowNetwork {
   CompactFlowNetwork() = default;
   explicit CompactFlowNetwork(int node_count);
 
-  // Staging interface, valid before Finalize(). Returns the edge id.
-  // AddArc is a directed arc whose reverse direction is a zero-capacity
-  // residual stub. AddEdge is undirected: capacity in both directions (the
-  // usual form for communication graphs — a byte costs the same whichever
-  // way it flows).
-  int AddArc(int from, int to, CapUnits capacity);
-  int AddEdge(int a, int b, CapUnits capacity);
+  // Staging interface, valid before Finalize(). AddArc is a directed arc
+  // whose reverse direction is a zero-capacity residual stub. AddEdge is
+  // undirected: capacity in both directions (the usual form for
+  // communication graphs — a byte costs the same whichever way it flows).
+  void AddArc(int from, int to, CapUnits capacity);
+  void AddEdge(int a, int b, CapUnits capacity);
 
   // Builds the CSR arrays. Idempotent; staging calls are invalid after.
   void Finalize();
@@ -159,14 +156,6 @@ class CompactFlowNetwork {
   int first_out(int node) const { return first_out_[static_cast<size_t>(node)]; }
   CompactArc& arc(int index) { return arcs_[static_cast<size_t>(index)]; }
   const CompactArc& arc(int index) const { return arcs_[static_cast<size_t>(index)]; }
-
-  // Capacity update by edge id: both directions for AddEdge edges, the
-  // forward direction for AddArc edges (the residual stub stays zero).
-  // Flows are left untouched — repairing them is the session's job.
-  void SetEdgeCapacity(int edge_id, CapUnits capacity);
-  CapUnits EdgeCapacity(int edge_id) const;
-  // Global index of the forward arc for an edge id.
-  int EdgeForwardArc(int edge_id) const { return edge_forward_[static_cast<size_t>(edge_id)]; }
 
   void ResetFlow();
 
@@ -186,14 +175,13 @@ class CompactFlowNetwork {
     bool directed = false;  // Reverse arc: zero-capacity stub vs. capacity.
   };
 
-  int Stage(int from, int to, CapUnits capacity, bool directed);
+  void Stage(int from, int to, CapUnits capacity, bool directed);
 
   int node_count_ = 0;
   bool finalized_ = false;
   std::vector<StagedEdge> edges_;
   std::vector<int> first_out_;      // node_count_ + 1 entries.
   std::vector<CompactArc> arcs_;    // 2 * edges_.size() entries.
-  std::vector<int> edge_forward_;   // edge id -> global forward arc index.
 };
 
 }  // namespace coign

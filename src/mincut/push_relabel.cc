@@ -10,8 +10,6 @@ void MinCutSolveStats::Accumulate(const MinCutSolveStats& other) {
   relabels += other.relabels;
   global_relabels += other.global_relabels;
   gap_relabels += other.gap_relabels;
-  warm_start_hits += other.warm_start_hits;
-  flow_reused_units = SatAdd(flow_reused_units, other.flow_reused_units);
 }
 
 namespace {
@@ -22,20 +20,6 @@ namespace {
 int HeightLimit(int n) { return 2 * n + 4; }
 
 }  // namespace
-
-void PushRelabelSolver::ComputeExcess(const CompactFlowNetwork& net) {
-  excess_.assign(static_cast<size_t>(n_), 0);
-  for (int v = 0; v < n_; ++v) {
-    const int end = net.first_out(v + 1);
-    CapUnits excess = 0;
-    for (int a = net.first_out(v); a < end; ++a) {
-      // excess(v) = inflow - outflow = -sum of signed flow on out-arcs
-      // (an inbound unit shows up as negative flow on v's reverse arc).
-      excess = SatSub(excess, net.arc(a).flow);
-    }
-    excess_[static_cast<size_t>(v)] = excess;
-  }
-}
 
 void PushRelabelSolver::Activate(int node) {
   if (in_bucket_[static_cast<size_t>(node)]) {
@@ -151,18 +135,12 @@ CapUnits PushRelabelSolver::Solve(CompactFlowNetwork& net, int source, int sink)
   n_ = net.node_count();
   last_stats_ = MinCutSolveStats{};
   current_arc_.assign(static_cast<size_t>(n_), 0);
+  net.ResetFlow();
+  excess_.assign(static_cast<size_t>(n_), 0);
 
-  ComputeExcess(net);
-#ifndef NDEBUG
-  for (int v = 0; v < n_; ++v) {
-    assert(v == source || v == sink || excess_[static_cast<size_t>(v)] >= 0);
-  }
-#endif
-  // Saturate the source's out-arcs (for a warm start, only the residual
-  // left by capacity increases — flow already on them is kept). This must
-  // happen *before* the global relabel: saturation creates residual arcs
-  // back to the source, and heights are only valid if the distance BFS
-  // saw them.
+  // Saturate the source's out-arcs. This must happen *before* the global
+  // relabel: saturation creates residual arcs back to the source, and
+  // heights are only valid if the distance BFS saw them.
   {
     const int end = net.first_out(source + 1);
     for (int a = net.first_out(source); a < end; ++a) {
@@ -285,7 +263,6 @@ CapUnits PushRelabelSolver::Solve(CompactFlowNetwork& net, int source, int sink)
 
 CutResult MinCutPushRelabel(const CompactFlowNetwork& network, int source, int sink) {
   CompactFlowNetwork working = network;
-  working.ResetFlow();
   PushRelabelSolver solver;
   const CapUnits flow = solver.Solve(working, source, sink);
   return working.ExtractCut(source, flow);

@@ -25,12 +25,9 @@
 // relabel_to_front.cc (see the excess-saturation note there — the height
 // argument for termination does not depend on excess conservation).
 //
-// The solver accepts a network whose arcs already carry a feasible flow
-// with non-negative derived excess at every non-terminal node, and
-// resumes from it — that is the warm-start entry used by
-// IncrementalMinCut. A zero flow state degenerates to the classic cold
-// solve. Scratch buffers persist across Solve() calls, so a long-lived
-// solver performs no per-cut allocations once warmed up.
+// Every Solve() starts from zero flow. Scratch buffers persist across
+// Solve() calls, so a long-lived solver performs no per-cut allocations
+// after its first solve of a given size.
 
 #ifndef COIGN_SRC_MINCUT_PUSH_RELABEL_H_
 #define COIGN_SRC_MINCUT_PUSH_RELABEL_H_
@@ -48,8 +45,9 @@ struct MinCutSolveStats {
   uint64_t relabels = 0;
   uint64_t global_relabels = 0;
   uint64_t gap_relabels = 0;        // Nodes lifted by the gap heuristic.
-  uint64_t warm_start_hits = 0;     // Solves resumed from a prior flow.
-  CapUnits flow_reused_units = 0;   // Sink inflow already present at warm start.
+  // Always 0: no solve resumes from a prior flow. Kept only because the
+  // benchmark's online workload still assigns it.
+  uint64_t warm_start_hits = 0;
 
   void Accumulate(const MinCutSolveStats& other);
 };
@@ -58,18 +56,15 @@ class PushRelabelSolver {
  public:
   PushRelabelSolver() = default;
 
-  // Augments the network's current flow to a maximum flow and returns its
-  // value (the sink's derived excess). Precondition: the current flow is
-  // capacity-feasible and antisymmetric, and every non-terminal node's
-  // derived excess (inflow minus outflow) is >= 0. Zero flow trivially
-  // qualifies.
+  // Resets the network's flow to zero, pushes it to a maximum flow, and
+  // returns its value (the sink's excess). Any flow the network carried
+  // before the call is discarded.
   CapUnits Solve(CompactFlowNetwork& net, int source, int sink);
 
   // Counters for the most recent Solve() call.
   const MinCutSolveStats& last_stats() const { return last_stats_; }
 
  private:
-  void ComputeExcess(const CompactFlowNetwork& net);
   void GlobalRelabel(const CompactFlowNetwork& net, int source, int sink);
   void Activate(int node);
   int PopHighestActive();
@@ -89,10 +84,9 @@ class PushRelabelSolver {
   int n_ = 0;
 };
 
-// Cold-solve convenience entry with the same signature as
-// MinCutRelabelToFront, for the differential oracles and the parameterized
-// algorithm tests. Solves from zero flow on a per-call working copy of the
-// finalized `network`.
+// Convenience entry with the same signature as MinCutRelabelToFront, for
+// the differential oracles and the parameterized algorithm tests. Solves
+// on a per-call working copy of the finalized `network`.
 CutResult MinCutPushRelabel(const CompactFlowNetwork& network, int source, int sink);
 
 }  // namespace coign

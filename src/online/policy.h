@@ -135,18 +135,17 @@ class RepartitionPolicy {
       const Distribution& current,
       const std::unordered_map<ClassificationId, uint64_t>& live_instances) const;
 
-  // Cumulative min-cut work across this policy's evaluations: the session
-  // warm-starts each epoch's cut from the previous epoch's flow (and
-  // short-circuits entirely when the windowed graph is unchanged). The
-  // repartitioner samples these into the mincut.* metrics counters.
+  // Cumulative min-cut work across this policy's evaluations (each one a
+  // cold solve). The repartitioner samples these into the mincut.*
+  // metrics counters.
   const MinCutSolveStats& cut_stats() const { return cut_session_.stats(); }
 
  private:
   RepartitionConfig config_;
   ProfileAnalysisEngine engine_;
-  // Epoch-to-epoch warm-start state. The policy is evaluated from one
-  // thread (the repartitioner's epoch loop); mutable keeps Evaluate const
-  // for callers while the session accumulates flow across epochs.
+  // Solver-work counters. The policy is evaluated from one thread (the
+  // repartitioner's epoch loop); mutable keeps Evaluate const for callers
+  // while the session sums work across epochs.
   mutable MinCutSession cut_session_;
 };
 

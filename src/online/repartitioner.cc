@@ -105,8 +105,6 @@ void OnlineRepartitioner::SetObservability(Observability* obs) {
   obs_->metrics().GetCounter("mincut.pushes");
   obs_->metrics().GetCounter("mincut.relabels");
   obs_->metrics().GetCounter("mincut.global_relabels");
-  obs_->metrics().GetCounter("mincut.warm_start_hits");
-  obs_->metrics().GetCounter("mincut.flow_reused_units");
 }
 
 void OnlineRepartitioner::SetTransportProbe(TransportProbeFn probe) {
@@ -564,13 +562,6 @@ Status OnlineRepartitioner::EndEpoch() {
     obs_->metrics()
         .GetCounter("mincut.global_relabels")
         ->Add(cut.global_relabels - sampled_cut_stats_.global_relabels);
-    obs_->metrics()
-        .GetCounter("mincut.warm_start_hits")
-        ->Add(cut.warm_start_hits - sampled_cut_stats_.warm_start_hits);
-    obs_->metrics()
-        .GetCounter("mincut.flow_reused_units")
-        ->Add(static_cast<uint64_t>(cut.flow_reused_units) -
-              static_cast<uint64_t>(sampled_cut_stats_.flow_reused_units));
     sampled_cut_stats_ = cut;
     obs_->tracer().Instant(
         "recut-decision", "online", kTrackOnline,

@@ -1,6 +1,7 @@
 #include "src/profile/log_file.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -20,6 +21,13 @@ std::string HistogramFields(const ExponentialHistogram& h) {
                      static_cast<unsigned long long>(h.BytesAt(bucket)));
   }
   return out;
+}
+
+// A record whose fields did not all parse. Failed stream reads leave
+// fields at 0, which silently moves the cut, so every record is checked.
+Status MalformedRecord(int line_number, const std::string& keyword) {
+  return InvalidArgumentError(
+      StrFormat("profile line %d: malformed '%s' record", line_number, keyword.c_str()));
 }
 
 Status ParseHistogramFields(std::istringstream& in, ExponentialHistogram* h) {
@@ -75,7 +83,9 @@ Result<IccProfile> ParseProfile(const std::string& text) {
   if (!std::getline(lines, line) || line != kMagic) {
     return InvalidArgumentError("missing profile magic header");
   }
+  int line_number = 1;
   while (std::getline(lines, line)) {
+    ++line_number;
     if (line.empty()) {
       continue;
     }
@@ -86,7 +96,9 @@ Result<IccProfile> ParseProfile(const std::string& text) {
       ClassificationInfo info;
       std::string guid_text;
       unsigned long long count = 0;
-      in >> info.id >> guid_text >> info.api_usage >> count;
+      if (!(in >> info.id >> guid_text >> info.api_usage >> count)) {
+        return MalformedRecord(line_number, keyword);
+      }
       info.instance_count = count;
       std::getline(in, info.class_name);
       if (!info.class_name.empty() && info.class_name.front() == ' ') {
@@ -101,18 +113,24 @@ Result<IccProfile> ParseProfile(const std::string& text) {
     } else if (keyword == "alloc") {
       ClassificationId id = kNoClassification;
       unsigned long long bytes = 0;
-      in >> id >> bytes;
+      if (!(in >> id >> bytes)) {
+        return MalformedRecord(line_number, keyword);
+      }
       profile.RecordAllocation(id, bytes);
     } else if (keyword == "compute") {
       ClassificationId id = kNoClassification;
       double seconds = 0.0;
-      in >> id >> seconds;
+      if (!(in >> id >> seconds) || !std::isfinite(seconds) || seconds < 0.0) {
+        return MalformedRecord(line_number, keyword);
+      }
       profile.RecordCompute(id, seconds);
     } else if (keyword == "call") {
       CallKey key;
       std::string guid_text, marker;
       unsigned long long non_remotable = 0;
-      in >> key.src >> key.dst >> guid_text >> key.method >> non_remotable;
+      if (!(in >> key.src >> key.dst >> guid_text >> key.method >> non_remotable)) {
+        return MalformedRecord(line_number, keyword);
+      }
       Result<Guid> iid = Guid::Parse(guid_text);
       if (!iid.ok()) {
         return iid.status();

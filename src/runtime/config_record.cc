@@ -39,6 +39,14 @@ int ClassifierKindIndex(ClassifierKind kind) {
   return 0;
 }
 
+// A record whose fields did not all parse. Failed stream reads leave
+// fields at 0, which silently changes the placement, so every record is
+// checked.
+Status MalformedRecord(int line_number, const std::string& keyword) {
+  return InvalidArgumentError(
+      StrFormat("config line %d: malformed '%s' record", line_number, keyword.c_str()));
+}
+
 }  // namespace
 
 std::string ConfigurationRecord::Serialize() const {
@@ -71,34 +79,46 @@ Result<ConfigurationRecord> ConfigurationRecord::Parse(const std::string& text) 
     return InvalidArgumentError("missing configuration record magic");
   }
   ConfigurationRecord record;
+  int line_number = 1;
   while (std::getline(in, line)) {
+    ++line_number;
     std::istringstream fields(line);
     std::string keyword;
     fields >> keyword;
     if (keyword == "mode") {
       int mode = 0;
-      fields >> mode;
+      if (!(fields >> mode)) {
+        return MalformedRecord(line_number, keyword);
+      }
       record.mode = mode == 0 ? RuntimeMode::kProfiling : RuntimeMode::kDistributed;
     } else if (keyword == "classifier") {
       int kind_index = 0;
-      fields >> kind_index >> record.classifier_depth;
+      if (!(fields >> kind_index >> record.classifier_depth)) {
+        return MalformedRecord(line_number, keyword);
+      }
       Result<ClassifierKind> kind = ClassifierKindFromIndex(kind_index);
       if (!kind.ok()) {
         return kind.status();
       }
       record.classifier_kind = *kind;
     } else if (keyword == "default-machine") {
-      fields >> record.distribution.default_machine;
+      if (!(fields >> record.distribution.default_machine)) {
+        return MalformedRecord(line_number, keyword);
+      }
     } else if (keyword == "place") {
       ClassificationId id = kNoClassification;
       MachineId machine = kClientMachine;
-      fields >> id >> machine;
+      if (!(fields >> id >> machine)) {
+        return MalformedRecord(line_number, keyword);
+      }
       record.distribution.placement[id] = machine;
     } else if (keyword == "desc") {
       Descriptor descriptor;
       std::string guid_text;
       size_t token_count = 0;
-      fields >> guid_text >> token_count;
+      if (!(fields >> guid_text >> token_count)) {
+        return MalformedRecord(line_number, keyword);
+      }
       if (guid_text != "{0000000000000000-0000000000000000}") {
         Result<Guid> clsid = Guid::Parse(guid_text);
         if (!clsid.ok()) {
@@ -122,7 +142,9 @@ Result<ConfigurationRecord> ConfigurationRecord::Parse(const std::string& text) 
       record.classifier_table.push_back(std::move(descriptor));
     } else if (keyword == "profile") {
       size_t length = 0;
-      fields >> length;
+      if (!(fields >> length)) {
+        return MalformedRecord(line_number, keyword);
+      }
       std::string rest((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
       if (rest.size() < length) {
         return InvalidArgumentError("truncated profile payload in config record");

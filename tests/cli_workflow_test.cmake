@@ -93,31 +93,30 @@ run(${COIGN_BIN} online -i smoke --scenario o_oldwp7 --scenario o_mixed9
 check_identical("online trace" online1.trace.json online2.trace.json)
 check_identical("online metrics" online1.metrics.txt online2.metrics.txt)
 
-# The warm-started push-relabel engine (default) and the paper's cold
-# relabel-to-front (--cold-cuts) must produce identical reports end to
-# end: both compute the same exact cut value and the same unique minimal
-# min cut, so the solver choice can never steer a partition.
+# The push-relabel engine (default) and the paper's relabel-to-front
+# (--cold-cuts) must produce identical reports end to end: both compute
+# the same exact cut value and the same unique minimal min cut, so the
+# solver choice can never steer a partition.
 run(${COIGN_BIN} online -i smoke --scenario o_oldwp7 --scenario o_mixed9
     --cycles 1 --reps 2)
-set(online_warm "${last_output}")
+set(online_pr "${last_output}")
 run(${COIGN_BIN} online -i smoke --scenario o_oldwp7 --scenario o_mixed9
     --cycles 1 --reps 2 --cold-cuts)
-if(NOT online_warm STREQUAL last_output)
+if(NOT online_pr STREQUAL last_output)
   message(FATAL_ERROR "--cold-cuts changed the online run:\n"
-          "--- warm ---\n${online_warm}\n--- cold ---\n${last_output}")
+          "--- push-relabel ---\n${online_pr}\n--- relabel-to-front ---\n${last_output}")
 endif()
 run(${COIGN_BIN} chaos ${chaos_args} --seed 42)
-set(chaos_warm "${last_output}")
+set(chaos_pr "${last_output}")
 run(${COIGN_BIN} chaos ${chaos_args} --seed 42 --cold-cuts)
-if(NOT chaos_warm STREQUAL last_output)
+if(NOT chaos_pr STREQUAL last_output)
   message(FATAL_ERROR "--cold-cuts changed the chaos run:\n"
-          "--- warm ---\n${chaos_warm}\n--- cold ---\n${last_output}")
+          "--- push-relabel ---\n${chaos_pr}\n--- relabel-to-front ---\n${last_output}")
 endif()
 
 # Solver-work counters are part of the online run's metrics surface.
 file(READ ${WORK_DIR}/online1.metrics.txt online_metrics)
-foreach(counter mincut.pushes mincut.relabels mincut.global_relabels
-        mincut.warm_start_hits mincut.flow_reused_units)
+foreach(counter mincut.pushes mincut.relabels mincut.global_relabels)
   if(NOT online_metrics MATCHES "counter ${counter} ")
     message(FATAL_ERROR "online metrics missing ${counter}:\n${online_metrics}")
   endif()

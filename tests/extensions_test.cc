@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/analysis/multiway.h"
+#include "src/analysis/prediction.h"
 #include "src/classify/classifiers.h"
 #include "src/com/class_registry.h"
 #include "src/runtime/config_record.h"
@@ -256,8 +257,7 @@ TEST(MultiwayAnalysisTest, PredictCountsEveryCrossingPair) {
   spread.placement[1] = 1;
   spread.placement[2] = 1;
   spread.placement[3] = 2;
-  const double crossing =
-      PredictMultiwayCommunicationSeconds(profile, spread, FastNet());
+  const double crossing = PredictCommunicationSeconds(profile, spread, FastNet());
   // GUI<->cache crosses (0|1) and logic<->db crosses (1|2); cache<->logic
   // does not.
   const double expected = (200.0 /*calls*/ * 1e-3 + (100 * 264) * 1e-6) +

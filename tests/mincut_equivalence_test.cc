@@ -1,12 +1,13 @@
 // Differential fuzz oracle for the minimum-cut stack: on every generated
 // graph, relabel-to-front (the paper's lift-to-front reference),
 // Edmonds-Karp (the verification baseline), the highest-label
-// push-relabel production solver — cold AND warm-started from a fuzzed
-// capacity perturbation — and an exhaustive reference min-cut
-// (independent of any flow algorithm) must agree on the cut value
-// EXACTLY — integer equality in CapUnits, no epsilon, no ulp slack. Cuts themselves may differ when several minimum
-// cuts exist, but both returned partitions must separate the terminals and
-// both cut values must equal the capacity actually crossing the returned
+// push-relabel production solver — both its one-shot entry and the
+// IncrementalMinCut Reset + Solve path the analysis engine takes — and an
+// exhaustive reference min-cut (independent of any flow algorithm) must
+// agree on the cut value EXACTLY — integer equality in CapUnits, no
+// epsilon, no ulp slack. Cuts themselves may differ when several minimum
+// cuts exist, but every returned partition must separate the terminals and
+// every cut value must equal the capacity actually crossing the returned
 // partition.
 //
 // The generator deliberately produces adversarial shapes: tied cuts (many
@@ -205,20 +206,6 @@ struct Disagreement {
   std::string what;
 };
 
-// Deterministic capacity perturbation for the warm-start leg: the session
-// first solves the graph at these capacities, then receives the true
-// capacities as a delta batch — so every fuzz graph exercises the
-// flow-repair path with a mix of increases, decreases, zeroings, and
-// sentinel transitions before the final warm cut is compared.
-CapUnits PerturbedCapacity(size_t index, CapUnits capacity) {
-  switch (index % 4) {
-    case 0: return capacity;                    // Unchanged edge.
-    case 1: return capacity / 2;                // The delta is an increase.
-    case 2: return SatAdd(capacity, capacity);  // The delta is a decrease.
-    default: return 0;                          // Edge appears from nothing.
-  }
-}
-
 Disagreement CheckGraph(const GraphSpec& spec) {
   Disagreement result;
   const CompactFlowNetwork network = BuildNetwork(spec);
@@ -227,25 +214,11 @@ Disagreement CheckGraph(const GraphSpec& spec) {
   const CutResult highest = MinCutPushRelabel(network, spec.source, spec.sink);
   const CapUnits reference = ReferenceMinCut(network, spec.source, spec.sink);
 
-  // Warm leg: cold-solve perturbed capacities, then apply the true
-  // capacities as deltas and re-solve warm.
-  CompactFlowNetwork compact(spec.node_count);
-  std::vector<int> edge_ids;
-  edge_ids.reserve(spec.edges.size());
-  for (size_t i = 0; i < spec.edges.size(); ++i) {
-    const SpecEdge& edge = spec.edges[i];
-    const CapUnits perturbed = PerturbedCapacity(i, edge.capacity);
-    edge_ids.push_back(edge.directed ? compact.AddArc(edge.a, edge.b, perturbed)
-                                     : compact.AddEdge(edge.a, edge.b, perturbed));
-  }
-  compact.Finalize();
-  IncrementalMinCut session;
-  session.Reset(std::move(compact), spec.source, spec.sink);
-  session.Solve();
-  for (size_t i = 0; i < spec.edges.size(); ++i) {
-    session.SetEdgeCapacity(edge_ids[i], spec.edges[i].capacity);
-  }
-  const CutResult warm = session.Solve();
+  // Engine leg: the analysis engine's production entry, on a network it
+  // owns.
+  IncrementalMinCut engine_cut;
+  engine_cut.Reset(BuildNetwork(spec), spec.source, spec.sink);
+  const CutResult engine = engine_cut.Solve();
 
   std::ostringstream why;
   if (lift.cut_value != baseline.cut_value) {
@@ -260,8 +233,8 @@ Disagreement CheckGraph(const GraphSpec& spec) {
   if (highest.cut_value != reference) {
     why << "PR " << highest.cut_value << " != reference " << reference << "; ";
   }
-  if (warm.cut_value != reference) {
-    why << "PR-warm " << warm.cut_value << " != reference " << reference << "; ";
+  if (engine.cut_value != reference) {
+    why << "PR-engine " << engine.cut_value << " != reference " << reference << "; ";
   }
   auto check_partition = [&](const char* name, const CutResult& cut) {
     if (static_cast<int>(cut.in_source_side.size()) != network.node_count() ||
@@ -281,7 +254,7 @@ Disagreement CheckGraph(const GraphSpec& spec) {
   check_partition("RTF", lift);
   check_partition("EK", baseline);
   check_partition("PR", highest);
-  check_partition("PR-warm", warm);
+  check_partition("PR-engine", engine);
   // Partition identity, not just value equality: on feasible graphs every
   // solver extracts the residual-reachable set of a genuine maximum flow,
   // which is the unique *minimal* minimum cut — so the byte-level
@@ -293,8 +266,8 @@ Disagreement CheckGraph(const GraphSpec& spec) {
     if (highest.in_source_side != lift.in_source_side) {
       why << "PR partition differs from RTF; ";
     }
-    if (warm.in_source_side != lift.in_source_side) {
-      why << "PR-warm partition differs from RTF; ";
+    if (engine.in_source_side != lift.in_source_side) {
+      why << "PR-engine partition differs from RTF; ";
     }
   }
   result.what = why.str();

@@ -265,12 +265,15 @@ TEST(FlowNetworkTest, CutsDoNotMutateTheInputNetwork) {
   for (int a = 0; a < network.arc_count(); ++a) {
     EXPECT_EQ(network.arc(a).flow, 0);
   }
-  // Flow a caller left on the input (e.g. a solved session's network) is
-  // ignored: the one-shot entry points always start cold.
+  // Flow a caller left on the input (here, by a direct solver run) is
+  // ignored: every solve starts from zero flow, a repeated one included.
   PushRelabelSolver solver;
   EXPECT_EQ(solver.Solve(network, 0, 2), first.cut_value);
+  EXPECT_EQ(solver.Solve(network, 0, 2), first.cut_value);
   EXPECT_EQ(MinCutRelabelToFront(network, 0, 2).cut_value, first.cut_value);
-  EXPECT_EQ(MinCutPushRelabel(network, 0, 2).in_source_side, first.in_source_side);
+  const CutResult pushed = MinCutPushRelabel(network, 0, 2);
+  EXPECT_EQ(pushed.cut_value, first.cut_value);
+  EXPECT_EQ(pushed.in_source_side, first.in_source_side);
 }
 
 TEST(FlowNetworkTest, ExtractCutListsSaturatedCrossingEdges) {

@@ -69,10 +69,54 @@ TEST(LogFileTest, SerializeParseRoundTrip) {
   ExpectEquivalent(profile, *parsed);
 }
 
+// The serialized sample profile with field `field` (0 = the keyword) of
+// its first `keyword` record replaced by `value`.
+std::string DamagedSample(const std::string& keyword, size_t field, const std::string& value) {
+  std::vector<std::string> lines = SplitString(SerializeProfile(SampleProfile()), '\n');
+  for (std::string& line : lines) {
+    std::vector<std::string> fields = SplitString(line, ' ');
+    if (fields.size() > field && fields[0] == keyword) {
+      fields[field] = value;
+      line = JoinStrings(fields, " ");
+      break;
+    }
+  }
+  return JoinStrings(lines, "\n");
+}
+
+// Expects InvalidArgument naming the line number and record keyword.
+void ExpectMalformed(const std::string& text, int line_number, const std::string& keyword) {
+  Result<IccProfile> parsed = ParseProfile(text);
+  ASSERT_FALSE(parsed.ok()) << text;
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find(StrFormat("line %d", line_number)),
+            std::string::npos)
+      << parsed.status().ToString();
+  EXPECT_NE(parsed.status().message().find("'" + keyword + "'"), std::string::npos)
+      << parsed.status().ToString();
+}
+
 TEST(LogFileTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseProfile("").ok());
   EXPECT_FALSE(ParseProfile("not a profile").ok());
   EXPECT_FALSE(ParseProfile("coign-profile v1\nbogus keyword here\n").ok());
+
+  // One unreadable field per record kind. Before these were rejected, a
+  // storage pin whose api_usage read as 0 parsed fine and unpinned the
+  // class, moving the whole cut.
+  ExpectMalformed(DamagedSample("classification", 3, "x"), 2, "classification");
+  ExpectMalformed(DamagedSample("classification", 4, "many"), 2, "classification");
+  ExpectMalformed("coign-profile v1\nalloc 0 lots\n", 2, "alloc");
+  ExpectMalformed(DamagedSample("compute", 2, "fast"), 3, "compute");
+  ExpectMalformed(DamagedSample("compute", 2, "-1.250000000e-01"), 3, "compute");
+  ExpectMalformed(DamagedSample("compute", 2, "1e999"), 3, "compute");
+  ExpectMalformed(DamagedSample("compute", 2, "nan"), 3, "compute");
+  ExpectMalformed(DamagedSample("call", 4, "x"), 5, "call");
+
+  // The undamaged text still parses to the same profile.
+  Result<IccProfile> pristine = ParseProfile(DamagedSample("compute", 0, "compute"));
+  ASSERT_TRUE(pristine.ok()) << pristine.status().ToString();
+  ExpectEquivalent(SampleProfile(), *pristine);
 }
 
 TEST(LogFileTest, FileRoundTripAndMerge) {

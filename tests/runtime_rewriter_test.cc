@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/runtime/binary_rewriter.h"
 #include "src/runtime/config_record.h"
 #include "src/runtime/static_analysis.h"
@@ -48,6 +50,32 @@ TEST(ConfigRecordTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ConfigurationRecord::Parse("").ok());
   EXPECT_FALSE(ConfigurationRecord::Parse("wrong magic\n").ok());
   EXPECT_FALSE(ConfigurationRecord::Parse("coign-config v1\nunknown x\n").ok());
+
+  // One unreadable field per record kind: each must be rejected with the
+  // line number and keyword, never parsed as 0.
+  const struct {
+    const char* record;
+    const char* keyword;
+  } kMalformed[] = {
+      {"mode x", "mode"},
+      {"classifier 0 deep", "classifier"},
+      {"default-machine server", "default-machine"},
+      {"place 4 x", "place"},
+      {"place x 1", "place"},
+      {"desc {0000000000000000-0000000000000000} some", "desc"},
+      {"profile long", "profile"},
+  };
+  for (const auto& malformed : kMalformed) {
+    Result<ConfigurationRecord> parsed = ConfigurationRecord::Parse(
+        std::string("coign-config v1\nmode 1\n") + malformed.record + "\n");
+    ASSERT_FALSE(parsed.ok()) << malformed.record;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("line 3"), std::string::npos)
+        << parsed.status().ToString();
+    EXPECT_NE(parsed.status().message().find(std::string("'") + malformed.keyword + "'"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
 TEST(BinaryRewriterTest, InstrumentInsertsRuntimeFirstAndConfig) {

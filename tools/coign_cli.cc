@@ -17,20 +17,22 @@
 //       Runs the scenario under the developer default and under the
 //       distribution in <base>.dist; prints a Table 4 style row.
 //   coign online -i <base> --scenario <id> [--scenario <id> ...]
-//               [--network <name>] [--cycles <n>] [--reps <n>]
+//               [--network <name>] [--cycles <n>] [--reps <n>] [--cold-cuts]
 //       Replays the scenarios as a cyclic phase-shifting workload under
 //       the distribution in <base>.dist, once statically and once with
 //       the online repartitioner adapting as usage drifts from the
 //       profile; prints both runs and the adaptation statistics.
+//       --cold-cuts re-cuts with the paper's relabel-to-front algorithm
+//       instead of the push-relabel engine; the report is unchanged.
 //   coign chaos -i <base> --scenario <id> [--scenario <id> ...]
 //              [--network <name>] [--cycles <n>] [--reps <n>]
-//              [--seed <n>] [--drop <p>] [--corrupt-rate <p>]
+//              [--seed <n>] [--drop <p>] [--corrupt-rate <p>] [--cold-cuts]
 //       Replays the same workload under a seeded random fault schedule
 //       (loss/duplication/reorder bursts, latency and bandwidth spikes,
 //       partitions, crash-restart) with the hardened transport: static
 //       distribution, adaptive with fault quarantine, and adaptive with
 //       quarantine disabled. Fully deterministic per seed — identical
-//       invocations print identical bytes.
+//       invocations print identical bytes. --cold-cuts as for online.
 //   coign fleet -i <base> [--clients <n>] [--threads <n>] [--seed <n>]
 //       Plans the profiled application for a simulated fleet of clients
 //       with heterogeneous measured networks: cohorts by log-bucketed
@@ -159,7 +161,7 @@ struct Flags {
   std::string trace_out;
   std::string metrics_out;
   // online/chaos --cold-cuts: re-cut with the paper's relabel-to-front
-  // algorithm instead of the warm-started push-relabel engine. Exactness
+  // algorithm instead of the push-relabel engine. Exactness
   // says both produce identical partitions; CI diffs the two runs'
   // reports to prove it end to end.
   bool cold_cuts = false;
