@@ -1,155 +1,210 @@
 #include "src/profile/log_file.h"
 
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <concepts>
 #include <fstream>
-#include <sstream>
 
 #include "src/support/str_util.h"
 
 namespace coign {
 namespace {
 
-constexpr char kMagic[] = "coign-profile v1";
+constexpr std::string_view kMagic = "coign-profile v1";
 
-std::string HistogramFields(const ExponentialHistogram& h) {
-  std::string out;
+// The pieces of a log line: text as is, integers in decimal (what the
+// format's %u, %llu and %d wrote), GUIDs in their ToString() form.
+void Put(std::string* out, std::string_view text) { out->append(text); }
+void Put(std::string* out, char c) { out->push_back(c); }
+void Put(std::string* out, const Guid& guid) { guid.AppendTo(out); }
+template <std::integral T>
+void Put(std::string* out, T value) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+template <typename... Pieces>
+void Append(std::string* out, const Pieces&... pieces) {
+  (Put(out, pieces), ...);
+}
+
+// printf's %.9e: to_chars in scientific form at a precision is defined as
+// that conversion.
+void AppendSeconds(std::string* out, double seconds) {
+  char buf[32];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), seconds,
+                                 std::chars_format::scientific, 9)
+                       .ptr);
+}
+
+void AppendHistogram(std::string* out, const ExponentialHistogram& h) {
   for (int bucket : h.NonEmptyBuckets()) {
-    out += StrFormat(" %d:%llu:%llu", bucket,
-                     static_cast<unsigned long long>(h.CountAt(bucket)),
-                     static_cast<unsigned long long>(h.BytesAt(bucket)));
+    Append(out, ' ', bucket, ':', h.CountAt(bucket), ':', h.BytesAt(bucket));
   }
-  return out;
 }
 
-// A record whose fields did not all parse. Failed stream reads leave
-// fields at 0, which silently moves the cut, so every record is checked.
-Status MalformedRecord(int line_number, const std::string& keyword) {
-  return InvalidArgumentError(
-      StrFormat("profile line %d: malformed '%s' record", line_number, keyword.c_str()));
+// A record that breaks the format: a missing, extra or unreadable field,
+// or a structural error (see ParseRecord).
+Status MalformedRecord(int line_number, std::string_view keyword) {
+  return InvalidArgumentError("profile line " + std::to_string(line_number) +
+                              ": malformed '" + std::string(keyword) + "' record");
 }
 
-Status ParseHistogramFields(std::istringstream& in, ExponentialHistogram* h) {
-  std::string field;
-  while (in >> field) {
+bool ReadGuid(FieldReader* fields, Guid* out) {
+  std::string_view text;
+  if (!fields->Read(&text)) {
+    return false;
+  }
+  Result<Guid> guid = Guid::Parse(text);
+  if (!guid.ok()) {
+    return false;
+  }
+  *out = *guid;
+  return true;
+}
+
+// Reads "bucket:count:bytes" fields up to the closing ";". The writer skips
+// empty buckets, so a count of 0 is damage, as are bytes the count's
+// messages could not carry in that bucket.
+bool ReadHistogram(FieldReader* fields, ExponentialHistogram* h) {
+  std::string_view field;
+  while (fields->Read(&field)) {
     if (field == ";") {
-      return Status::Ok();
+      return true;
     }
     int bucket = 0;
-    unsigned long long count = 0, bytes = 0;
-    if (std::sscanf(field.c_str(), "%d:%llu:%llu", &bucket, &count, &bytes) != 3) {
-      return InvalidArgumentError("malformed histogram field: " + field);
+    uint64_t count = 0;
+    uint64_t bytes = 0;
+    if (!ParseColonTriple(field, &bucket, &count, &bytes) || count == 0 ||
+        !ExponentialHistogram::CanHold(bucket, count, bytes)) {
+      return false;
     }
     h->AddBucket(bucket, count, bytes);
   }
-  return Status::Ok();
+  return false;
+}
+
+bool IsDeclared(const IccProfile& profile, ClassificationId id) {
+  return profile.FindClassification(id) != nullptr;
+}
+
+// A call endpoint: a declared classification or the driver.
+bool IsEndpoint(const IccProfile& profile, ClassificationId id) {
+  return id == kNoClassification || IsDeclared(profile, id);
+}
+
+// Parses one record into *profile, through the IccProfile calls the writer
+// inverts. Besides its fields reading whole, a record must name only
+// classifications declared on an earlier line and declare each one once.
+bool ParseRecord(std::string_view keyword, FieldReader* fields, IccProfile* profile) {
+  if (keyword == "classification") {
+    ClassificationInfo info;
+    if (!fields->Read(&info.id) || !ReadGuid(fields, &info.clsid) ||
+        !fields->Read(&info.api_usage) || !fields->Read(&info.instance_count) ||
+        IsDeclared(*profile, info.id)) {
+      return false;
+    }
+    // The class name is the rest of the line after one space; it may
+    // hold spaces of its own.
+    std::string_view name = fields->rest();
+    if (!name.empty() && name.front() == ' ') {
+      name.remove_prefix(1);
+    }
+    info.class_name = name;
+    profile->RecordClassification(info);
+    return true;
+  }
+  if (keyword == "alloc") {
+    ClassificationId id = kNoClassification;
+    uint64_t bytes = 0;
+    if (!fields->Read(&id) || !fields->Read(&bytes) || !fields->AtEnd() ||
+        !IsDeclared(*profile, id)) {
+      return false;
+    }
+    profile->RecordAllocation(id, bytes);
+    return true;
+  }
+  if (keyword == "compute") {
+    ClassificationId id = kNoClassification;
+    double seconds = 0.0;
+    if (!fields->Read(&id) || !fields->Read(&seconds) || !fields->AtEnd() ||
+        !std::isfinite(seconds) || seconds < 0.0 || !IsDeclared(*profile, id)) {
+      return false;
+    }
+    profile->RecordCompute(id, seconds);
+    return true;
+  }
+  if (keyword == "call") {
+    CallKey key;
+    uint64_t non_remotable = 0;
+    std::string_view marker;
+    ExponentialHistogram requests;
+    ExponentialHistogram replies;
+    if (!fields->Read(&key.src) || !fields->Read(&key.dst) || !ReadGuid(fields, &key.iid) ||
+        !fields->Read(&key.method) || !fields->Read(&non_remotable) ||
+        !IsEndpoint(*profile, key.src) || !IsEndpoint(*profile, key.dst) ||
+        !fields->Read(&marker) || marker != "req" || !ReadHistogram(fields, &requests) ||
+        !fields->Read(&marker) || marker != "rep" || !ReadHistogram(fields, &replies) ||
+        !fields->AtEnd()) {
+      return false;
+    }
+    profile->InjectCallSummary(key, requests, replies, non_remotable);
+    return true;
+  }
+  return false;
 }
 
 }  // namespace
 
 std::string SerializeProfile(const IccProfile& profile) {
-  std::string out = kMagic;
-  out += "\n";
+  std::string out;
+  // Every scenario log runs 82-87 bytes per classification and per call.
+  out.reserve(kMagic.size() + 96 * (profile.classifications().size() + profile.calls().size()));
+  Append(&out, kMagic, '\n');
   for (ClassificationId id : profile.SortedClassificationIds()) {
     const ClassificationInfo* info = profile.FindClassification(id);
-    out += StrFormat("classification %u %s %u %llu %s\n", info->id,
-                     info->clsid.ToString().c_str(), info->api_usage,
-                     static_cast<unsigned long long>(info->instance_count),
-                     info->class_name.c_str());
+    // The name goes up to its first NUL, as the format's %s always wrote it.
+    Append(&out, "classification ", info->id, ' ', info->clsid, ' ', info->api_usage, ' ',
+           info->instance_count, ' ', std::string_view(info->class_name.c_str()), '\n');
     if (info->allocation_bytes > 0) {
-      out += StrFormat("alloc %u %llu\n", id,
-                       static_cast<unsigned long long>(info->allocation_bytes));
+      Append(&out, "alloc ", id, ' ', info->allocation_bytes, '\n');
     }
     const double compute = profile.ComputeSecondsOf(id);
     if (compute > 0.0) {
-      out += StrFormat("compute %u %.9e\n", id, compute);
+      Append(&out, "compute ", id, ' ');
+      AppendSeconds(&out, compute);
+      out += '\n';
     }
   }
   for (const auto& [key, summary] : profile.calls()) {
-    out += StrFormat("call %u %u %s %u %llu req%s ; rep%s ;\n", key.src, key.dst,
-                     key.iid.ToString().c_str(), key.method,
-                     static_cast<unsigned long long>(summary.non_remotable_calls),
-                     HistogramFields(summary.requests).c_str(),
-                     HistogramFields(summary.replies).c_str());
+    Append(&out, "call ", key.src, ' ', key.dst, ' ', key.iid, ' ', key.method, ' ',
+           summary.non_remotable_calls, " req");
+    AppendHistogram(&out, summary.requests);
+    Append(&out, " ; rep");
+    AppendHistogram(&out, summary.replies);
+    Append(&out, " ;\n");
   }
   return out;
 }
 
-Result<IccProfile> ParseProfile(const std::string& text) {
-  IccProfile profile;
-  std::istringstream lines(text);
-  std::string line;
-  if (!std::getline(lines, line) || line != kMagic) {
+Result<IccProfile> ParseProfile(std::string_view text) {
+  LineReader lines(text);
+  std::string_view line;
+  if (!lines.Next(&line) || line != kMagic) {
     return InvalidArgumentError("missing profile magic header");
   }
+  IccProfile profile;
   int line_number = 1;
-  while (std::getline(lines, line)) {
+  while (lines.Next(&line)) {
     ++line_number;
     if (line.empty()) {
       continue;
     }
-    std::istringstream in(line);
-    std::string keyword;
-    in >> keyword;
-    if (keyword == "classification") {
-      ClassificationInfo info;
-      std::string guid_text;
-      unsigned long long count = 0;
-      if (!(in >> info.id >> guid_text >> info.api_usage >> count)) {
-        return MalformedRecord(line_number, keyword);
-      }
-      info.instance_count = count;
-      std::getline(in, info.class_name);
-      if (!info.class_name.empty() && info.class_name.front() == ' ') {
-        info.class_name.erase(0, 1);
-      }
-      Result<Guid> clsid = Guid::Parse(guid_text);
-      if (!clsid.ok()) {
-        return clsid.status();
-      }
-      info.clsid = *clsid;
-      profile.RecordClassification(info);
-    } else if (keyword == "alloc") {
-      ClassificationId id = kNoClassification;
-      unsigned long long bytes = 0;
-      if (!(in >> id >> bytes)) {
-        return MalformedRecord(line_number, keyword);
-      }
-      profile.RecordAllocation(id, bytes);
-    } else if (keyword == "compute") {
-      ClassificationId id = kNoClassification;
-      double seconds = 0.0;
-      if (!(in >> id >> seconds) || !std::isfinite(seconds) || seconds < 0.0) {
-        return MalformedRecord(line_number, keyword);
-      }
-      profile.RecordCompute(id, seconds);
-    } else if (keyword == "call") {
-      CallKey key;
-      std::string guid_text, marker;
-      unsigned long long non_remotable = 0;
-      if (!(in >> key.src >> key.dst >> guid_text >> key.method >> non_remotable)) {
-        return MalformedRecord(line_number, keyword);
-      }
-      Result<Guid> iid = Guid::Parse(guid_text);
-      if (!iid.ok()) {
-        return iid.status();
-      }
-      key.iid = *iid;
-      in >> marker;
-      if (marker != "req") {
-        return InvalidArgumentError("expected 'req' marker");
-      }
-      ExponentialHistogram requests, replies;
-      COIGN_RETURN_IF_ERROR(ParseHistogramFields(in, &requests));
-      in >> marker;
-      if (marker != "rep") {
-        return InvalidArgumentError("expected 'rep' marker");
-      }
-      COIGN_RETURN_IF_ERROR(ParseHistogramFields(in, &replies));
-      profile.InjectCallSummary(key, requests, replies, non_remotable);
-    } else {
-      return InvalidArgumentError("unknown profile keyword: " + keyword);
+    FieldReader fields(line);
+    std::string_view keyword;
+    fields.Read(&keyword);
+    if (!ParseRecord(keyword, &fields, &profile)) {
+      return MalformedRecord(line_number, keyword);
     }
   }
   return profile;
@@ -172,9 +227,20 @@ Result<IccProfile> ReadProfileFile(const std::string& path) {
   if (!in) {
     return NotFoundError("cannot open profile file: " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseProfile(buffer.str());
+  // Read straight into the string, a chunk at a time. A failed read (a
+  // directory opens but does not read) sets badbit, not just eof.
+  constexpr size_t kChunk = 64 * 1024;
+  std::string text;
+  while (in) {
+    const size_t size = text.size();
+    text.resize(size + kChunk);
+    in.read(text.data() + size, kChunk);
+    text.resize(size + static_cast<size_t>(in.gcount()));
+  }
+  if (in.bad()) {
+    return InternalError("cannot read profile file: " + path);
+  }
+  return ParseProfile(text);
 }
 
 Result<IccProfile> MergeProfileFiles(const std::vector<std::string>& paths) {

@@ -6,12 +6,24 @@
 // analysis." (paper §2)
 //
 // A line-oriented text format; loads merge naturally because IccProfile
-// merges associatively.
+// merges associatively. After the "coign-profile v1" line come the
+// records, one a line, fields separated by whitespace:
+//
+//   classification <id> <clsid> <api_usage> <instances> <class name...>
+//   alloc <id> <bytes>
+//   compute <id> <seconds, %.9e>
+//   call <src> <dst> <iid> <method> <non_remotable>
+//        req [<bucket>:<count>:<bytes>]... ; rep [<bucket>:<count>:<bytes>]... ;
+//
+// Both directions are one pass over a text buffer, with std::to_chars and
+// std::from_chars; DESIGN.md ("Profile log format") lists what the parser
+// rejects.
 
 #ifndef COIGN_SRC_PROFILE_LOG_FILE_H_
 #define COIGN_SRC_PROFILE_LOG_FILE_H_
 
 #include <string>
+#include <string_view>
 
 #include "src/profile/icc_profile.h"
 #include "src/support/status.h"
@@ -21,8 +33,9 @@ namespace coign {
 // Serializes a profile to the log format.
 std::string SerializeProfile(const IccProfile& profile);
 
-// Parses a serialized profile.
-Result<IccProfile> ParseProfile(const std::string& text);
+// Parses a serialized profile. Any record that breaks the format is
+// InvalidArgument "profile line N: malformed '<keyword>' record".
+Result<IccProfile> ParseProfile(std::string_view text);
 
 // File convenience wrappers.
 Status WriteProfileFile(const IccProfile& profile, const std::string& path);

@@ -1,8 +1,5 @@
 #include "src/runtime/config_record.h"
 
-#include <cstdio>
-#include <sstream>
-
 #include "src/support/str_util.h"
 
 namespace coign {
@@ -21,14 +18,6 @@ namespace {
 
 constexpr char kMagic[] = "coign-config v1";
 
-Result<ClassifierKind> ClassifierKindFromIndex(int index) {
-  const auto& kinds = AllClassifierKinds();
-  if (index < 0 || static_cast<size_t>(index) >= kinds.size()) {
-    return InvalidArgumentError("bad classifier kind index");
-  }
-  return kinds[static_cast<size_t>(index)];
-}
-
 int ClassifierKindIndex(ClassifierKind kind) {
   const auto& kinds = AllClassifierKinds();
   for (size_t i = 0; i < kinds.size(); ++i) {
@@ -39,12 +28,76 @@ int ClassifierKindIndex(ClassifierKind kind) {
   return 0;
 }
 
-// A record whose fields did not all parse. Failed stream reads leave
-// fields at 0, which silently changes the placement, so every record is
-// checked.
-Status MalformedRecord(int line_number, const std::string& keyword) {
-  return InvalidArgumentError(
-      StrFormat("config line %d: malformed '%s' record", line_number, keyword.c_str()));
+// A record that breaks the format: a missing, extra or unreadable field,
+// or a value out of its range. A field read as 0 instead would silently
+// change the placement, so every record is checked.
+Status MalformedRecord(int line_number, std::string_view keyword) {
+  return InvalidArgumentError(StrFormat("config line %d: malformed '%.*s' record", line_number,
+                                        static_cast<int>(keyword.size()), keyword.data()));
+}
+
+// Parses one record other than `profile` into *record. Numbers read whole
+// (signed fields keep their sign), and a record has no trailing fields.
+bool ParseRecord(std::string_view keyword, FieldReader* fields, ConfigurationRecord* record) {
+  if (keyword == "mode") {
+    int mode = 0;
+    if (!fields->Read(&mode) || !fields->AtEnd() || (mode != 0 && mode != 1)) {
+      return false;
+    }
+    record->mode = mode == 0 ? RuntimeMode::kProfiling : RuntimeMode::kDistributed;
+    return true;
+  }
+  if (keyword == "classifier") {
+    const auto& kinds = AllClassifierKinds();
+    size_t kind_index = 0;
+    int depth = 0;
+    if (!fields->Read(&kind_index) || !fields->Read(&depth) || !fields->AtEnd() ||
+        kind_index >= kinds.size()) {
+      return false;
+    }
+    record->classifier_kind = kinds[kind_index];
+    record->classifier_depth = depth;
+    return true;
+  }
+  if (keyword == "default-machine") {
+    return fields->Read(&record->distribution.default_machine) && fields->AtEnd();
+  }
+  if (keyword == "place") {
+    ClassificationId id = kNoClassification;
+    MachineId machine = kClientMachine;
+    if (!fields->Read(&id) || !fields->Read(&machine) || !fields->AtEnd()) {
+      return false;
+    }
+    record->distribution.placement[id] = machine;
+    return true;
+  }
+  if (keyword == "desc") {
+    std::string_view clsid;
+    size_t token_count = 0;
+    if (!fields->Read(&clsid) || !fields->Read(&token_count)) {
+      return false;
+    }
+    Result<Guid> parsed = Guid::Parse(clsid);
+    if (!parsed.ok()) {
+      return false;
+    }
+    Descriptor descriptor;
+    descriptor.clsid = *parsed;
+    for (size_t i = 0; i < token_count; ++i) {
+      std::string_view text;
+      DescriptorToken token;
+      if (!fields->Read(&text) || !ParseColonTriple(text, &token.tag, &token.a, &token.b)) {
+        return false;
+      }
+      descriptor.tokens.push_back(token);
+    }
+    if (!fields->AtEnd()) {
+      return false;
+    }
+    record->classifier_table.push_back(std::move(descriptor));
+    return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -73,86 +126,32 @@ std::string ConfigurationRecord::Serialize() const {
 }
 
 Result<ConfigurationRecord> ConfigurationRecord::Parse(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != kMagic) {
+  LineReader lines(text);
+  std::string_view line;
+  if (!lines.Next(&line) || line != kMagic) {
     return InvalidArgumentError("missing configuration record magic");
   }
   ConfigurationRecord record;
   int line_number = 1;
-  while (std::getline(in, line)) {
+  while (lines.Next(&line)) {
     ++line_number;
-    std::istringstream fields(line);
-    std::string keyword;
-    fields >> keyword;
-    if (keyword == "mode") {
-      int mode = 0;
-      if (!(fields >> mode)) {
-        return MalformedRecord(line_number, keyword);
-      }
-      record.mode = mode == 0 ? RuntimeMode::kProfiling : RuntimeMode::kDistributed;
-    } else if (keyword == "classifier") {
-      int kind_index = 0;
-      if (!(fields >> kind_index >> record.classifier_depth)) {
-        return MalformedRecord(line_number, keyword);
-      }
-      Result<ClassifierKind> kind = ClassifierKindFromIndex(kind_index);
-      if (!kind.ok()) {
-        return kind.status();
-      }
-      record.classifier_kind = *kind;
-    } else if (keyword == "default-machine") {
-      if (!(fields >> record.distribution.default_machine)) {
-        return MalformedRecord(line_number, keyword);
-      }
-    } else if (keyword == "place") {
-      ClassificationId id = kNoClassification;
-      MachineId machine = kClientMachine;
-      if (!(fields >> id >> machine)) {
-        return MalformedRecord(line_number, keyword);
-      }
-      record.distribution.placement[id] = machine;
-    } else if (keyword == "desc") {
-      Descriptor descriptor;
-      std::string guid_text;
-      size_t token_count = 0;
-      if (!(fields >> guid_text >> token_count)) {
-        return MalformedRecord(line_number, keyword);
-      }
-      if (guid_text != "{0000000000000000-0000000000000000}") {
-        Result<Guid> clsid = Guid::Parse(guid_text);
-        if (!clsid.ok()) {
-          return clsid.status();
-        }
-        descriptor.clsid = *clsid;
-      }
-      for (size_t i = 0; i < token_count; ++i) {
-        std::string token_text;
-        fields >> token_text;
-        DescriptorToken token;
-        unsigned long long tag = 0, a = 0, b = 0;
-        if (std::sscanf(token_text.c_str(), "%llu:%llu:%llu", &tag, &a, &b) != 3) {
-          return InvalidArgumentError("malformed descriptor token: " + token_text);
-        }
-        token.tag = tag;
-        token.a = a;
-        token.b = b;
-        descriptor.tokens.push_back(token);
-      }
-      record.classifier_table.push_back(std::move(descriptor));
-    } else if (keyword == "profile") {
+    FieldReader fields(line);
+    std::string_view keyword;
+    if (!fields.Read(&keyword)) {
+      continue;
+    }
+    if (keyword == "profile") {
+      // The payload is the next `length` bytes, newlines and all.
       size_t length = 0;
-      if (!(fields >> length)) {
+      const std::string_view payload = lines.rest();
+      if (!fields.Read(&length) || !fields.AtEnd() || payload.size() < length) {
         return MalformedRecord(line_number, keyword);
       }
-      std::string rest((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-      if (rest.size() < length) {
-        return InvalidArgumentError("truncated profile payload in config record");
-      }
-      record.profile_text = rest.substr(0, length);
+      record.profile_text = payload.substr(0, length);
       return record;
-    } else if (!keyword.empty()) {
-      return InvalidArgumentError("unknown config keyword: " + keyword);
+    }
+    if (!ParseRecord(keyword, &fields, &record)) {
+      return MalformedRecord(line_number, keyword);
     }
   }
   return record;

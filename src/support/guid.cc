@@ -1,7 +1,5 @@
 #include "src/support/guid.h"
 
-#include <cstdio>
-
 namespace coign {
 namespace {
 
@@ -64,11 +62,23 @@ Guid Guid::FromName(std::string_view name) {
 }
 
 std::string Guid::ToString() const {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "{%016llx-%016llx}",
-                static_cast<unsigned long long>(hi),
-                static_cast<unsigned long long>(lo));
-  return buf;
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Guid::AppendTo(std::string* out) const {
+  constexpr char kDigits[] = "0123456789abcdef";
+  char buf[35];
+  buf[0] = '{';
+  buf[17] = '-';
+  buf[34] = '}';
+  for (int i = 0; i < 16; ++i) {
+    const int shift = 60 - 4 * i;
+    buf[1 + i] = kDigits[(hi >> shift) & 0xf];
+    buf[18 + i] = kDigits[(lo >> shift) & 0xf];
+  }
+  out->append(buf, sizeof(buf));
 }
 
 Result<Guid> Guid::Parse(std::string_view text) {

@@ -27,6 +27,8 @@ struct Guid {
 
   // "{0123456789abcdef-0123456789abcdef}".
   std::string ToString() const;
+  // Appends the ToString() form to *out.
+  void AppendTo(std::string* out) const;
   static Result<Guid> Parse(std::string_view text);
 
   friend constexpr bool operator==(const Guid& a, const Guid& b) {

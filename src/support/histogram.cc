@@ -22,6 +22,25 @@ uint64_t ExponentialHistogram::BucketLowerBound(int bucket) {
   return uint64_t{1} << bucket;
 }
 
+bool ExponentialHistogram::CanHold(int bucket, uint64_t count, uint64_t bytes) {
+  if (bucket < 0 || bucket > kMaxBucket) {
+    return false;
+  }
+  if (bucket == 0) {
+    return bytes <= count;
+  }
+  // count * 2^b <= bytes.
+  if ((bytes >> bucket) < count) {
+    return false;
+  }
+  if (bucket == kMaxBucket) {
+    return true;
+  }
+  // bytes <= count * (2^(b+1) - 1), as ceil(bytes / largest) <= count.
+  const uint64_t largest = (uint64_t{2} << bucket) - 1;
+  return bytes / largest + (bytes % largest != 0 ? 1 : 0) <= count;
+}
+
 ExponentialHistogram::Bucket& ExponentialHistogram::FindOrInsert(int bucket) {
   auto it = std::lower_bound(
       buckets_.begin(), buckets_.end(), bucket,

@@ -21,6 +21,11 @@ class ExponentialHistogram {
   static int BucketFor(uint64_t bytes);
   // Inclusive lower bound of a bucket.
   static uint64_t BucketLowerBound(int bucket);
+  // Whether `count` messages recorded into `bucket` can total `bytes`:
+  // bucket 0 holds sizes 0 and 1, bucket b < kMaxBucket sizes
+  // [2^b, 2^(b+1)), and kMaxBucket every size from 2^kMaxBucket up. False
+  // for an index outside [0, kMaxBucket]. Checked without overflow.
+  static bool CanHold(int bucket, uint64_t count, uint64_t bytes);
 
   void Add(uint64_t bytes);
   // Adds pre-summarized data directly into a bucket (profile log loading).

@@ -3,6 +3,7 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 
 namespace coign {
 
@@ -83,6 +84,71 @@ bool ParseLowerHex(std::string_view text, size_t digits, uint64_t* out) {
     value = (value << 4) | static_cast<uint64_t>(digit);
   }
   *out = value;
+  return true;
+}
+
+bool ParseDouble(std::string_view text, double* out) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+bool LineReader::Next(std::string_view* line) {
+  if (pos_ == text_.size()) {
+    return false;
+  }
+  const std::string_view rest = text_.substr(pos_);
+  const char* newline = static_cast<const char*>(std::memchr(rest.data(), '\n', rest.size()));
+  if (newline == nullptr) {
+    *line = rest;
+    pos_ = text_.size();
+  } else {
+    *line = rest.substr(0, static_cast<size_t>(newline - rest.data()));
+    pos_ += line->size() + 1;
+  }
+  return true;
+}
+
+namespace {
+
+// std::isspace in the "C" locale: what `>>` skips between fields.
+bool IsFieldSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
+
+bool FieldReader::Read(std::string_view* field) {
+  size_t start = 0;
+  while (start < rest_.size() && IsFieldSpace(rest_[start])) {
+    ++start;
+  }
+  size_t end = start;
+  while (end < rest_.size() && !IsFieldSpace(rest_[end])) {
+    ++end;
+  }
+  if (start == end) {
+    return false;
+  }
+  *field = rest_.substr(start, end - start);
+  rest_.remove_prefix(end);
+  return true;
+}
+
+bool FieldReader::Read(double* value) {
+  std::string_view field;
+  return Read(&field) && ParseDouble(field, value);
+}
+
+bool FieldReader::AtEnd() const {
+  for (const char c : rest_) {
+    if (!IsFieldSpace(c)) {
+      return false;
+    }
+  }
   return true;
 }
 

@@ -1,42 +1,17 @@
 #include "src/profile/log_file.h"
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 
 #include <gtest/gtest.h>
 
-#include "src/com/class_registry.h"
-
 #include "src/support/str_util.h"
+#include "tests/sample_profile.h"
 
 namespace coign {
 namespace {
-
-IccProfile SampleProfile() {
-  IccProfile profile;
-  ClassificationInfo info;
-  info.id = 0;
-  info.clsid = Guid::FromName("clsid:Reader");
-  info.class_name = "App.Doc Reader";  // Name with a space, on purpose.
-  info.api_usage = kApiStorage;
-  profile.RecordClassification(info);
-  profile.RecordInstantiation(0);
-  ClassificationInfo info2;
-  info2.id = 3;
-  info2.clsid = Guid::FromName("clsid:Ui");
-  info2.class_name = "App.Ui";
-  info2.api_usage = kApiGui;
-  profile.RecordClassification(info2);
-
-  CallKey key;
-  key.src = 0;
-  key.dst = 3;
-  key.iid = Guid::FromName("iid:IView");
-  key.method = 2;
-  profile.RecordCall(key, 1000, 64, true);
-  profile.RecordCall(key, 3, 100000, false);
-  profile.RecordCompute(0, 0.125);
-  return profile;
-}
 
 void ExpectEquivalent(const IccProfile& a, const IccProfile& b) {
   EXPECT_EQ(a.total_calls(), b.total_calls());
@@ -84,6 +59,19 @@ std::string DamagedSample(const std::string& keyword, size_t field, const std::s
   return JoinStrings(lines, "\n");
 }
 
+// The serialized sample profile with `line` inserted as line number
+// `line_number` (1 = the magic line).
+std::string SampleWithLine(size_t line_number, const std::string& line) {
+  std::vector<std::string> lines = SplitString(SerializeProfile(SampleProfile()), '\n');
+  lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(line_number - 1), line);
+  return JoinStrings(lines, "\n");
+}
+
+// Line `line_number` of the serialized sample profile.
+std::string SampleLine(size_t line_number) {
+  return SplitString(SerializeProfile(SampleProfile()), '\n')[line_number - 1];
+}
+
 // Expects InvalidArgument naming the line number and record keyword.
 void ExpectMalformed(const std::string& text, int line_number, const std::string& keyword) {
   Result<IccProfile> parsed = ParseProfile(text);
@@ -96,10 +84,18 @@ void ExpectMalformed(const std::string& text, int line_number, const std::string
       << parsed.status().ToString();
 }
 
+// The sample serializes to five lines:
+//   1 coign-profile v1
+//   2 classification 0 <clsid> 1 1 App.Doc Reader
+//   3 compute 0 1.250000000e-01
+//   4 classification 3 <clsid> 2 0 App.Ui
+//   5 call 0 3 <iid> 2 1 req 1:1:3 9:1:1000 ; rep 6:1:64 16:1:100000 ;
+// so call field 7 is the first request bucket and field 13 the final ';'.
 TEST(LogFileTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseProfile("").ok());
   EXPECT_FALSE(ParseProfile("not a profile").ok());
-  EXPECT_FALSE(ParseProfile("coign-profile v1\nbogus keyword here\n").ok());
+  ASSERT_EQ(SampleLine(5).substr(SampleLine(5).find(" req")),
+            " req 1:1:3 9:1:1000 ; rep 6:1:64 16:1:100000 ;");
 
   // One unreadable field per record kind. Before these were rejected, a
   // storage pin whose api_usage read as 0 parsed fine and unpinned the
@@ -112,6 +108,67 @@ TEST(LogFileTest, ParseRejectsGarbage) {
   ExpectMalformed(DamagedSample("compute", 2, "1e999"), 3, "compute");
   ExpectMalformed(DamagedSample("compute", 2, "nan"), 3, "compute");
   ExpectMalformed(DamagedSample("call", 4, "x"), 5, "call");
+
+  // Every rejection names its line and keyword: a bad GUID, histogram
+  // field or marker, an unknown keyword, a whitespace-only line. A magic
+  // line ending in \r is no magic line.
+  ExpectMalformed(DamagedSample("classification", 2, "{0}"), 2, "classification");
+  ExpectMalformed(DamagedSample("call", 3, "{0}"), 5, "call");
+  ExpectMalformed(DamagedSample("call", 7, "1;1;3"), 5, "call");
+  ExpectMalformed(DamagedSample("call", 10, "rex"), 5, "call");
+  ExpectMalformed("coign-profile v1\nbogus keyword here\n", 2, "bogus");
+  ExpectMalformed("coign-profile v1\n \t\r\n", 2, "");
+  EXPECT_EQ(ParseProfile("coign-profile v1\r\n").status().message(),
+            "missing profile magic header");
+
+  // Each number is one whole token: no sign on an unsigned field (the
+  // repro: `8:2:-648` wrapped to 2^64 - 648 bytes and `coign analyze`
+  // reported 17565277009532 s of potential communication), no '+', no
+  // trailing characters, no overflow.
+  ExpectMalformed(DamagedSample("call", 7, "8:2:-648"), 5, "call");
+  ExpectMalformed(DamagedSample("call", 5, "-1"), 5, "call");
+  ExpectMalformed(DamagedSample("classification", 1, "+0"), 2, "classification");
+  ExpectMalformed(DamagedSample("classification", 4, "136xyz"), 2, "classification");
+  ExpectMalformed(DamagedSample("call", 8, "9:1:1000x"), 5, "call");
+  ExpectMalformed(DamagedSample("call", 2, "4294967296"), 5, "call");
+  ExpectMalformed(DamagedSample("classification", 4, "18446744073709551616"), 2,
+                  "classification");
+  ExpectMalformed(DamagedSample("compute", 2, "0x1p-3"), 3, "compute");
+
+  // No fields after a record's last one; each histogram list ends in ';'.
+  ExpectMalformed(SampleWithLine(3, "alloc 0 136 7"), 3, "alloc");
+  ExpectMalformed(DamagedSample("compute", 2, "1.250000000e-01 x"), 3, "compute");
+  ExpectMalformed(DamagedSample("call", 13, "; x"), 5, "call");
+  ExpectMalformed(DamagedSample("call", 13, ""), 5, "call");
+
+  // Buckets: index in [0, 40], a non-zero count, and bytes that count of
+  // messages can carry in the bucket, checked without overflow.
+  ExpectMalformed(DamagedSample("call", 7, "41:1:1"), 5, "call");
+  ExpectMalformed(DamagedSample("call", 7, "-1:1:1"), 5, "call");
+  ExpectMalformed(DamagedSample("call", 7, "8:0:0"), 5, "call");
+  ExpectMalformed(DamagedSample("call", 7, "8:2:99999"), 5, "call");
+  ExpectMalformed(DamagedSample("call", 7, "8:2:511"), 5, "call");
+  ExpectMalformed(DamagedSample("call", 7, "0:2:3"), 5, "call");
+  ExpectMalformed(DamagedSample("call", 7, "40:1:1099511627775"), 5, "call");
+  ExpectMalformed(DamagedSample("call", 7, "40:16777216:18446744073709551615"), 5, "call");
+
+  // Classifications are declared once, on a line before any record that
+  // names them; a call endpoint may also be the driver.
+  ExpectMalformed(SampleWithLine(3, "alloc 5 100"), 3, "alloc");
+  ExpectMalformed(SampleWithLine(3, "alloc 3 100"), 3, "alloc");
+  ExpectMalformed(SampleWithLine(3, "compute 3 1.000000000e+00"), 3, "compute");
+  ExpectMalformed(DamagedSample("call", 1, "5"), 5, "call");
+  ExpectMalformed(DamagedSample("call", 2, "5"), 5, "call");
+  ExpectMalformed(SampleWithLine(3, SampleLine(2)), 3, "classification");
+
+  // What the rules still let through: the driver endpoint and the edges
+  // of each bucket's range.
+  for (const std::string& text :
+       {DamagedSample("call", 1, "4294967295"), DamagedSample("call", 7, "8:2:512"),
+        DamagedSample("call", 7, "8:2:1022"), DamagedSample("call", 7, "0:2:2"),
+        DamagedSample("call", 7, "40:1:1099511627776"), SampleWithLine(5, "alloc 3 100")}) {
+    EXPECT_TRUE(ParseProfile(text).ok()) << text;
+  }
 
   // The undamaged text still parses to the same profile.
   Result<IccProfile> pristine = ParseProfile(DamagedSample("compute", 0, "compute"));
@@ -144,6 +201,21 @@ TEST(LogFileTest, FileRoundTripAndMerge) {
 TEST(LogFileTest, MissingFileErrors) {
   EXPECT_EQ(ReadProfileFile("/tmp/definitely_missing_coign_profile.log").status().code(),
             StatusCode::kNotFound);
+}
+
+TEST(LogFileTest, UnreadableFileErrorsNameThePath) {
+  // A directory opens but does not read; that is no missing header.
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("coign_unreadable_" + std::to_string(getpid()) + ".profile"))
+                               .string();
+  std::filesystem::create_directory(path);
+  Result<IccProfile> read = ReadProfileFile(path);
+  std::filesystem::remove(path);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kInternal);
+  EXPECT_NE(read.status().message().find("cannot read profile file: " + path),
+            std::string::npos)
+      << read.status().ToString();
 }
 
 TEST(LogFileTest, SerializedFormHasMagicAndSections) {

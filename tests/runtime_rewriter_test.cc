@@ -51,8 +51,9 @@ TEST(ConfigRecordTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ConfigurationRecord::Parse("wrong magic\n").ok());
   EXPECT_FALSE(ConfigurationRecord::Parse("coign-config v1\nunknown x\n").ok());
 
-  // One unreadable field per record kind: each must be rejected with the
-  // line number and keyword, never parsed as 0.
+  // One unreadable field per record kind, then one case per lexical
+  // rule: each must be rejected with the line number and keyword, never
+  // parsed as 0 or as a prefix of the field.
   const struct {
     const char* record;
     const char* keyword;
@@ -64,6 +65,30 @@ TEST(ConfigRecordTest, ParseRejectsGarbage) {
       {"place x 1", "place"},
       {"desc {0000000000000000-0000000000000000} some", "desc"},
       {"profile long", "profile"},
+      // Numbers are whole tokens: no trailing characters, no '+', no
+      // sign on an unsigned field, no overflow.
+      {"place 4 1x", "place"},
+      {"default-machine 1.5", "default-machine"},
+      {"mode +1", "mode"},
+      {"place -4 1", "place"},
+      {"place 4294967296 1", "place"},
+      {"classifier 99 -1", "classifier"},
+      // No trailing fields.
+      {"mode 1 1", "mode"},
+      {"classifier 4 -1 x", "classifier"},
+      {"default-machine 1 1", "default-machine"},
+      {"place 4 1 9", "place"},
+      {"desc {0000000000000000-0000000000000000} 1 1:2:3 4:5:6", "desc"},
+      {"profile 0 x", "profile"},
+      // Descriptor tokens are three whole numbers, as many as counted.
+      {"desc {0000000000000000-0000000000000000} 1 1:2", "desc"},
+      {"desc {0000000000000000-0000000000000000} 1 1:2:3x", "desc"},
+      {"desc {0000000000000000-0000000000000000} 1 1:-2:3", "desc"},
+      {"desc {0000000000000000-0000000000000000} 2 1:2:3", "desc"},
+      {"desc {000000000000000g-0000000000000000} 0", "desc"},
+      // The mode is 0 or 1 (7 used to mean distributed).
+      {"mode 7", "mode"},
+      {"mode -1", "mode"},
   };
   for (const auto& malformed : kMalformed) {
     Result<ConfigurationRecord> parsed = ConfigurationRecord::Parse(
@@ -76,6 +101,20 @@ TEST(ConfigRecordTest, ParseRejectsGarbage) {
               std::string::npos)
         << parsed.status().ToString();
   }
+}
+
+TEST(ConfigRecordTest, SignedFieldsKeepTheirSign) {
+  Result<ConfigurationRecord> parsed = ConfigurationRecord::Parse(
+      "coign-config v1\nmode 0\nclassifier 4 -1\ndefault-machine -1\nplace 7 -2\n"
+      "desc {0000000000000000-0000000000000001} 1 3:4:5\nprofile 0\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->classifier_kind, AllClassifierKinds()[4]);
+  EXPECT_EQ(parsed->classifier_depth, kCompleteStackWalk);
+  EXPECT_EQ(parsed->distribution.default_machine, -1);
+  EXPECT_EQ(parsed->distribution.placement.at(7), -2);
+  ASSERT_EQ(parsed->classifier_table.size(), 1u);
+  EXPECT_EQ(parsed->classifier_table[0].clsid, (Guid{0, 1}));
+  EXPECT_EQ(parsed->classifier_table[0].tokens, (std::vector<DescriptorToken>{{3, 4, 5}}));
 }
 
 TEST(BinaryRewriterTest, InstrumentInsertsRuntimeFirstAndConfig) {

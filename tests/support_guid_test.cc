@@ -1,9 +1,11 @@
 #include "src/support/guid.h"
 
+#include <cstdio>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
 
+#include "src/support/rng.h"
 #include "src/support/str_util.h"
 
 namespace coign {
@@ -38,6 +40,22 @@ TEST(GuidTest, RoundTripsThroughString) {
 TEST(GuidTest, ToStringFormat) {
   Guid g{0x0123456789abcdefull, 0xfedcba9876543210ull};
   EXPECT_EQ(g.ToString(), "{0123456789abcdef-fedcba9876543210}");
+}
+
+// The formatter is hand-rolled; it must write exactly printf's
+// "{%016llx-%016llx}", and AppendTo must only append.
+TEST(GuidTest, ToStringAndAppendToMatchPrintf) {
+  Rng rng(7);
+  for (int i = 0; i < 1000; ++i) {
+    const Guid g{rng.NextUint64() >> (i % 64), rng.NextUint64() >> (i / 16 % 64)};
+    char expected[40];
+    std::snprintf(expected, sizeof(expected), "{%016llx-%016llx}",
+                  static_cast<unsigned long long>(g.hi), static_cast<unsigned long long>(g.lo));
+    EXPECT_EQ(g.ToString(), expected);
+    std::string appended = "x";
+    g.AppendTo(&appended);
+    EXPECT_EQ(appended, std::string("x") + expected);
+  }
 }
 
 TEST(GuidTest, ParseRejectsMalformedInput) {

@@ -25,6 +25,34 @@ TEST(HistogramTest, LowerBoundInvertsBucketFor) {
   }
 }
 
+TEST(HistogramTest, CanHoldIsTheBucketSizeRange) {
+  using H = ExponentialHistogram;
+  EXPECT_TRUE(H::CanHold(0, 2, 2));
+  EXPECT_FALSE(H::CanHold(0, 2, 3));
+  EXPECT_TRUE(H::CanHold(8, 2, 512));
+  EXPECT_TRUE(H::CanHold(8, 2, 1022));
+  EXPECT_FALSE(H::CanHold(8, 2, 511));
+  EXPECT_FALSE(H::CanHold(8, 2, 1023));
+  EXPECT_TRUE(H::CanHold(H::kMaxBucket, 1, uint64_t{1} << 40));
+  EXPECT_TRUE(H::CanHold(H::kMaxBucket, 1, ~uint64_t{0}));
+  EXPECT_FALSE(H::CanHold(H::kMaxBucket, 1, (uint64_t{1} << 40) - 1));
+  // count * 2^b past 2^64 fits no byte total.
+  EXPECT_FALSE(H::CanHold(H::kMaxBucket, uint64_t{1} << 24, ~uint64_t{0}));
+  EXPECT_FALSE(H::CanHold(39, ~uint64_t{0}, ~uint64_t{0}));
+  EXPECT_FALSE(H::CanHold(-1, 1, 1));
+  EXPECT_FALSE(H::CanHold(H::kMaxBucket + 1, 1, 1));
+
+  // Whatever Add records, CanHold accepts.
+  Rng rng(11);
+  ExponentialHistogram h;
+  for (int i = 0; i < 4000; ++i) {
+    h.Add(rng.NextUint64() >> rng.UniformInt(20, 63));
+  }
+  for (int b : h.NonEmptyBuckets()) {
+    EXPECT_TRUE(H::CanHold(b, h.CountAt(b), h.BytesAt(b))) << b;
+  }
+}
+
 TEST(HistogramTest, AddTracksCountsAndExactBytes) {
   ExponentialHistogram h;
   h.Add(100);
