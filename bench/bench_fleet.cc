@@ -2,36 +2,33 @@
 //
 // The paper partitions one application for one client over one measured
 // network. A deployed service faces thousands of clients at once, each
-// with its own measured link. This bench drives the fleet partitioning
-// service over a seeded 2,000-client population and reports the numbers
-// that justify its three design moves:
-//   - cohorting:  plans/sec over cohorts vs naive per-client planning,
-//                 and the execution-time regret cohorted plans pay vs
-//                 each client's individually optimal cut;
-//   - threading:  parallel speedup of the worker pool over the serial
-//                 path (bounded above by the host's core count — printed
-//                 so single-core CI numbers read correctly);
-//   - caching:    warm-pass hit rate and speedup when the same fleet is
-//                 planned again (the steady state of a long-running
-//                 service).
+// with its own measured link. The fleet service plans them all from the
+// profile's exact cut envelope: 2K−1 push-relabel solves for K distinct
+// optimal cuts, then one λ lookup per client. This bench compares that
+// with the naive service, one full analysis per client at the client's own
+// loss-inflated link (the test oracle fleet_oracle::MisplacedClients), on
+// 2,000 and 20,000 seeded clients (30% lossy). It reports solves and wall
+// time for both, and exits nonzero unless every client's envelope placement
+// equals its own analysis.
 
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/harness.h"
 #include "src/apps/octarine.h"
 #include "src/fleet/service.h"
 #include "src/sim/fleet_population.h"
+#include "tests/oracles/fleet_oracle.h"
 
 using namespace coign;  // NOLINT: bench binary.
 
 namespace {
 
-constexpr int kClients = 2000;
 constexpr uint64_t kFleetSeed = 42;
+constexpr double kLossyFraction = 0.3;
 
 double SecondsOf(const std::function<void()>& fn) {
   const auto start = std::chrono::steady_clock::now();
@@ -44,99 +41,49 @@ double SecondsOf(const std::function<void()>& fn) {
 
 int main() {
   std::unique_ptr<Application> app = MakeOctarine();
-  Result<IccProfile> profile =
-      ProfileScenarios(*app, {"o_newdoc", "o_oldwp3"});
+  Result<IccProfile> profile = ProfileScenarios(*app, {"o_newdoc", "o_oldwp3"});
   if (!profile.ok()) {
     std::fprintf(stderr, "profiling: %s\n", profile.status().ToString().c_str());
     return 1;
   }
+  std::printf("fleet planning: exact cut envelope vs one analysis per client\n");
+  std::printf("profile Octarine o_newdoc + o_oldwp3, fleet seed %llu, %.0f%% lossy links\n\n",
+              static_cast<unsigned long long>(kFleetSeed), 100.0 * kLossyFraction);
+  std::printf("%8s %6s %7s %13s %10s %15s %9s %11s\n", "clients", "cuts", "solves",
+              "envelope (s)", "analyses", "per-client (s)", "speedup", "mismatches");
 
-  FleetPopulationOptions population;
-  population.client_count = kClients;
-  const std::vector<FleetClient> fleet = GenerateFleet(population, kFleetSeed);
+  const FleetPartitionService service;
+  size_t mismatches = 0;
+  for (const int clients : {2000, 20000}) {
+    FleetPopulationOptions population;
+    population.client_count = clients;
+    population.lossy_fraction = kLossyFraction;
+    const std::vector<FleetClient> fleet = GenerateFleet(population, kFleetSeed);
 
-  std::printf("fleet partitioning: %d clients, seed %llu, host cores %u\n\n", kClients,
-              static_cast<unsigned long long>(kFleetSeed),
-              std::thread::hardware_concurrency());
-
-  // Serial baseline, cache off: raw per-cohort analysis throughput.
-  double serial_seconds = 0.0;
-  size_t cohorts = 0;
-  {
-    FleetServiceOptions options;
-    options.worker_threads = 1;
-    options.cache_capacity = 0;
-    FleetPartitionService service(options);
     Result<FleetPlanResult> planned(InternalError("unset"));
-    serial_seconds = SecondsOf([&] { planned = service.Plan(*profile, fleet); });
+    const double envelope_seconds = SecondsOf([&] { planned = service.Plan(*profile, fleet); });
     if (!planned.ok()) {
-      std::fprintf(stderr, "serial plan: %s\n", planned.status().ToString().c_str());
+      std::fprintf(stderr, "plan: %s\n", planned.status().ToString().c_str());
       return 1;
     }
-    cohorts = planned->stats.cohorts;
-    std::printf("serial      | %4zu cohorts in %6.3f s | %7.1f plans/s | %8.1f clients/s\n",
-                cohorts, serial_seconds, cohorts / serial_seconds,
-                kClients / serial_seconds);
-  }
 
-  // Worker-pool sweep, cache off: parallel speedup over the serial path.
-  for (const int threads : {2, 4, 8}) {
-    FleetServiceOptions options;
-    options.worker_threads = threads;
-    options.cache_capacity = 0;
-    FleetPartitionService service(options);
-    Result<FleetPlanResult> planned(InternalError("unset"));
-    const double seconds = SecondsOf([&] { planned = service.Plan(*profile, fleet); });
-    if (!planned.ok()) {
-      std::fprintf(stderr, "%d-thread plan: %s\n", threads,
-                   planned.status().ToString().c_str());
+    // The naive service: every client's own cut, compared with its plan.
+    Result<std::vector<std::string>> misplaced(InternalError("unset"));
+    const double naive_seconds = SecondsOf(
+        [&] { misplaced = fleet_oracle::MisplacedClients(*profile, fleet, *planned); });
+    if (!misplaced.ok()) {
+      std::fprintf(stderr, "per-client analysis: %s\n", misplaced.status().ToString().c_str());
       return 1;
     }
-    std::printf("%d threads   | %4zu cohorts in %6.3f s | %7.1f plans/s | speedup %.2fx\n",
-                threads, planned->stats.cohorts, seconds,
-                planned->stats.cohorts / seconds, serial_seconds / seconds);
+    const size_t differ = misplaced->size();
+    mismatches += differ;
+    std::printf("%8d %6zu %7zu %13.4f %10d %15.3f %8.0fx %11zu\n", clients,
+                planned->breakpoints.size() + 1, planned->stats.plans_computed,
+                envelope_seconds, clients, naive_seconds, naive_seconds / envelope_seconds,
+                differ);
   }
-
-  // Plan cache: the same fleet planned again is served without a single cut.
-  {
-    FleetServiceOptions options;
-    options.worker_threads = 8;
-    FleetPartitionService service(options);
-    const double cold_seconds =
-        SecondsOf([&] { (void)service.Plan(*profile, fleet); });
-    Result<FleetPlanResult> warm(InternalError("unset"));
-    const double warm_seconds =
-        SecondsOf([&] { warm = service.Plan(*profile, fleet); });
-    if (!warm.ok()) {
-      std::fprintf(stderr, "warm plan: %s\n", warm.status().ToString().c_str());
-      return 1;
-    }
-    const PlanCacheStats stats = service.cache_stats();
-    std::printf("\ncache cold  | %6.3f s\n", cold_seconds);
-    std::printf("cache warm  | %6.3f s | warm speedup %.1fx | warm hits %zu/%zu | %s\n",
-                warm_seconds, cold_seconds / warm_seconds, warm->stats.cache_hits,
-                warm->stats.cohorts, stats.ToString().c_str());
-  }
-
-  // Regret of cohorted plans vs per-client optimal cuts — the quality side
-  // of the cohorting trade. The per-client pass is also the naive
-  // service's cost, so it doubles as the cohorting-speedup denominator.
-  {
-    FleetServiceOptions options;
-    options.worker_threads = 8;
-    options.compute_regret = true;
-    FleetPartitionService service(options);
-    Result<FleetPlanResult> planned(InternalError("unset"));
-    const double seconds = SecondsOf([&] { planned = service.Plan(*profile, fleet); });
-    if (!planned.ok()) {
-      std::fprintf(stderr, "regret plan: %s\n", planned.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("\nregret pass | %6.3f s (includes %d per-client optimal cuts)\n", seconds,
-                kClients);
-    std::printf("%s\n", planned->regret.ToString().c_str());
-    std::printf("cohorting: %zu cuts serve %d clients (%.1fx fewer analyses)\n", cohorts,
-                kClients, static_cast<double>(kClients) / cohorts);
-  }
-  return 0;
+  std::printf("\n%s\n", mismatches == 0
+                            ? "every client's envelope placement equals its own analysis"
+                            : "MISMATCH: envelope placements differ from per-client analyses");
+  return mismatches == 0 ? 0 : 1;
 }

@@ -8,6 +8,11 @@
 // return the identical exact cut: for a maximum flow the
 // residual-reachable source side is the unique minimal minimum cut, so the
 // distribution does not depend on the algorithm.
+//
+// For many networks at once, Envelope() solves the profile's exact cut
+// envelope (envelope.h) and AnalyzeSegment() turns one of its cuts into
+// an AnalysisResult at a network inside it, through the same result
+// assembly as Analyze.
 
 #ifndef COIGN_SRC_ANALYSIS_ENGINE_H_
 #define COIGN_SRC_ANALYSIS_ENGINE_H_
@@ -15,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/analysis/envelope.h"
 #include "src/graph/concrete_graph.h"
 #include "src/graph/constraints.h"
 #include "src/graph/distribution.h"
@@ -87,14 +93,12 @@ class MinCutSession {
   MinCutSolveStats stats_;
 };
 
-// Re-entrancy contract: Analyze is const and keeps all working state
+// Re-entrancy contract: every method is const and keeps all working state
 // (graphs, flow network, cut) on the stack of the call; the min-cut layer
-// underneath likewise operates on per-call state. One engine may serve
-// concurrent Analyze calls from many threads — the fleet partitioning
-// service computes per-cohort cuts in parallel through a single engine.
-// The session overload's only cross-call mutation is the caller-owned
-// MinCutSession's counters, so a given session must be used by one
-// thread at a time.
+// underneath likewise operates on per-call state, so one engine may serve
+// concurrent calls from many threads. The session overload's only
+// cross-call mutation is the caller-owned MinCutSession's counters, so a
+// given session must be used by one thread at a time.
 class ProfileAnalysisEngine {
  public:
   explicit ProfileAnalysisEngine(AnalysisOptions options = {}) : options_(options) {}
@@ -107,7 +111,24 @@ class ProfileAnalysisEngine {
   Result<AnalysisResult> Analyze(const IccProfile& profile, const NetworkProfile& network,
                                  MinCutSession* session) const;
 
+  // The exact envelope of the profile's optimal cuts over every network
+  // (envelope.h): 2K-1 push-relabel solves for K distinct cuts. Errors as
+  // Analyze, plus OutOfRange when the profile's traffic is too large to
+  // price exactly.
+  Result<CutEnvelope> Envelope(const IccProfile& profile) const;
+
+  // `segment`'s cut of `envelope` (solved from `profile`) assembled at
+  // `network` by Analyze's own result assembly. The cut is the exact
+  // optimum for every λ inside the segment. Analyze rounds each edge's
+  // seconds to whole picoseconds, so the two results are equal wherever
+  // that rounding does not reorder cuts; analysis_envelope_test and
+  // fleet_test check it on sampled profiles and fleets.
+  AnalysisResult AnalyzeSegment(const IccProfile& profile, const CutEnvelope& envelope,
+                                size_t segment, const NetworkProfile& network) const;
+
  private:
+  LocationConstraints Constraints(const IccProfile& profile) const;
+
   AnalysisOptions options_;
 };
 

@@ -1,12 +1,10 @@
 // Deterministic content fingerprints of ICC profiles.
 //
-// The plan cache keys on (profile fingerprint x cohort bucket): two fleets
-// partitioned from the same application profile share cached plans, and a
-// re-profiled application silently invalidates every stale plan because
-// its fingerprint changes. The fingerprint folds the complete analysis
-// input — classifications, compute seconds, and per-call histograms — in
-// sorted key order, so it is independent of hash-map iteration order and
-// of the order scenarios were profiled in.
+// `coign fleet` prints it to name the profile a fleet was planned from: a
+// re-profiled application changes it. The fingerprint folds the complete
+// analysis input — classifications, compute seconds, and per-call
+// histograms — in sorted key order, so it is independent of hash-map
+// iteration order and of the order scenarios were profiled in.
 
 #ifndef COIGN_SRC_FLEET_FINGERPRINT_H_
 #define COIGN_SRC_FLEET_FINGERPRINT_H_
@@ -18,9 +16,7 @@
 namespace coign {
 
 // 64-bit FNV-1a over the profile's sorted content. Equal profiles always
-// collide; unequal ones collide with 2^-64 probability — acceptable for a
-// cache key (a false hit returns a plan for the colliding profile, never
-// corrupts memory).
+// collide; unequal ones collide with 2^-64 probability.
 uint64_t ProfileFingerprint(const IccProfile& profile);
 
 }  // namespace coign

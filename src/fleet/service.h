@@ -1,34 +1,28 @@
 // The fleet partitioning service: one profiled application, thousands of
-// clients, heterogeneous measured networks — plans for all of them.
+// clients, heterogeneous measured networks — a plan for every one of them.
 //
-// Pipeline per Plan() call:
-//   1. fingerprint the profile (cache namespace);
-//   2. cohort the fleet by log-bucketed network parameters (cohort.h);
-//   3. probe the plan cache per cohort, coordinator-side, in grid order
-//      (deterministic LRU traffic);
-//   4. compute the missing cohort plans — full analysis-engine cuts priced
-//      at each bucket's geometric center — across the worker pool;
-//   5. insert the new plans, again in grid order;
-//   6. optionally compute per-client execution-time regret against each
-//      client's individually optimal cut (the expensive per-client path
-//      the cohorting amortizes away — also run through the pool).
+// A cut's cost on a network depends only on
+// λ = seconds_per_byte / per_message_seconds (src/analysis/envelope.h).
+// Plan() therefore solves the profile's exact cut envelope once, 2K−1
+// push-relabel solves for K distinct optimal cuts, and serves each client
+// the segment its λ falls in. Every client gets the exact optimal cut for
+// its own loss-inflated link, with no per-client cut and nothing worth
+// caching. That is the cut Analyze chooses there wherever Analyze's
+// per-edge picosecond rounding does not reorder cuts, as fleet_test and
+// bench_fleet check.
 //
-// Determinism: every number in FleetPlanResult is a pure function of
-// (profile, fleet, options, prior cache state). Workers only fill
-// per-index slots; reductions happen on the coordinator in index order, so
-// results are bit-identical whatever the thread count or schedule.
+// Determinism: FleetPlanResult is a pure function of (profile, fleet,
+// options). The search and the lookups run in order on the calling
+// thread.
 
 #ifndef COIGN_SRC_FLEET_SERVICE_H_
 #define COIGN_SRC_FLEET_SERVICE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/analysis/engine.h"
-#include "src/fleet/cohort.h"
-#include "src/fleet/plan_cache.h"
-#include "src/fleet/thread_pool.h"
+#include "src/analysis/envelope.h"
 #include "src/obs/obs.h"
 #include "src/profile/icc_profile.h"
 #include "src/sim/fleet_population.h"
@@ -37,93 +31,68 @@
 namespace coign {
 
 struct FleetServiceOptions {
-  CohortingOptions cohorting;
   AnalysisOptions analysis;
-  // Total worker threads including the coordinator; 1 = serial.
+  // Ignored: a plan is one sequential envelope search. Kept because the
+  // benchmark (coignbench/workload_fleet.cc) still sets it.
   int worker_threads = 8;
-  // Cached cohort plans; 0 disables the cache.
-  size_t cache_capacity = 1024;
-  // Also compute per-client optimal cuts and the regret of serving each
-  // client its cohort's plan instead. Costs one analysis per client —
-  // exactly the bill cohorting exists to avoid — so it is off by default
-  // and on in benches and reports.
-  bool compute_regret = false;
-  // Not owned; null disables instrumentation. All spans and counters are
-  // emitted coordinator-side in cohort grid order after the parallel
-  // sections complete, so traces are identical whatever the thread count.
+  // Not owned; null disables instrumentation.
   Observability* obs = nullptr;
 };
 
-struct CohortPlan {
-  Cohort cohort;
+// The plan for one occupied envelope segment.
+struct SegmentPlan {
+  // The segment's λ interval [from, to) and the traffic its cut crosses.
+  LambdaRatio lambda_from;
+  LambdaRatio lambda_to;
+  uint64_t messages = 0;
+  uint64_t bytes = 0;
+  // Member client ids, in fleet order.
+  std::vector<uint32_t> members;
+  // The segment's cut assembled at the link of its median-λ member (ties
+  // broken by id), by Analyze's result assembly (AnalyzeSegment).
   AnalysisResult analysis;
-  bool from_cache = false;
 };
 
-// Execution-time regret of cohorted planning, client-weighted. Regret of
-// one client = predicted execution time (compute + communication) of its
-// cohort's plan under its own network, relative to its individually
-// optimal cut: 0.03 = 3% slower than perfect.
-struct FleetRegret {
-  double mean = 0.0;
-  double max = 0.0;
-  double p95 = 0.0;
-  // Client-mean predicted execution seconds under cohort plans vs
-  // per-client optimal cuts (the regret numerator and denominator).
-  double mean_cohort_seconds = 0.0;
-  double mean_optimal_seconds = 0.0;
-
-  std::string ToString() const;
-};
-
+// The benchmark (coignbench/workload_fleet.cc) reads these fields by
+// their cohorting-era names.
 struct FleetPlanStats {
   size_t clients = 0;
-  size_t cohorts = 0;
-  size_t plans_computed = 0;  // Analyses actually run (cache misses).
-  size_t cache_hits = 0;      // This call's hits.
-
-  std::string ToString() const;
+  size_t cohorts = 0;         // Occupied envelope segments (plans.size()).
+  size_t plans_computed = 0;  // Exact solves of the envelope search.
+  size_t cache_hits = 0;      // Always 0: there is no plan cache.
 };
 
 struct FleetPlanResult {
-  std::vector<CohortPlan> plans;  // Grid order; every client's cohort.
+  std::vector<SegmentPlan> plans;  // Occupied segments, in λ order.
+  // Every breakpoint of the envelope in λ order, occupied or not: K−1 for
+  // K distinct cuts.
+  std::vector<LambdaRatio> breakpoints;
   FleetPlanStats stats;
-  FleetRegret regret;  // Zero-valued unless options.compute_regret.
 
-  // Index into plans of the cohort serving `client_id`, or -1.
+  // Index into plans of the segment serving `client_id`, or -1. The name
+  // is the benchmark's (coignbench/workload_fleet.cc).
   int CohortIndexOf(uint32_t client_id) const;
 
  private:
   friend class FleetPartitionService;
-  std::vector<int> client_cohort_;  // client id -> plans index.
+  std::vector<int> client_plan_;  // client id -> plans index.
 };
 
 class FleetPartitionService {
  public:
   explicit FleetPartitionService(FleetServiceOptions options = {});
 
-  // Computes (or serves from cache) one plan per cohort of `fleet`.
-  // Clients must have ids 0..n-1 in order (as GenerateFleet produces).
+  // Plans every client of `fleet`. InvalidArgument, naming the client's
+  // index, unless the ids are 0..n-1 in order (as GenerateFleet produces),
+  // both link terms are finite and > 0, and the drop rate is in [0, 1).
   Result<FleetPlanResult> Plan(const IccProfile& profile,
-                               const std::vector<FleetClient>& fleet);
+                               const std::vector<FleetClient>& fleet) const;
 
   const FleetServiceOptions& options() const { return options_; }
-  // Lifetime cache counters across every Plan() call on this service.
-  PlanCacheStats cache_stats() const { return cache_.stats(); }
-
-  // Persist / restore the plan cache across service restarts: a reloaded
-  // service starts warm and serves repeat fleets from cache immediately.
-  // Save writes the byte-exact LRU snapshot; Load replaces the cache
-  // contents (missing file -> NotFound, caller decides if that is fatal).
-  Status SaveCache(const std::string& path) const { return cache_.SaveToFile(path); }
-  Status LoadCache(const std::string& path) { return cache_.LoadFromFile(path); }
-  size_t cache_size() const { return cache_.size(); }
 
  private:
   FleetServiceOptions options_;
   ProfileAnalysisEngine engine_;
-  PlanCache cache_;
-  WorkerPool pool_;
 };
 
 }  // namespace coign

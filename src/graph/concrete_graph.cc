@@ -4,17 +4,28 @@
 
 namespace coign {
 
-double EdgeSeconds(const AbstractIccGraph::Edge& edge, const NetworkProfile& network) {
-  const double count = static_cast<double>(edge.messages.total_count());
-  const double bytes = static_cast<double>(edge.messages.total_bytes());
-  return count * network.per_message_seconds + bytes * network.seconds_per_byte;
+double EdgeSeconds(uint64_t messages, uint64_t bytes, const NetworkProfile& network) {
+  return static_cast<double>(messages) * network.per_message_seconds +
+         static_cast<double>(bytes) * network.seconds_per_byte;
 }
 
-void ConcreteGraph::AddEdge(int a, int b, double seconds, bool constraint) {
+double EdgeSeconds(const AbstractIccGraph::Edge& edge, const NetworkProfile& network) {
+  return EdgeSeconds(edge.messages.total_count(), edge.messages.total_bytes(), network);
+}
+
+void ConcreteGraph::AddEdge(int a, int b, uint64_t messages, uint64_t bytes, bool constraint) {
   if (a == b) {
     return;
   }
-  edges_.push_back(ConcreteEdge{a, b, seconds, constraint});
+  edges_.push_back(ConcreteEdge{a, b, messages, bytes, 0.0, constraint});
+}
+
+void ConcreteGraph::Price(const NetworkProfile& network) {
+  for (ConcreteEdge& edge : edges_) {
+    if (!edge.constraint) {
+      edge.seconds = EdgeSeconds(edge.messages, edge.bytes, network);
+    }
+  }
 }
 
 Result<int> ConcreteGraph::IndexOf(ClassificationId id) const {
@@ -64,11 +75,12 @@ ConcreteGraph ConcreteGraph::Build(const AbstractIccGraph& abstract,
     if (a == b) {
       continue;
     }
-    graph.AddEdge(a, b, EdgeSeconds(edge, network), /*constraint=*/false);
+    graph.AddEdge(a, b, edge.messages.total_count(), edge.messages.total_bytes(),
+                  /*constraint=*/false);
     if (edge.MustColocate()) {
       // Non-remotable interface between the endpoints: they cannot be
       // split, whatever the traffic volume.
-      graph.AddEdge(a, b, 0.0, /*constraint=*/true);
+      graph.AddEdge(a, b, 0, 0, /*constraint=*/true);
     }
   }
 
@@ -79,14 +91,15 @@ ConcreteGraph ConcreteGraph::Build(const AbstractIccGraph& abstract,
       continue;
     }
     const int terminal = (machine == kServerMachine) ? kServerNode : kClientNode;
-    graph.AddEdge(terminal, it->second, 0.0, /*constraint=*/true);
+    graph.AddEdge(terminal, it->second, 0, 0, /*constraint=*/true);
   }
 
   // Pairwise colocation.
   for (const auto& [a, b] : constraints.colocated()) {
-    graph.AddEdge(node_of(a), node_of(b), 0.0, /*constraint=*/true);
+    graph.AddEdge(node_of(a), node_of(b), 0, 0, /*constraint=*/true);
   }
 
+  graph.Price(network);
   return graph;
 }
 

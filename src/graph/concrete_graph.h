@@ -3,14 +3,19 @@
 // "The abstract ICC graph is combined with a network profile to create a
 // concrete graph of potential communication time on the network." Nodes 0
 // and 1 are the client and server terminals; classifications occupy dense
-// indices from 2. Constraint edges (API pins, programmer pins, colocation,
-// non-remotable interfaces) carry `constraint = true` and no time of their
-// own; the analysis engine maps them to the min-cut layer's un-cuttable
-// sentinel capacity so no minimum cut can violate them.
+// indices from 2. A communication edge keeps the exact messages and bytes
+// that would cross the wire if its endpoints split, and the seconds they
+// cost on one network (EdgeSeconds): pricing is the only network-dependent
+// step, so the cut envelope re-prices the same edges in exact integers.
+// Constraint edges (API pins, programmer pins, colocation, non-remotable
+// interfaces) carry `constraint = true` and no traffic of their own; the
+// analysis engine maps them to the min-cut layer's un-cuttable sentinel
+// capacity so no minimum cut can violate them.
 
 #ifndef COIGN_SRC_GRAPH_CONCRETE_GRAPH_H_
 #define COIGN_SRC_GRAPH_CONCRETE_GRAPH_H_
 
+#include <cstdint>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -25,8 +30,11 @@ namespace coign {
 struct ConcreteEdge {
   int a = 0;
   int b = 0;
-  double seconds = 0.0;   // Predicted communication time if a and b split.
-                          // Always 0 on constraint edges (flag is authoritative).
+  // One-way messages and payload bytes exchanged if a and b split. Always
+  // 0 on constraint edges (flag is authoritative).
+  uint64_t messages = 0;
+  uint64_t bytes = 0;
+  double seconds = 0.0;   // Predicted communication time of that traffic.
   bool constraint = false;  // True for un-cuttable constraint edges.
 };
 
@@ -39,6 +47,10 @@ class ConcreteGraph {
   // profile, and location constraints.
   static ConcreteGraph Build(const AbstractIccGraph& abstract, const NetworkProfile& network,
                              const LocationConstraints& constraints);
+
+  // Sets every communication edge's seconds to EdgeSeconds of its traffic
+  // under `network` — the one pricing step, which Build ends with.
+  void Price(const NetworkProfile& network);
 
   int node_count() const { return static_cast<int>(node_ids_.size()) + 2; }
   const std::vector<ConcreteEdge>& edges() const { return edges_; }
@@ -56,16 +68,18 @@ class ConcreteGraph {
   double TotalCommunicationSeconds() const;
 
  private:
-  void AddEdge(int a, int b, double seconds, bool constraint);
+  void AddEdge(int a, int b, uint64_t messages, uint64_t bytes, bool constraint);
 
   std::vector<ClassificationId> node_ids_;  // Dense index - 2 → classification.
   std::unordered_map<ClassificationId, int> index_;
   std::vector<ConcreteEdge> edges_;
 };
 
-// Predicted communication seconds of one abstract edge under a network
-// profile: count * per-message + bytes * per-byte (exact under the affine
-// model because histograms preserve totals).
+// Predicted communication seconds of `messages` one-way messages carrying
+// `bytes` payload bytes: count * per-message + bytes * per-byte.
+double EdgeSeconds(uint64_t messages, uint64_t bytes, const NetworkProfile& network);
+// The same for one abstract edge (exact under the affine model because
+// histograms preserve totals).
 double EdgeSeconds(const AbstractIccGraph::Edge& edge, const NetworkProfile& network);
 
 }  // namespace coign

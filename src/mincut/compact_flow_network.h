@@ -25,9 +25,8 @@
 //
 // Re-entrancy contract: CompactFlowNetwork is a plain value type with no
 // shared or global state. The one-shot min-cut entry points take it by
-// const reference and run on per-call working copies; the fleet
-// partitioning service relies on this to drive many cuts concurrently from
-// a worker pool.
+// const reference and run on per-call working copies, so concurrent cuts
+// on one network are safe.
 
 #ifndef COIGN_SRC_MINCUT_COMPACT_FLOW_NETWORK_H_
 #define COIGN_SRC_MINCUT_COMPACT_FLOW_NETWORK_H_

@@ -46,8 +46,8 @@ class RelabelToFront {
     // The discharge list: all vertices except source and sink, initially
     // in ascending order. Intrusive array-backed doubly-linked list (node
     // id -> prev/next), so building and reordering it performs no
-    // per-node heap allocations — this runs once per cut, and the fleet
-    // service runs thousands of cuts per plan.
+    // per-node heap allocations — this runs once per cut, and online
+    // repartitioning with --cold-cuts re-cuts every epoch.
     std::vector<int> next(static_cast<size_t>(n_), -1);
     std::vector<int> prev(static_cast<size_t>(n_), -1);
     int head = -1;
@@ -169,8 +169,7 @@ CutResult MinCutRelabelToFront(const CompactFlowNetwork& original, int source, i
   assert(sink >= 0 && sink < original.node_count());
 
   // All mutation — preflow and relabeling — happens on this per-call
-  // copy, which is what makes the entry point safe to call from many
-  // worker threads at once.
+  // copy, so the entry point is safe to call from many threads at once.
   CompactFlowNetwork network = original;
   network.ResetFlow();
   RelabelToFront algorithm(network, source, sink);

@@ -2,8 +2,7 @@
 // registry, threaded by pointer through the subsystems a run wants
 // instrumented. A null Observability* (the default everywhere) means the
 // instrumented code paths cost one pointer compare — tracing is strictly
-// opt-in per Transport/Repartitioner/Service instance, which also keeps
-// untraced fleet workers free of shared-state contention.
+// opt-in per Transport/Repartitioner/Service instance.
 //
 // The facade also owns the flight-recorder dump policy: subsystems call
 // Dump(reason) at moments worth a post-mortem (quarantine entry, migration

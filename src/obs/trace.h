@@ -2,8 +2,8 @@
 //
 // Every timestamp comes from a caller-supplied clock — the simulation's
 // modeled execution clock for online runs, a logical sequence clock when no
-// clock is attached (fleet planning has no simulated time) — never from wall
-// time. Same seed therefore means byte-identical exported traces, which is
+// clock is attached (a fleet plan's envelope-segment events have no
+// simulated time) — never from wall time. Same seed therefore means byte-identical exported traces, which is
 // what lets CI diff two runs and what makes a trace attachable to a bug
 // report as a reproducible artifact.
 //

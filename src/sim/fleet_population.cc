@@ -5,6 +5,20 @@
 
 namespace coign {
 
+NetworkModel InflateForLoss(NetworkModel network, double drop_rate) {
+  if (drop_rate <= 0.0) {
+    return network;
+  }
+  const double inflation = 1.0 / (1.0 - drop_rate);
+  network.per_message_seconds *= inflation;
+  network.bytes_per_second /= inflation;
+  return network;
+}
+
+NetworkProfile LossInflatedLink(const FleetClient& client) {
+  return NetworkProfile::Exact(InflateForLoss(client.network, client.fault_rates.drop));
+}
+
 std::vector<FleetArchetype> DefaultFleetArchetypes() {
   // Weights sum to 1 for readability; GenerateFleet normalizes anyway.
   return {

@@ -20,6 +20,7 @@
 
 #include "src/fault/fault_schedule.h"
 #include "src/net/network_model.h"
+#include "src/net/network_profiler.h"
 #include "src/support/rng.h"
 
 namespace coign {
@@ -55,6 +56,15 @@ struct FleetPopulationOptions {
   double min_drop_rate = 1e-4;
   double max_drop_rate = 3e-2;
 };
+
+// A drop rate p costs each message 1/(1-p) expected transmissions:
+// latency inflates by that factor, effective bandwidth deflates by it.
+// Both cost terms scale alike, so loss never moves a cut.
+NetworkModel InflateForLoss(NetworkModel network, double drop_rate);
+
+// The link a client's cut is priced at: its measured link with its steady
+// drop rate charged (InflateForLoss), as an exact profile.
+NetworkProfile LossInflatedLink(const FleetClient& client);
 
 // The default mix: a consumer-heavy population across the five presets,
 // dominated by slow links (where partitioning matters most) with a long

@@ -6,7 +6,7 @@ namespace coign {
 namespace {
 
 // Table for the reflected Castagnoli polynomial. Built once via a magic
-// static so concurrent first calls (the fleet worker pool) are safe.
+// static, so concurrent first calls are safe.
 // 0x82F63B78 is 0x1EDC6F41 bit-reversed.
 const std::array<uint32_t, 256>& Crc32cTable() {
   static const std::array<uint32_t, 256> table = [] {

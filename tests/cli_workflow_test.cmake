@@ -139,56 +139,54 @@ if(NOT chaos_trace MATCHES "\"traceEvents\"")
   message(FATAL_ERROR "chaos trace is not trace_event JSON:\n${chaos_trace}")
 endif()
 
-# Fleet planning is threaded but must stay byte-deterministic: same seed,
-# same bytes — including across different worker counts, since results are
-# reduced in cohort grid order on the coordinator, never in claim order.
+# Fleet planning must stay byte-deterministic: same seed, same bytes —
+# stdout, trace and metrics — and another seed must change the fleet.
 set(fleet_args -i smoke --clients 200 --seed 42)
-run(${COIGN_BIN} fleet ${fleet_args} --threads 4)
+run(${COIGN_BIN} fleet ${fleet_args} --trace-out fleet1.trace.json --metrics-out fleet1.metrics.txt)
 set(fleet_first "${last_output}")
-run(${COIGN_BIN} fleet ${fleet_args} --threads 4)
-if(NOT fleet_first STREQUAL last_output)
+run(${COIGN_BIN} fleet ${fleet_args} --trace-out fleet2.trace.json --metrics-out fleet2.metrics.txt)
+string(REPLACE "fleet2." "fleet1." fleet_second "${last_output}")
+if(NOT fleet_first STREQUAL fleet_second)
   message(FATAL_ERROR "fleet --seed 42 is not deterministic:\n"
           "--- first ---\n${fleet_first}\n--- second ---\n${last_output}")
 endif()
-run(${COIGN_BIN} fleet ${fleet_args} --threads 1)
-string(REPLACE "1 thread(s)" "4 thread(s)" fleet_serial "${last_output}")
-if(NOT fleet_first STREQUAL fleet_serial)
-  message(FATAL_ERROR "fleet output depends on the worker count:\n"
-          "--- 4 threads ---\n${fleet_first}\n--- 1 thread ---\n${fleet_serial}")
+check_identical("fleet trace" fleet1.trace.json fleet2.trace.json)
+check_identical("fleet metrics" fleet1.metrics.txt fleet2.metrics.txt)
+if(NOT fleet_first MATCHES "envelope: [1-9][0-9]* cut\\(s\\) from [1-9][0-9]* exact solve\\(s\\)")
+  message(FATAL_ERROR "fleet output missing the envelope summary:\n${fleet_first}")
 endif()
-if(NOT fleet_first MATCHES "cache_hits=")
-  message(FATAL_ERROR "fleet output missing cache counters:\n${fleet_first}")
-endif()
-if(NOT fleet_first MATCHES "regret")
-  message(FATAL_ERROR "fleet output missing regret summary:\n${fleet_first}")
-endif()
-run(${COIGN_BIN} fleet -i smoke --clients 200 --seed 7 --threads 4)
+file(READ ${WORK_DIR}/fleet1.metrics.txt fleet_metrics)
+foreach(counter fleet.plan_calls fleet.clients fleet.segments fleet.solves)
+  if(NOT fleet_metrics MATCHES "counter ${counter} [1-9]")
+    message(FATAL_ERROR "fleet metrics missing ${counter}:\n${fleet_metrics}")
+  endif()
+endforeach()
+run(${TRACE_LINT_BIN} fleet1.trace.json --require envelope-segment)
+run(${COIGN_BIN} fleet -i smoke --clients 200 --seed 7)
 if(fleet_first STREQUAL last_output)
   message(FATAL_ERROR "fleet ignores --seed: seeds 42 and 7 match")
 endif()
 
-# Fleet observability: byte-identical across same-seed runs AND worker
-# counts (spans are emitted coordinator-side in grid order).
-run(${COIGN_BIN} fleet ${fleet_args} --threads 4
-    --trace-out fleet1.trace.json --metrics-out fleet1.metrics.txt)
-run(${COIGN_BIN} fleet ${fleet_args} --threads 1
-    --trace-out fleet2.trace.json --metrics-out fleet2.metrics.txt)
-check_identical("fleet trace" fleet1.trace.json fleet2.trace.json)
-file(READ ${WORK_DIR}/fleet1.metrics.txt fleet_metrics_4)
-file(READ ${WORK_DIR}/fleet2.metrics.txt fleet_metrics_1)
-string(REPLACE "gauge fleet.pool.workers 1" "gauge fleet.pool.workers 4"
-       fleet_metrics_1 "${fleet_metrics_1}")
-if(NOT fleet_metrics_4 STREQUAL fleet_metrics_1)
-  message(FATAL_ERROR "fleet metrics depend on the worker count:\n"
-          "--- 4 threads ---\n${fleet_metrics_4}\n--- 1 thread ---\n${fleet_metrics_1}")
+# Loss never moves a cut: it scales both cost terms of a link alike, so the
+# same fleet without lossy links fills the same segments with the same
+# clients. Only the mean communication time (the last column) may differ.
+function(segment_rows output result)
+  string(REGEX MATCHALL "\n *[0-9][^\n]*" rows "${output}")
+  set(stripped "")
+  foreach(row ${rows})
+    string(REGEX REPLACE " +[^ ]+$" "" row "${row}")
+    string(APPEND stripped "${row}")
+  endforeach()
+  set(${result} "${stripped}" PARENT_SCOPE)
+endfunction()
+run(${COIGN_BIN} fleet ${fleet_args})
+segment_rows("${last_output}" lossy_rows)
+run(${COIGN_BIN} fleet ${fleet_args} --lossy 0)
+segment_rows("${last_output}" clean_rows)
+if(lossy_rows STREQUAL "")
+  message(FATAL_ERROR "fleet output has no segment rows:\n${last_output}")
 endif()
-
-# Lossy clients must cohort apart from clean ones: the loss axis shows up
-# in cohort names and the default 25% lossy fraction guarantees some.
-if(NOT fleet_first MATCHES "/D-")
-  message(FATAL_ERROR "fleet output has no lossy cohorts:\n${fleet_first}")
-endif()
-run(${COIGN_BIN} fleet ${fleet_args} --threads 4 --lossy 0)
-if(last_output MATCHES "/D-")
-  message(FATAL_ERROR "fleet --lossy 0 still produced lossy cohorts:\n${last_output}")
+if(NOT lossy_rows STREQUAL clean_rows)
+  message(FATAL_ERROR "--lossy 0 moved clients between segments:\n"
+          "--- default ---\n${lossy_rows}\n--- --lossy 0 ---\n${clean_rows}")
 endif()

@@ -33,14 +33,14 @@
 //       distribution, adaptive with fault quarantine, and adaptive with
 //       quarantine disabled. Fully deterministic per seed — identical
 //       invocations print identical bytes. --cold-cuts as for online.
-//   coign fleet -i <base> [--clients <n>] [--threads <n>] [--seed <n>]
+//   coign fleet -i <base> [--clients <n>] [--seed <n>] [--lossy <fraction>]
 //       Plans the profiled application for a simulated fleet of clients
-//       with heterogeneous measured networks: cohorts by log-bucketed
-//       link parameters, one cut per cohort across a worker pool, plans
-//       served from the (profile x bucket) LRU cache. Runs the fleet
-//       twice to exercise the cache and reports per-client execution-time
-//       regret vs individually optimal cuts. Output is deterministic per
-//       seed regardless of thread count.
+//       with heterogeneous measured networks. Solves the profile's exact
+//       cut envelope once — one cut per range of the byte-to-message cost
+//       ratio λ — and serves every client the exact optimal cut for its
+//       own loss-inflated link.
+//       Prints the envelope's breakpoints and one row per occupied
+//       segment. Output is deterministic per seed.
 //
 // Networks: isdn, 10baset, 100baset, atm, san.
 
@@ -87,8 +87,7 @@ int Usage() {
                "             [--network <name>] [--cycles <n>] [--reps <n>]\n"
                "             [--seed <n>] [--drop <p>] [--corrupt-rate <p>] [--storm]\n"
                "             [--cold-cuts] [--trace-out <file>] [--metrics-out <file>]\n"
-               "  coign fleet -i <base> [--clients <n>] [--threads <n>] [--seed <n>]\n"
-               "             [--cache-file <path>] [--lossy <fraction>]\n"
+               "  coign fleet -i <base> [--clients <n>] [--seed <n>] [--lossy <fraction>]\n"
                "             [--trace-out <file>] [--metrics-out <file>]\n");
   return 2;
 }
@@ -146,15 +145,11 @@ struct Flags {
   // circuit breaker + degrade-to-local safe mode on the hardened run.
   double corrupt_rate = 0.0;
   int clients = 2000;
-  int threads = 8;
   // chaos --storm: crash-storm schedule with coordinator crashes forced
   // mid-migration (exercises journaled recovery end to end).
   bool storm = false;
-  // fleet --cache-file: load the plan cache from this path when present,
-  // save it back after planning (warm restarts).
-  std::string cache_file;
-  // fleet --lossy: fraction of generated clients with a lossy link (they
-  // cohort separately from clean clients and get loss-inflated plans).
+  // fleet --lossy: fraction of generated clients with a lossy link (their
+  // predicted times carry the retransmissions; their cuts do not move).
   double lossy_fraction = 0.25;
   // --trace-out / --metrics-out: write the run's Chrome trace_event JSON
   // and metrics snapshot. Deterministic: same seed, byte-identical files.
@@ -207,8 +202,7 @@ Result<Flags> ParseFlags(int argc, char** argv, int first) {
         return value.status();
       }
       flags.dot_path = *value;
-    } else if (arg == "--cycles" || arg == "--reps" || arg == "--clients" ||
-               arg == "--threads") {
+    } else if (arg == "--cycles" || arg == "--reps" || arg == "--clients") {
       Result<std::string> value = next();
       if (!value.ok()) {
         return value.status();
@@ -217,10 +211,8 @@ Result<Flags> ParseFlags(int argc, char** argv, int first) {
       if (parsed <= 0) {
         return InvalidArgumentError(arg + " wants a positive integer, got " + *value);
       }
-      (arg == "--cycles"    ? flags.cycles
-       : arg == "--reps"    ? flags.reps
-       : arg == "--clients" ? flags.clients
-                            : flags.threads) = parsed;
+      (arg == "--cycles" ? flags.cycles : arg == "--reps" ? flags.reps : flags.clients) =
+          parsed;
     } else if (arg == "--seed") {
       Result<std::string> value = next();
       if (!value.ok()) {
@@ -241,12 +233,6 @@ Result<Flags> ParseFlags(int argc, char** argv, int first) {
       flags.storm = true;
     } else if (arg == "--cold-cuts") {
       flags.cold_cuts = true;
-    } else if (arg == "--cache-file") {
-      Result<std::string> value = next();
-      if (!value.ok()) {
-        return value.status();
-      }
-      flags.cache_file = *value;
     } else if (arg == "--lossy") {
       Result<std::string> value = next();
       if (!value.ok()) {
@@ -865,64 +851,38 @@ int CmdFleet(const Flags& flags) {
 
   std::unique_ptr<Observability> obs = MakeObservability(flags);
   FleetServiceOptions options;
-  options.worker_threads = flags.threads;
-  options.compute_regret = true;
   options.obs = obs.get();
-  FleetPartitionService service(options);
+  const FleetPartitionService service(options);
 
-  std::printf("fleet: %d client(s) (%zu lossy), seed %llu, %d thread(s), "
-              "profile %016llx\n",
-              flags.clients, lossy_clients,
-              static_cast<unsigned long long>(flags.seed), flags.threads,
+  std::printf("fleet: %d client(s) (%zu lossy), seed %llu, profile %016llx\n", flags.clients,
+              lossy_clients, static_cast<unsigned long long>(flags.seed),
               static_cast<unsigned long long>(ProfileFingerprint(*profile)));
-
-  // Warm start: a restarted service reloads its persisted plan cache and
-  // serves repeat fleets without recomputing a single cut.
-  if (!flags.cache_file.empty()) {
-    const Status loaded = service.LoadCache(flags.cache_file);
-    if (loaded.ok()) {
-      std::printf("plan cache: loaded %zu entr%s from %s\n", service.cache_size(),
-                  service.cache_size() == 1 ? "y" : "ies", flags.cache_file.c_str());
-    } else if (loaded.code() == StatusCode::kNotFound) {
-      std::printf("plan cache: %s not found, starting cold\n", flags.cache_file.c_str());
-    } else {
-      std::fprintf(stderr, "%s\n", loaded.ToString().c_str());
-      return 1;
-    }
+  Result<FleetPlanResult> planned = service.Plan(*profile, fleet);
+  if (!planned.ok()) {
+    std::fprintf(stderr, "%s\n", planned.status().ToString().c_str());
+    return 1;
   }
-
-  // Two passes over the same fleet: the first fills the plan cache, the
-  // second is served from it — the steady state of a long-running service.
-  for (int pass = 1; pass <= 2; ++pass) {
-    Result<FleetPlanResult> planned = service.Plan(*profile, fleet);
-    if (!planned.ok()) {
-      std::fprintf(stderr, "pass %d: %s\n", pass, planned.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("\npass %d: %s\n", pass, planned->stats.ToString().c_str());
-    if (pass == 1) {
-      std::printf("%-16s %8s %12s %12s %8s %10s\n", "cohort", "clients", "lat (us)",
-                  "bw (MB/s)", "srv cls", "comm (s)");
-      for (const CohortPlan& plan : planned->plans) {
-        std::printf("%-16s %8zu %12.1f %12.2f %8zu %10.4f\n",
-                    plan.cohort.key.ToString().c_str(), plan.cohort.members.size(),
-                    plan.cohort.representative.per_message_seconds * 1e6,
-                    plan.cohort.representative.bytes_per_second / 1e6,
-                    plan.analysis.server_classifications,
-                    plan.analysis.predicted_comm_seconds);
-      }
-    }
-    std::printf("%s\n", planned->regret.ToString().c_str());
+  std::printf("envelope: %zu cut(s) from %zu exact solve(s); breakpoints lambda =",
+              planned->breakpoints.size() + 1, planned->stats.plans_computed);
+  for (const LambdaRatio& breakpoint : planned->breakpoints) {
+    std::printf(" %.6e", breakpoint.ToDouble());
   }
-  std::printf("\n%s\n", service.cache_stats().ToString().c_str());
-  if (!flags.cache_file.empty()) {
-    const Status saved = service.SaveCache(flags.cache_file);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "%s\n", saved.ToString().c_str());
-      return 1;
+  std::printf("%s\n\n", planned->breakpoints.empty() ? " none" : "");
+  std::printf("%12s %12s %8s %8s %10s %12s %10s\n", "lambda from", "lambda to", "clients",
+              "srv cls", "messages", "bytes", "comm (s)");
+  for (const SegmentPlan& plan : planned->plans) {
+    // Mean over the members of the cut's communication time at each
+    // member's own loss-inflated link.
+    double comm_seconds = 0.0;
+    for (uint32_t id : plan.members) {
+      comm_seconds += EdgeSeconds(plan.messages, plan.bytes, LossInflatedLink(fleet[id]));
     }
-    std::printf("plan cache: saved %zu entr%s to %s\n", service.cache_size(),
-                service.cache_size() == 1 ? "y" : "ies", flags.cache_file.c_str());
+    std::printf("%12.6e %12.6e %8zu %8zu %10llu %12llu %10.4f\n", plan.lambda_from.ToDouble(),
+                plan.lambda_to.ToDouble(), plan.members.size(),
+                plan.analysis.server_classifications,
+                static_cast<unsigned long long>(plan.messages),
+                static_cast<unsigned long long>(plan.bytes),
+                comm_seconds / static_cast<double>(plan.members.size()));
   }
   if (obs != nullptr) {
     return DumpObservability(*obs, flags);
