@@ -36,7 +36,7 @@ Result<DriftReport> ObserveUsage(Application& app, const IccProfile& trained,
     COIGN_RETURN_IF_ERROR(scenario->run(system, rng));
     system.DestroyAll();
   }
-  return DetectDrift(trained, runtime.message_counts());
+  return DetectDrift(CountsFromProfile(trained), runtime.message_counts());
 }
 
 }  // namespace

@@ -35,7 +35,8 @@ std::string ExportDistributionDot(const IccProfile& profile, const AnalysisResul
   if (options.include_driver) {
     out += "  driver [label=\"<user/driver>\", shape=diamond];\n";
   }
-  for (ClassificationId id : profile.SortedClassificationIds()) {
+  const AbstractIccGraph abstract = AbstractIccGraph::FromProfile(profile);
+  for (ClassificationId id : abstract.nodes()) {
     const ClassificationInfo* info = profile.FindClassification(id);
     const bool on_server = result.distribution.MachineFor(id) == kServerMachine;
     out += StrFormat(
@@ -46,23 +47,20 @@ std::string ExportDistributionDot(const IccProfile& profile, const AnalysisResul
         on_server ? ", style=filled, fillcolor=gray75" : "");
   }
 
-  const AbstractIccGraph abstract = AbstractIccGraph::FromProfile(profile);
-  for (const AbstractIccGraph::PairKey& pair : abstract.SortedPairs()) {
-    const AbstractIccGraph::Edge& edge = abstract.edges().at(pair);
-    if (edge.messages.total_bytes() < options.min_edge_bytes && !edge.MustColocate()) {
+  for (const AbstractIccGraph::Edge& edge : abstract.edges()) {
+    if (edge.bytes < options.min_edge_bytes && !edge.MustColocate()) {
       continue;
     }
-    if (!options.include_driver &&
-        (pair.a == kNoClassification || pair.b == kNoClassification)) {
+    if (!options.include_driver && edge.b == kNoClassification) {
       continue;
     }
     const char* style = edge.MustColocate()
                             ? "color=black, penwidth=2.0"   // Solid black lines.
                             : "color=gray60";               // Distributable.
     out += StrFormat("  %s -- %s [%s, label=\"%llu msgs, %s\"];\n",
-                     NodeId(pair.a).c_str(), NodeId(pair.b).c_str(), style,
-                     static_cast<unsigned long long>(edge.messages.total_count()),
-                     FormatBytes(edge.messages.total_bytes()).c_str());
+                     NodeId(edge.a).c_str(), NodeId(edge.b).c_str(), style,
+                     static_cast<unsigned long long>(edge.messages),
+                     FormatBytes(edge.bytes).c_str());
   }
   out += "}\n";
   return out;

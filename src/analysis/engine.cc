@@ -8,31 +8,21 @@
 namespace coign {
 namespace {
 
-// Per-edge capacity in exact units — the quantization boundary (see the
-// comment at the cut in Analyze below).
-CapUnits EdgeCapacity(const ConcreteEdge& edge) {
-  return edge.constraint ? kInfiniteCapacity : SecondsToCapUnits(edge.seconds);
-}
-
 // The CSR network for a concrete graph, one undirected edge per concrete
 // edge.
 CompactFlowNetwork BuildFlowNetwork(const ConcreteGraph& concrete) {
   CompactFlowNetwork network(concrete.node_count());
   for (const ConcreteEdge& edge : concrete.edges()) {
-    network.AddEdge(edge.a, edge.b, EdgeCapacity(edge));
+    network.AddEdge(edge.a, edge.b, edge.Capacity());
   }
   network.Finalize();
   return network;
 }
 
 size_t NonRemotablePairs(const AbstractIccGraph& abstract) {
-  size_t pairs = 0;
-  for (const auto& [pair, edge] : abstract.edges()) {
-    if (edge.MustColocate()) {
-      ++pairs;
-    }
-  }
-  return pairs;
+  return static_cast<size_t>(
+      std::count_if(abstract.edges().begin(), abstract.edges().end(),
+                    [](const AbstractIccGraph::Edge& edge) { return edge.MustColocate(); }));
 }
 
 // The post-solve assembly every result comes from, whichever way its cut
@@ -124,9 +114,9 @@ Result<AnalysisResult> ProfileAnalysisEngine::Analyze(const IccProfile& profile,
   const ConcreteGraph concrete = ConcreteGraph::Build(abstract, network, constraints);
 
   // The quantization boundary: predicted seconds become integer CapUnits
-  // here, exactly once per edge (rounding rule and error bound documented
-  // at SecondsToCapUnits; EdgeCapacity above applies it). Everything
-  // below the boundary — all cut algorithms, the cut value, infeasibility
+  // here, exactly once per edge (ConcreteEdge::Capacity; rounding rule and
+  // error bound documented at SecondsToCapUnits). Everything below the
+  // boundary — all cut algorithms, the cut value, infeasibility
   // detection — is exact 64-bit arithmetic; everything above (prediction,
   // reports) stays in seconds.
   CutResult cut;
@@ -174,7 +164,7 @@ AnalysisResult ProfileAnalysisEngine::AnalyzeSegment(const IccProfile& profile,
   CapUnits cut_value = 0;
   for (const ConcreteEdge& edge : concrete.edges()) {
     if (client_side[static_cast<size_t>(edge.a)] != client_side[static_cast<size_t>(edge.b)]) {
-      cut_value = SatAdd(cut_value, EdgeCapacity(edge));
+      cut_value = SatAdd(cut_value, edge.Capacity());
     }
   }
   return Assemble(profile, concrete, client_side, cut_value, envelope.non_remotable_pairs_);

@@ -39,10 +39,8 @@ std::vector<HotSpot> FindHotSpots(const IccProfile& profile,
     spot.method = key.method;
     spot.calls = summary.call_count();
     spot.bytes = summary.total_bytes();
-    const double messages = static_cast<double>(summary.requests.total_count() +
-                                                summary.replies.total_count());
-    spot.seconds = messages * network.per_message_seconds +
-                   static_cast<double>(spot.bytes) * network.seconds_per_byte;
+    spot.seconds = network.TrafficSeconds(
+        summary.requests.total_count() + summary.replies.total_count(), spot.bytes);
     if (interfaces != nullptr) {
       const InterfaceDesc* iface = interfaces->Lookup(key.iid);
       if (iface != nullptr) {

@@ -22,37 +22,22 @@ Result<MultiwayAnalysisResult> AnalyzeMultiway(const IccProfile& profile,
     return FailedPreconditionError("cannot analyze an empty profile");
   }
 
+  // The two-way engine's concrete graph without its pins, renumbered:
+  // machine t is terminal t, the client terminal (the driver and any
+  // undeclared endpoint) becomes the GUI machine, and classification node
+  // i >= 2 becomes k + i - 2. Nothing lands on the server terminal, which
+  // only pins use.
   const int k = options.machine_count;
-  const std::vector<ClassificationId> ids = profile.SortedClassificationIds();
+  const ConcreteGraph concrete = ConcreteGraph::Build(AbstractIccGraph::FromProfile(profile),
+                                                      network, LocationConstraints());
+  const std::vector<ClassificationId>& ids = concrete.classifications();
   const int node_count = k + static_cast<int>(ids.size());
-
-  std::unordered_map<ClassificationId, int> index;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    index.emplace(ids[i], k + static_cast<int>(i));
-  }
-  auto node_of = [&](ClassificationId id) -> int {
-    if (id == kNoClassification) {
-      return options.gui_machine;  // The driver lives with the GUI.
-    }
-    auto it = index.find(id);
-    return it == index.end() ? options.gui_machine : it->second;
+  auto renumbered = [&](int node) {
+    return node == ConcreteGraph::kClientNode ? options.gui_machine : k + node - 2;
   };
-
-  const AbstractIccGraph abstract = AbstractIccGraph::FromProfile(profile);
   EdgeList edges;
-  for (const AbstractIccGraph::PairKey& pair : abstract.SortedPairs()) {
-    const AbstractIccGraph::Edge& edge = abstract.edges().at(pair);
-    const int a = node_of(pair.a);
-    const int b = node_of(pair.b);
-    if (a == b) {
-      continue;
-    }
-    // Quantization boundary for the multiway path: seconds -> CapUnits
-    // once per edge, same rule as the two-way engine.
-    edges.emplace_back(a, b, SecondsToCapUnits(EdgeSeconds(edge, network)));
-    if (edge.MustColocate()) {
-      edges.emplace_back(a, b, kInfiniteCapacity);
-    }
+  for (const ConcreteEdge& edge : concrete.edges()) {
+    edges.emplace_back(renumbered(edge.a), renumbered(edge.b), edge.Capacity());
   }
 
   // Programmer/administrator pins.
@@ -60,19 +45,20 @@ Result<MultiwayAnalysisResult> AnalyzeMultiway(const IccProfile& profile,
     if (machine < 0 || machine >= k) {
       return InvalidArgumentError("extra pin machine out of range");
     }
-    auto it = index.find(id);
-    if (it != index.end()) {
-      edges.emplace_back(machine, it->second, kInfiniteCapacity);
+    const int node = concrete.NodeOf(id);
+    if (node >= 0) {
+      edges.emplace_back(machine, renumbered(node), kInfiniteCapacity);
     }
   }
 
   // API pins.
-  for (ClassificationId id : ids) {
-    const ClassificationInfo* info = profile.FindClassification(id);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const ClassificationInfo* info = profile.FindClassification(ids[i]);
+    const int node = k + static_cast<int>(i);
     if (info->api_usage & kApiGui) {
-      edges.emplace_back(options.gui_machine, index.at(id), kInfiniteCapacity);
+      edges.emplace_back(options.gui_machine, node, kInfiniteCapacity);
     } else if (info->api_usage & (kApiStorage | kApiOdbc)) {
-      edges.emplace_back(options.storage_machine, index.at(id), kInfiniteCapacity);
+      edges.emplace_back(options.storage_machine, node, kInfiniteCapacity);
     }
   }
 

@@ -22,13 +22,8 @@ double PredictCommunicationSeconds(const IccProfile& profile,
     if (src == dst) {
       continue;
     }
-    // Affine model: n messages of total B bytes cost n*a + B*b, regardless
-    // of how sizes distribute across the histogram's buckets.
-    const double messages = static_cast<double>(summary.requests.total_count() +
-                                                summary.replies.total_count());
-    const double bytes = static_cast<double>(summary.requests.total_bytes() +
-                                             summary.replies.total_bytes());
-    seconds += messages * network.per_message_seconds + bytes * network.seconds_per_byte;
+    seconds += network.TrafficSeconds(
+        summary.requests.total_count() + summary.replies.total_count(), summary.total_bytes());
   }
   return seconds;
 }

@@ -5,9 +5,10 @@
 // The paper validates this model against measured runs (error ≤ 8 %); our
 // Table 5 bench does the same against the simulator's measured runs.
 //
-// Everything here stays in double seconds. Quantization to the min-cut
-// layer's fixed-point CapUnits happens only at the flow-network boundary
-// in the analysis engine (see SecondsToCapUnits), never in prediction.
+// Everything here stays in double seconds, priced by
+// NetworkProfile::TrafficSeconds. Quantization to the min-cut layer's
+// fixed-point CapUnits happens only at the flow-network boundary
+// (ConcreteEdge::Capacity), never in prediction.
 
 #ifndef COIGN_SRC_ANALYSIS_PREDICTION_H_
 #define COIGN_SRC_ANALYSIS_PREDICTION_H_

@@ -4,15 +4,6 @@
 
 namespace coign {
 
-double EdgeSeconds(uint64_t messages, uint64_t bytes, const NetworkProfile& network) {
-  return static_cast<double>(messages) * network.per_message_seconds +
-         static_cast<double>(bytes) * network.seconds_per_byte;
-}
-
-double EdgeSeconds(const AbstractIccGraph::Edge& edge, const NetworkProfile& network) {
-  return EdgeSeconds(edge.messages.total_count(), edge.messages.total_bytes(), network);
-}
-
 void ConcreteGraph::AddEdge(int a, int b, uint64_t messages, uint64_t bytes, bool constraint) {
   if (a == b) {
     return;
@@ -20,20 +11,17 @@ void ConcreteGraph::AddEdge(int a, int b, uint64_t messages, uint64_t bytes, boo
   edges_.push_back(ConcreteEdge{a, b, messages, bytes, 0.0, constraint});
 }
 
+int ConcreteGraph::NodeOf(ClassificationId id) const {
+  const auto it = std::lower_bound(node_ids_.begin(), node_ids_.end(), id);
+  return it == node_ids_.end() || *it != id ? -1 : static_cast<int>(it - node_ids_.begin()) + 2;
+}
+
 void ConcreteGraph::Price(const NetworkProfile& network) {
   for (ConcreteEdge& edge : edges_) {
     if (!edge.constraint) {
-      edge.seconds = EdgeSeconds(edge.messages, edge.bytes, network);
+      edge.seconds = network.TrafficSeconds(edge.messages, edge.bytes);
     }
   }
-}
-
-Result<int> ConcreteGraph::IndexOf(ClassificationId id) const {
-  auto it = index_.find(id);
-  if (it == index_.end()) {
-    return NotFoundError("classification not in concrete graph");
-  }
-  return it->second;
 }
 
 double ConcreteGraph::TotalCommunicationSeconds() const {
@@ -53,30 +41,23 @@ ConcreteGraph ConcreteGraph::Build(const AbstractIccGraph& abstract,
 
   // Dense node numbering: classifications sorted by id, offset by the two
   // terminals.
-  graph.node_ids_ = abstract.profile().SortedClassificationIds();
-  for (size_t i = 0; i < graph.node_ids_.size(); ++i) {
-    graph.index_.emplace(graph.node_ids_[i], static_cast<int>(i) + 2);
-  }
+  graph.node_ids_ = abstract.nodes();
 
+  // The application driver (user, GUI thread) and any undeclared endpoint
+  // are the client terminal.
   auto node_of = [&graph](ClassificationId id) -> int {
-    if (id == kNoClassification) {
-      // The application driver (user, GUI thread) is the client terminal.
-      return kClientNode;
-    }
-    auto it = graph.index_.find(id);
-    return it == graph.index_.end() ? kClientNode : it->second;
+    const int node = graph.NodeOf(id);
+    return node < 0 ? kClientNode : node;
   };
 
   // Communication edges.
-  for (const AbstractIccGraph::PairKey& pair : abstract.SortedPairs()) {
-    const AbstractIccGraph::Edge& edge = abstract.edges().at(pair);
-    const int a = node_of(pair.a);
-    const int b = node_of(pair.b);
+  for (const AbstractIccGraph::Edge& edge : abstract.edges()) {
+    const int a = node_of(edge.a);
+    const int b = node_of(edge.b);
     if (a == b) {
       continue;
     }
-    graph.AddEdge(a, b, edge.messages.total_count(), edge.messages.total_bytes(),
-                  /*constraint=*/false);
+    graph.AddEdge(a, b, edge.messages, edge.bytes, /*constraint=*/false);
     if (edge.MustColocate()) {
       // Non-remotable interface between the endpoints: they cannot be
       // split, whatever the traffic volume.
@@ -86,12 +67,12 @@ ConcreteGraph ConcreteGraph::Build(const AbstractIccGraph& abstract,
 
   // Absolute pins (API analysis + programmer).
   for (const auto& [id, machine] : constraints.absolute()) {
-    auto it = graph.index_.find(id);
-    if (it == graph.index_.end()) {
+    const int node = graph.NodeOf(id);
+    if (node < 0) {
       continue;
     }
     const int terminal = (machine == kServerMachine) ? kServerNode : kClientNode;
-    graph.AddEdge(terminal, it->second, 0, 0, /*constraint=*/true);
+    graph.AddEdge(terminal, node, 0, 0, /*constraint=*/true);
   }
 
   // Pairwise colocation.

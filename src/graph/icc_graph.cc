@@ -1,47 +1,39 @@
 #include "src/graph/icc_graph.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace coign {
-namespace {
-
-AbstractIccGraph::PairKey Canonical(ClassificationId a, ClassificationId b) {
-  if (a > b) {
-    std::swap(a, b);
-  }
-  // kNoClassification is the max id value, so the driver always lands in b.
-  return AbstractIccGraph::PairKey{a, b};
-}
-
-}  // namespace
 
 AbstractIccGraph AbstractIccGraph::FromProfile(const IccProfile& profile) {
   AbstractIccGraph graph;
-  graph.profile_ = &profile;
+  graph.nodes_ = profile.SortedClassificationIds();
+  std::vector<Edge>& edges = graph.edges_;
+  edges.reserve(profile.calls().size());
   for (const auto& [key, summary] : profile.calls()) {
     if (key.src == key.dst) {
       continue;  // Intra-classification calls never cross the wire.
     }
-    Edge& edge = graph.edges_[Canonical(key.src, key.dst)];
-    edge.messages.Merge(summary.requests);
-    edge.messages.Merge(summary.replies);
-    edge.calls += summary.call_count();
-    edge.non_remotable_calls += summary.non_remotable_calls;
+    edges.push_back(Edge{std::min(key.src, key.dst), std::max(key.src, key.dst),
+                         summary.requests.total_count() + summary.replies.total_count(),
+                         summary.total_bytes(), summary.non_remotable_calls});
   }
-  return graph;
-}
-
-std::vector<AbstractIccGraph::PairKey> AbstractIccGraph::SortedPairs() const {
-  std::vector<PairKey> pairs;
-  pairs.reserve(edges_.size());
-  for (const auto& [key, edge] : edges_) {
-    pairs.push_back(key);
-  }
-  std::sort(pairs.begin(), pairs.end(), [](const PairKey& x, const PairKey& y) {
+  std::sort(edges.begin(), edges.end(), [](const Edge& x, const Edge& y) {
     return x.a != y.a ? x.a < y.a : x.b < y.b;
   });
-  return pairs;
+  // Fold each pair's call keys, now adjacent, into one edge.
+  size_t pairs = 0;
+  for (const Edge& edge : edges) {
+    Edge* last = pairs > 0 ? &edges[pairs - 1] : nullptr;
+    if (last != nullptr && last->a == edge.a && last->b == edge.b) {
+      last->messages += edge.messages;
+      last->bytes += edge.bytes;
+      last->non_remotable_calls += edge.non_remotable_calls;
+    } else {
+      edges[pairs++] = edge;
+    }
+  }
+  edges.resize(pairs);
+  return graph;
 }
 
 }  // namespace coign

@@ -3,40 +3,32 @@
 // "The profile analysis engine combines component communication profiles
 // and component location constraints to create an abstract ICC graph of the
 // application." Abstract means network-independent: edges carry message
-// histograms (counts and bytes), not seconds. Nodes are instance
+// and byte totals, not seconds (the fitted network model is affine, so the
+// totals are all any network needs to price them). Nodes are instance
 // classifications; the application driver (GUI thread, the user) is the
-// pseudo-node kDriverNode and always lives on the client.
+// pseudo-node kNoClassification and always lives on the client.
 
 #ifndef COIGN_SRC_GRAPH_ICC_GRAPH_H_
 #define COIGN_SRC_GRAPH_ICC_GRAPH_H_
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "src/profile/icc_profile.h"
-#include "src/support/histogram.h"
 
 namespace coign {
 
 class AbstractIccGraph {
  public:
-  // Undirected pair key; the driver end uses kNoClassification.
-  struct PairKey {
+  // The traffic of one undirected classification pair, a < b.
+  // kNoClassification is the largest id, so the driver end is always b.
+  struct Edge {
     ClassificationId a = kNoClassification;
     ClassificationId b = kNoClassification;
-    friend bool operator==(const PairKey&, const PairKey&) = default;
-  };
-  struct PairKeyHash {
-    size_t operator()(const PairKey& k) const {
-      return static_cast<size_t>(k.a) * 0x9e3779b97f4a7c15ull + k.b;
-    }
-  };
-
-  struct Edge {
     // One-way messages exchanged between the endpoints (each call
-    // contributes its request and its reply).
-    ExponentialHistogram messages;
-    uint64_t calls = 0;
+    // contributes its request and its reply) and their payload bytes.
+    uint64_t messages = 0;
+    uint64_t bytes = 0;
     // Calls on this pair that crossed a non-remotable interface or carried
     // opaque parameters: the endpoints must be colocated.
     uint64_t non_remotable_calls = 0;
@@ -46,18 +38,15 @@ class AbstractIccGraph {
 
   static AbstractIccGraph FromProfile(const IccProfile& profile);
 
-  const std::unordered_map<PairKey, Edge, PairKeyHash>& edges() const { return edges_; }
-  const IccProfile& profile() const { return *profile_; }
-
-  // Deterministic edge ordering for reports and tests.
-  std::vector<PairKey> SortedPairs() const;
-
-  size_t node_count() const { return profile_->classifications().size(); }
-  size_t edge_count() const { return edges_.size(); }
+  // The profile's classification ids, ascending, whether or not they call.
+  const std::vector<ClassificationId>& nodes() const { return nodes_; }
+  // One edge per pair with at least one call key between them (even if
+  // its traffic is 0), sorted by (a, b). Self-calls are dropped.
+  const std::vector<Edge>& edges() const { return edges_; }
 
  private:
-  std::unordered_map<PairKey, Edge, PairKeyHash> edges_;
-  const IccProfile* profile_ = nullptr;
+  std::vector<ClassificationId> nodes_;
+  std::vector<Edge> edges_;
 };
 
 }  // namespace coign

@@ -26,7 +26,7 @@ struct NetworkModel {
   double jitter_fraction = 0.0;
 
   // Expected one-way time for a message of `bytes` payload.
-  double ExpectedMessageSeconds(uint64_t bytes) const {
+  double ExpectedOneWaySeconds(uint64_t bytes) const {
     return per_message_seconds + static_cast<double>(bytes) / bytes_per_second;
   }
 

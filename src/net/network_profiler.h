@@ -5,7 +5,8 @@
 // We sample round trips of geometrically spaced payload sizes over the
 // (jittered) transport and fit time = intercept + slope * bytes by least
 // squares. The resulting NetworkProfile converts the abstract ICC graph's
-// byte counts into the concrete graph's seconds.
+// message and byte totals into the concrete graph's seconds; every price
+// Coign puts on traffic comes from TrafficSeconds.
 
 #ifndef COIGN_SRC_NET_NETWORK_PROFILER_H_
 #define COIGN_SRC_NET_NETWORK_PROFILER_H_
@@ -28,12 +29,12 @@ struct NetworkProfile {
   double fit_r_squared = 0.0;
   size_t sample_count = 0;
 
-  double MessageSeconds(double bytes) const {
-    return per_message_seconds + seconds_per_byte * bytes;
-  }
-  // Synchronous call: request message out, reply message back.
-  double CallSeconds(double request_bytes, double reply_bytes) const {
-    return MessageSeconds(request_bytes) + MessageSeconds(reply_bytes);
+  // Predicted seconds of `messages` one-way messages carrying `bytes`
+  // payload bytes in all. The model is affine, so totals price traffic
+  // exactly, however the sizes spread across messages.
+  double TrafficSeconds(uint64_t messages, uint64_t bytes) const {
+    return static_cast<double>(messages) * per_message_seconds +
+           static_cast<double>(bytes) * seconds_per_byte;
   }
 
   // A profile built directly from the model's true parameters (no sampling

@@ -151,8 +151,8 @@ class Transport {
 
   // Expected (noise-free) time of one synchronous round trip.
   double ExpectedRoundTripSeconds(uint64_t request_bytes, uint64_t reply_bytes) const {
-    return model_.ExpectedMessageSeconds(request_bytes) +
-           model_.ExpectedMessageSeconds(reply_bytes);
+    return model_.ExpectedOneWaySeconds(request_bytes) +
+           model_.ExpectedOneWaySeconds(reply_bytes);
   }
 
   // One sampled round trip with multiplicative jitter; always >= 0.

@@ -54,7 +54,7 @@ Result<MigrationReport> LiveMigrator::Migrate(ObjectSystem& system,
     const uint64_t state_bytes = StateBytesFor(info.id);
     report.instances_moved += 1;
     report.bytes_transferred += state_bytes;
-    report.seconds += network.MessageSeconds(static_cast<double>(state_bytes));
+    report.seconds += network.TrafficSeconds(1, state_bytes);
   }
   return report;
 }

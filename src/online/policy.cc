@@ -64,8 +64,7 @@ Result<RepartitionDecision> RepartitionPolicy::Evaluate(
       decision.instances_to_move += count;
       decision.migration_bytes += count * state_bytes;
       decision.migration_seconds +=
-          static_cast<double>(count) *
-          network.MessageSeconds(static_cast<double>(state_bytes));
+          static_cast<double>(count) * network.TrafficSeconds(1, state_bytes);
     }
   }
 

@@ -54,6 +54,7 @@ OnlineRepartitioner::OnlineRepartitioner(ObjectSystem* system, CoignRuntime* run
     : system_(system),
       runtime_(runtime),
       base_profile_(base_profile),
+      base_counts_(CountsFromProfile(base_profile)),
       network_(std::move(network)),
       options_(options),
       window_(options.window),
@@ -488,7 +489,7 @@ Status OnlineRepartitioner::EndEpoch() {
     return Status::Ok();
   }
 
-  last_drift_ = DetectDrift(base_profile_, window_.WindowMessageCounts(), options_.drift);
+  last_drift_ = DetectDrift(base_counts_, window_.WindowMessageCounts(), options_.drift);
   if (last_drift_.reprofile_recommended) {
     ++stats_.drift_flags;
     if (obs_ != nullptr) {

@@ -109,8 +109,10 @@ class OnlineRepartitioner : public ObjectSystem::Interceptor {
 
   // `runtime` must be a distributed-mode runtime attached to `system`;
   // `base_profile` is the profile its distribution was computed from. All
-  // pointers/references must outlive the repartitioner. Attaches as an
-  // interceptor on construction.
+  // pointers/references must outlive the repartitioner, and the base
+  // profile must not change while it lives: its message counts, which
+  // every epoch's drift check compares against, are taken once here.
+  // Attaches as an interceptor on construction.
   OnlineRepartitioner(ObjectSystem* system, CoignRuntime* runtime,
                       const IccProfile& base_profile, NetworkProfile network,
                       OnlineOptions options = {});
@@ -213,6 +215,7 @@ class OnlineRepartitioner : public ObjectSystem::Interceptor {
   ObjectSystem* system_;
   CoignRuntime* runtime_;
   const IccProfile& base_profile_;
+  const MessageCounts base_counts_;  // CountsFromProfile(base_profile_).
   NetworkProfile network_;
   OnlineOptions options_;
   SlidingWindowGraph window_;

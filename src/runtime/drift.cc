@@ -41,15 +41,13 @@ std::string DriftReport::ToString() const {
       reprofile_recommended ? "yes" : "no");
 }
 
-DriftReport DetectDrift(const IccProfile& profile, const MessageCounts& observed,
+DriftReport DetectDrift(const MessageCounts& profiled, const MessageCounts& observed,
                         const DriftOptions& options) {
   DriftReport report;
   report.observed_messages = observed.total_messages();
   if (report.observed_messages < options.min_messages) {
     return report;  // Not enough evidence; keep the current distribution.
   }
-
-  const MessageCounts profiled = CountsFromProfile(profile);
 
   // Cosine similarity over the union of pairs, on sqrt-transformed counts:
   // the variance-stabilizing transform keeps one enormous pair (a long

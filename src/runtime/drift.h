@@ -10,8 +10,9 @@
 //
 // MessageCounts is the cheap per-pair counter the lightweight runtime
 // maintains (no parameter walking, no byte measurement — just counts);
-// DetectDrift compares it against the profile the distribution was chosen
-// from and recommends re-profiling when the usage pattern diverges.
+// DetectDrift compares it against the counts of the profile the
+// distribution was chosen from (CountsFromProfile) and recommends
+// re-profiling when the usage pattern diverges.
 
 #ifndef COIGN_SRC_RUNTIME_DRIFT_H_
 #define COIGN_SRC_RUNTIME_DRIFT_H_
@@ -71,7 +72,10 @@ struct DriftOptions {
   uint64_t min_messages = 100;
 };
 
-DriftReport DetectDrift(const IccProfile& profile, const MessageCounts& observed,
+// Compares `observed` with `profiled`, the CountsFromProfile of the profile
+// the distribution was chosen from. A caller that judges many windows
+// against one profile counts it once.
+DriftReport DetectDrift(const MessageCounts& profiled, const MessageCounts& observed,
                         const DriftOptions& options = {});
 
 }  // namespace coign

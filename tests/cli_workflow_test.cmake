@@ -190,3 +190,23 @@ if(NOT lossy_rows STREQUAL clean_rows)
   message(FATAL_ERROR "--lossy 0 moved clients between segments:\n"
           "--- default ---\n${lossy_rows}\n--- --lossy 0 ---\n${clean_rows}")
 endif()
+
+# Numeric flags are read as whole tokens and range-checked so that NaN
+# fails: each of these exits 2 with usage instead of running on a prefix
+# of its value, a wrapped negative or NaN. The boundary values still run.
+function(run_fails)
+  execute_process(COMMAND ${ARGN} WORKING_DIRECTORY ${WORK_DIR}
+                  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 2)
+    message(FATAL_ERROR "expected exit 2, got ${code}: ${ARGN}\n${out}\n${err}")
+  endif()
+endfunction()
+run_fails(${COIGN_BIN} fleet -i smoke --clients 20 --seed abc)
+run_fails(${COIGN_BIN} fleet -i smoke --clients 20 --seed -1)
+run_fails(${COIGN_BIN} fleet -i smoke --clients 50x)
+run_fails(${COIGN_BIN} online -i smoke --scenario o_oldwp7 --cycles 1x)
+run_fails(${COIGN_BIN} chaos ${chaos_args} --drop 0.5junk)
+run_fails(${COIGN_BIN} chaos ${chaos_args} --drop nan)
+run_fails(${COIGN_BIN} fleet -i smoke --clients 20 --lossy nan)
+run(${COIGN_BIN} fleet -i smoke --clients 20 --seed 0 --lossy 1)
+run(${COIGN_BIN} chaos ${chaos_args} --drop 0)

@@ -118,7 +118,7 @@ TEST(DriftTest, MatchingUsageNotFlagged) {
   MessageCounts observed;
   observed.Record(0, 1, 250);  // Same mixture, half the volume.
   observed.Record(1, 2, 50);
-  const DriftReport report = DetectDrift(profile, observed);
+  const DriftReport report = DetectDrift(CountsFromProfile(profile), observed);
   EXPECT_GT(report.similarity, 0.95);
   EXPECT_EQ(report.unprofiled_fraction, 0.0);
   EXPECT_FALSE(report.reprofile_recommended);
@@ -129,7 +129,7 @@ TEST(DriftTest, NewPairsFlagged) {
   MessageCounts observed;
   observed.Record(0, 1, 200);
   observed.Record(7, 8, 100);  // A pair profiling never saw.
-  const DriftReport report = DetectDrift(profile, observed);
+  const DriftReport report = DetectDrift(CountsFromProfile(profile), observed);
   EXPECT_GT(report.unprofiled_fraction, 0.3);
   EXPECT_TRUE(report.reprofile_recommended);
 }
@@ -139,7 +139,7 @@ TEST(DriftTest, ShiftedMixtureFlagged) {
   MessageCounts observed;
   observed.Record(0, 1, 5);     // The formerly dominant pair is quiet...
   observed.Record(1, 2, 2000);  // ...and the bulk pair explodes.
-  const DriftReport report = DetectDrift(profile, observed);
+  const DriftReport report = DetectDrift(CountsFromProfile(profile), observed);
   EXPECT_LT(report.similarity, 0.85);
   EXPECT_TRUE(report.reprofile_recommended);
 }
@@ -148,7 +148,7 @@ TEST(DriftTest, TooFewMessagesGiveNoVerdict) {
   const IccProfile profile = TrainedProfile();
   MessageCounts observed;
   observed.Record(7, 8, 10);  // Brand new pair, but only 10 messages.
-  const DriftReport report = DetectDrift(profile, observed);
+  const DriftReport report = DetectDrift(CountsFromProfile(profile), observed);
   EXPECT_FALSE(report.reprofile_recommended);
 }
 
@@ -238,12 +238,12 @@ TEST(MultiwayAnalysisTest, TwoMachinesDegenerateToTwoWayShape) {
 }
 
 TEST(MultiwayAnalysisTest, RejectsBadOptions) {
-  EXPECT_FALSE(AnalyzeMultiway(ThreeTierProfile(), FastNet(),
-                               MultiwayOptions{.machine_count = 1})
-                   .ok());
-  EXPECT_FALSE(AnalyzeMultiway(ThreeTierProfile(), FastNet(),
-                               MultiwayOptions{.machine_count = 3, .gui_machine = 5})
-                   .ok());
+  MultiwayOptions one_machine;
+  one_machine.machine_count = 1;
+  EXPECT_FALSE(AnalyzeMultiway(ThreeTierProfile(), FastNet(), one_machine).ok());
+  MultiwayOptions bad_gui;
+  bad_gui.gui_machine = 5;
+  EXPECT_FALSE(AnalyzeMultiway(ThreeTierProfile(), FastNet(), bad_gui).ok());
   EXPECT_FALSE(AnalyzeMultiway(IccProfile(), FastNet(), MultiwayOptions()).ok());
   MultiwayOptions bad_pin;
   bad_pin.extra_pins.emplace_back(0, 9);

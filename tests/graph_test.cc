@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <tuple>
+
+#include "bench/harness.h"
 #include "src/com/class_registry.h"
 #include "src/graph/concrete_graph.h"
 #include "src/graph/constraints.h"
 #include "src/graph/distribution.h"
 #include "src/graph/icc_graph.h"
+#include "src/support/str_util.h"
 
 namespace coign {
 namespace {
@@ -52,16 +58,40 @@ TEST(AbstractIccGraphTest, MergesDirectionsAndMethodsPerPair) {
   profile.RecordCall(MakeKey(1, 0, 2), 50, 5, true);   // Reverse direction.
   profile.RecordCall(MakeKey(0, 1, 3), 25, 25, false);  // Another method.
   profile.RecordCall(MakeKey(1, 1, 0), 9, 9, true);     // Intra: dropped.
+  // A key whose histograms are empty (a window can scale them to 0) still
+  // makes its pair an edge, with no traffic.
+  AddClassification(&profile, 2, "C");
+  profile.InjectCallSummary(MakeKey(2, 0), ExponentialHistogram(), ExponentialHistogram(), 0);
 
   const AbstractIccGraph graph = AbstractIccGraph::FromProfile(profile);
-  EXPECT_EQ(graph.edge_count(), 1u);
-  const auto& edge = graph.edges().begin()->second;
-  EXPECT_EQ(edge.calls, 3u);
+  ASSERT_EQ(graph.edges().size(), 2u);
+  const AbstractIccGraph::Edge& edge = graph.edges()[0];
+  EXPECT_EQ(edge.a, 0u);
+  EXPECT_EQ(edge.b, 1u);
   // Each call contributes request + reply messages.
-  EXPECT_EQ(edge.messages.total_count(), 6u);
-  EXPECT_EQ(edge.messages.total_bytes(), 100u + 10 + 50 + 5 + 25 + 25);
+  EXPECT_EQ(edge.messages, 6u);
+  EXPECT_EQ(edge.bytes, 100u + 10 + 50 + 5 + 25 + 25);
   EXPECT_EQ(edge.non_remotable_calls, 1u);
   EXPECT_TRUE(edge.MustColocate());
+  const AbstractIccGraph::Edge& silent = graph.edges()[1];
+  EXPECT_EQ(silent.a, 0u);
+  EXPECT_EQ(silent.b, 2u);
+  EXPECT_EQ(silent.messages, 0u);
+  EXPECT_EQ(silent.bytes, 0u);
+  EXPECT_FALSE(silent.MustColocate());
+}
+
+TEST(AbstractIccGraphTest, NodesAreEveryClassificationAscending) {
+  IccProfile profile;
+  AddClassification(&profile, 7, "Late");
+  AddClassification(&profile, 3, "Early");
+  AddClassification(&profile, 5, "Quiet");  // Makes no call.
+  profile.RecordCall(MakeKey(7, 3), 10, 10, true);
+  const AbstractIccGraph graph = AbstractIccGraph::FromProfile(profile);
+  EXPECT_EQ(graph.nodes(), (std::vector<ClassificationId>{3, 5, 7}));
+  ASSERT_EQ(graph.edges().size(), 1u);
+  EXPECT_EQ(graph.edges()[0].a, 3u);
+  EXPECT_EQ(graph.edges()[0].b, 7u);
 }
 
 TEST(AbstractIccGraphTest, DriverPairUsesNoClassification) {
@@ -69,9 +99,9 @@ TEST(AbstractIccGraphTest, DriverPairUsesNoClassification) {
   AddClassification(&profile, 0, "A");
   profile.RecordCall(MakeKey(kNoClassification, 0), 10, 10, true);
   const AbstractIccGraph graph = AbstractIccGraph::FromProfile(profile);
-  ASSERT_EQ(graph.SortedPairs().size(), 1u);
-  EXPECT_EQ(graph.SortedPairs()[0].a, 0u);
-  EXPECT_EQ(graph.SortedPairs()[0].b, kNoClassification);
+  ASSERT_EQ(graph.edges().size(), 1u);
+  EXPECT_EQ(graph.edges()[0].a, 0u);
+  EXPECT_EQ(graph.edges()[0].b, kNoClassification);
 }
 
 TEST(ConstraintsTest, FromProfileDerivesApiPins) {
@@ -98,16 +128,6 @@ TEST(ConstraintsTest, ExplicitConstraintsAccumulate) {
   EXPECT_EQ(constraints.colocated()[0], (std::pair<ClassificationId, ClassificationId>{1, 2}));
 }
 
-TEST(EdgeSecondsTest, AffineInCountAndBytes) {
-  AbstractIccGraph::Edge edge;
-  edge.messages.Add(100);
-  edge.messages.Add(100);
-  NetworkProfile network;
-  network.per_message_seconds = 1e-3;
-  network.seconds_per_byte = 1e-6;
-  EXPECT_NEAR(EdgeSeconds(edge, network), 2 * 1e-3 + 200 * 1e-6, 1e-12);
-}
-
 TEST(ConcreteGraphTest, BuildWiresTerminalsClassificationsAndConstraints) {
   IccProfile profile;
   AddClassification(&profile, 0, "Gui", kApiGui, 3);
@@ -125,18 +145,24 @@ TEST(ConcreteGraphTest, BuildWiresTerminalsClassificationsAndConstraints) {
   const ConcreteGraph graph = ConcreteGraph::Build(abstract, network, constraints);
 
   EXPECT_EQ(graph.node_count(), 5);  // 2 terminals + 3 classifications.
-  ASSERT_TRUE(graph.IndexOf(0).ok());
-  EXPECT_EQ(graph.ClassificationAt(*graph.IndexOf(0)), 0u);
-  EXPECT_FALSE(graph.IndexOf(42).ok());
+  EXPECT_EQ(graph.classifications(), (std::vector<ClassificationId>{0, 1, 2}));
+  EXPECT_EQ(graph.NodeOf(1), 3);
+  EXPECT_EQ(graph.ClassificationAt(3), 1u);
+  EXPECT_EQ(graph.NodeOf(42), -1);
+  EXPECT_EQ(graph.NodeOf(kNoClassification), -1);
 
   int constraint_edges = 0;
   int comm_edges = 0;
   for (const ConcreteEdge& edge : graph.edges()) {
     if (edge.constraint) {
       ++constraint_edges;
+      EXPECT_EQ(edge.Capacity(), kInfiniteCapacity);
     } else {
       ++comm_edges;
+      // Priced by the network's one traffic expression, quantized once.
       EXPECT_GT(edge.seconds, 0.0);
+      EXPECT_EQ(edge.seconds, network.TrafficSeconds(edge.messages, edge.bytes));
+      EXPECT_EQ(edge.Capacity(), SecondsToCapUnits(edge.seconds));
     }
   }
   // Constraints: gui pin, store pin, and the non-remotable pair.
@@ -156,6 +182,98 @@ TEST(ConcreteGraphTest, DriverEdgesAttachToClientTerminal) {
   ASSERT_EQ(graph.edges().size(), 1u);
   const ConcreteEdge& edge = graph.edges()[0];
   EXPECT_TRUE(edge.a == ConcreteGraph::kClientNode || edge.b == ConcreteGraph::kClientNode);
+}
+
+// 64-bit FNV-1a over a sequence of 64-bit fields, low byte first.
+class Fnv1a {
+ public:
+  void Add(uint64_t field) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ = (hash_ ^ ((field >> (8 * byte)) & 0xff)) * 0x100000001b3ull;
+    }
+  }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+struct GoldenGraph {
+  const char* scenario;
+  int nodes;
+  size_t edges;
+  uint64_t fingerprint;
+};
+
+// The concrete graph of every Table 1 scenario's profile at exact 10BaseT
+// with its API pins, captured while the abstract graph was still a hash map
+// of pair histograms. The fingerprint covers (a, b, messages, bytes, capacity,
+// constraint) of the communication and weld edges in graph order, then of
+// the pin edges sorted: pins follow the iteration order of an
+// unordered_map, which a golden must not depend on.
+constexpr GoldenGraph kGoldenGraphs[] = {
+    {"o_newdoc", 456, 1019, 0x8758998b773b00adull},
+    {"o_newmus", 444, 1002, 0x104cfcb19f8ff17aull},
+    {"o_newtbl", 454, 1018, 0xe0ca5ed2e6b22a78ull},
+    {"o_oldtb0", 454, 1020, 0x5f7af313e989605aull},
+    {"o_oldtb3", 454, 1020, 0x7246ccd75f076b9bull},
+    {"o_oldwp0", 456, 1019, 0xeed10a55d90cf07eull},
+    {"o_oldwp3", 456, 1019, 0x9baaf6b9778fe611ull},
+    {"o_oldwp7", 456, 1019, 0xbbff6bf872b5621aull},
+    {"o_oldbth", 462, 1034, 0xad192395628cb2a0ull},
+    {"o_offtb3", 469, 1043, 0x7968fa3e1ef1b3e3ull},
+    {"o_offwp7", 471, 1043, 0x8bfea1af92ecc2f5ull},
+    {"o_bigone", 490, 1077, 0xda08432e5a668fdfull},
+    {"p_newdoc", 256, 581, 0x78a2c807a94dedfbull},
+    {"p_newmsr", 256, 581, 0x78a2c807a94dedfbull},
+    {"p_oldcur", 264, 605, 0x65a2acaee4e2699bull},
+    {"p_oldmsr", 264, 605, 0x208fe6d81ff97bd6ull},
+    {"p_offcur", 354, 787, 0xa52e2adfdf0b3e3cull},
+    {"p_offmsr", 354, 787, 0xc7b790a51f226449ull},
+    {"p_bigone", 354, 787, 0x66db6c5701e5c915ull},
+    {"b_vueone", 37, 93, 0xdb469fab4bd27ffbull},
+    {"b_addone", 17, 33, 0xd52f3dce23d93f35ull},
+    {"b_delone", 17, 32, 0xe470391f5ea1fe89ull},
+    {"b_bigone", 39, 98, 0xdddb909cd3804335ull},
+};
+
+TEST(ConcreteGraphTest, Table1ProfilesBuildTheGoldenGraphs) {
+  ASSERT_EQ(std::size(kGoldenGraphs), Table1ScenarioIds().size());
+  const NetworkProfile network = NetworkProfile::Exact(NetworkModel::TenBaseT());
+  for (const GoldenGraph& golden : kGoldenGraphs) {
+    SCOPED_TRACE(golden.scenario);
+    Result<std::unique_ptr<Application>> app = BuildApplicationForScenario(golden.scenario);
+    ASSERT_TRUE(app.ok());
+    Result<IccProfile> profile = ProfileScenarios(**app, {golden.scenario});
+    ASSERT_TRUE(profile.ok());
+    const LocationConstraints constraints = LocationConstraints::FromProfile(*profile);
+    const ConcreteGraph graph =
+        ConcreteGraph::Build(AbstractIccGraph::FromProfile(*profile), network, constraints);
+
+    // Every API pin names a profiled classification, so the pins are the
+    // last absolute().size() edges.
+    std::vector<ConcreteEdge> edges = graph.edges();
+    ASSERT_GE(edges.size(), constraints.absolute().size());
+    const auto pins = edges.end() - static_cast<ptrdiff_t>(constraints.absolute().size());
+    std::sort(pins, edges.end(), [](const ConcreteEdge& x, const ConcreteEdge& y) {
+      return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+    });
+    Fnv1a fingerprint;
+    for (const ConcreteEdge& edge : edges) {
+      fingerprint.Add(static_cast<uint64_t>(edge.a));
+      fingerprint.Add(static_cast<uint64_t>(edge.b));
+      fingerprint.Add(edge.messages);
+      fingerprint.Add(edge.bytes);
+      fingerprint.Add(static_cast<uint64_t>(
+          edge.constraint ? kInfiniteCapacity : SecondsToCapUnits(edge.seconds)));
+      fingerprint.Add(edge.constraint ? 1 : 0);
+    }
+    EXPECT_EQ(graph.node_count(), golden.nodes);
+    EXPECT_EQ(edges.size(), golden.edges);
+    EXPECT_EQ(fingerprint.hash(), golden.fingerprint)
+        << StrFormat("{\"%s\", %d, %zu, 0x%016llxull},", golden.scenario, graph.node_count(),
+                     edges.size(), static_cast<unsigned long long>(fingerprint.hash()));
+  }
 }
 
 }  // namespace

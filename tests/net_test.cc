@@ -69,8 +69,8 @@ TEST(NetworkModelTest, ExpectedMessageTimeIsAffine) {
   NetworkModel model;
   model.per_message_seconds = 1e-3;
   model.bytes_per_second = 1e6;
-  EXPECT_DOUBLE_EQ(model.ExpectedMessageSeconds(0), 1e-3);
-  EXPECT_DOUBLE_EQ(model.ExpectedMessageSeconds(1000000), 1e-3 + 1.0);
+  EXPECT_DOUBLE_EQ(model.ExpectedOneWaySeconds(0), 1e-3);
+  EXPECT_DOUBLE_EQ(model.ExpectedOneWaySeconds(1000000), 1e-3 + 1.0);
 }
 
 TEST(NetworkModelTest, PresetsAreOrderedByBandwidth) {
@@ -90,7 +90,7 @@ TEST(TransportTest, RoundTripSumsBothDirections) {
   Transport transport(NetworkModel::TenBaseT());
   const NetworkModel& m = transport.model();
   EXPECT_DOUBLE_EQ(transport.ExpectedRoundTripSeconds(100, 200),
-                   m.ExpectedMessageSeconds(100) + m.ExpectedMessageSeconds(200));
+                   m.ExpectedOneWaySeconds(100) + m.ExpectedOneWaySeconds(200));
 }
 
 TEST(TransportTest, SampledTimesCenterOnExpectation) {
@@ -128,10 +128,12 @@ TEST(TransportTest, ClockAccumulates) {
 TEST(NetworkProfileTest, ExactProfileMatchesModel) {
   const NetworkModel model = NetworkModel::TenBaseT();
   const NetworkProfile profile = NetworkProfile::Exact(model);
-  EXPECT_DOUBLE_EQ(profile.MessageSeconds(0), model.per_message_seconds);
-  EXPECT_NEAR(profile.MessageSeconds(1e6), model.ExpectedMessageSeconds(1000000), 1e-12);
-  EXPECT_DOUBLE_EQ(profile.CallSeconds(100, 200),
-                   profile.MessageSeconds(100) + profile.MessageSeconds(200));
+  EXPECT_DOUBLE_EQ(profile.TrafficSeconds(1, 0), model.per_message_seconds);
+  EXPECT_NEAR(profile.TrafficSeconds(1, 1000000), model.ExpectedOneWaySeconds(1000000),
+              1e-12);
+  // A call's request and reply: two messages, priced by their total bytes.
+  EXPECT_DOUBLE_EQ(profile.TrafficSeconds(2, 300),
+                   model.ExpectedOneWaySeconds(100) + model.ExpectedOneWaySeconds(200));
 }
 
 // Statistical sampling recovers the true model parameters within a few

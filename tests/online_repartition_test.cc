@@ -407,7 +407,7 @@ TEST(DriftEdgeCaseTest, EmptyWindowIsNotDrift) {
   IccProfile profile = HotPairProfile(100);
   DriftOptions options;
   options.min_messages = 0;  // Force a judgment on the empty window.
-  const DriftReport report = DetectDrift(profile, MessageCounts(), options);
+  const DriftReport report = DetectDrift(CountsFromProfile(profile), MessageCounts(), options);
   EXPECT_EQ(report.observed_messages, 0u);
   // Regression: this used to be 0/0 = NaN.
   EXPECT_DOUBLE_EQ(report.unprofiled_fraction, 0.0);
@@ -419,7 +419,7 @@ TEST(DriftEdgeCaseTest, EmptyProfileFlagsAllTrafficAsUnprofiled) {
   observed.Record(1, 2, 500);
   DriftOptions options;
   options.min_messages = 100;
-  const DriftReport report = DetectDrift(IccProfile(), observed, options);
+  const DriftReport report = DetectDrift(CountsFromProfile(IccProfile()), observed, options);
   EXPECT_DOUBLE_EQ(report.unprofiled_fraction, 1.0);
   EXPECT_TRUE(report.reprofile_recommended);
 }
@@ -428,7 +428,7 @@ TEST(DriftEdgeCaseTest, MatchingTrafficIsNotDrift) {
   IccProfile profile = HotPairProfile(100);
   MessageCounts observed;
   observed.Record(1, 2, 200);  // Same pair, scaled rate: same direction.
-  const DriftReport report = DetectDrift(profile, observed);
+  const DriftReport report = DetectDrift(CountsFromProfile(profile), observed);
   EXPECT_GT(report.similarity, 0.99);
   EXPECT_FALSE(report.reprofile_recommended);
 }

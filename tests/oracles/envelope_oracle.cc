@@ -9,9 +9,9 @@
 namespace coign::envelope_oracle {
 
 Result<std::vector<EnvelopeSegment>> BruteForceEnvelope(const IccProfile& profile) {
-  const std::vector<ClassificationId> ids = profile.SortedClassificationIds();
   const LocationConstraints constraints = LocationConstraints::FromProfile(profile);
   const AbstractIccGraph abstract = AbstractIccGraph::FromProfile(profile);
+  const std::vector<ClassificationId>& ids = abstract.nodes();
   // Bit i of a placement puts ids[i] on the server; the driver and any
   // undeclared endpoint stay on the client.
   const auto on_server = [&](uint64_t placement, ClassificationId id) {
@@ -35,13 +35,13 @@ Result<std::vector<EnvelopeSegment>> BruteForceEnvelope(const IccProfile& profil
     }
     uint64_t messages = 0;
     uint64_t bytes = 0;
-    for (const auto& [pair, edge] : abstract.edges()) {
-      if (on_server(placement, pair.a) == on_server(placement, pair.b)) {
+    for (const AbstractIccGraph::Edge& edge : abstract.edges()) {
+      if (on_server(placement, edge.a) == on_server(placement, edge.b)) {
         continue;
       }
       feasible = feasible && !edge.MustColocate();
-      messages += edge.messages.total_count();
-      bytes += edge.messages.total_bytes();
+      messages += edge.messages;
+      bytes += edge.bytes;
     }
     if (!feasible) {
       continue;

@@ -45,7 +45,6 @@
 // Networks: isdn, 10baset, 100baset, atm, san.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -207,8 +206,8 @@ Result<Flags> ParseFlags(int argc, char** argv, int first) {
       if (!value.ok()) {
         return value.status();
       }
-      const int parsed = std::atoi(value->c_str());
-      if (parsed <= 0) {
+      int parsed = 0;
+      if (!ParseDecimal(*value, &parsed) || parsed <= 0) {
         return InvalidArgumentError(arg + " wants a positive integer, got " + *value);
       }
       (arg == "--cycles" ? flags.cycles : arg == "--reps" ? flags.reps : flags.clients) =
@@ -218,14 +217,17 @@ Result<Flags> ParseFlags(int argc, char** argv, int first) {
       if (!value.ok()) {
         return value.status();
       }
-      flags.seed = std::strtoull(value->c_str(), nullptr, 10);
+      if (!ParseDecimal(*value, &flags.seed)) {
+        return InvalidArgumentError(arg + " wants a non-negative integer, got " + *value);
+      }
     } else if (arg == "--drop" || arg == "--corrupt-rate") {
       Result<std::string> value = next();
       if (!value.ok()) {
         return value.status();
       }
-      const double parsed = std::atof(value->c_str());
-      if (parsed < 0.0 || parsed >= 1.0) {
+      // Written so that NaN fails the range check too.
+      double parsed = 0.0;
+      if (!ParseDouble(*value, &parsed) || !(parsed >= 0.0 && parsed < 1.0)) {
         return InvalidArgumentError(arg + " wants a probability in [0, 1), got " + *value);
       }
       (arg == "--drop" ? flags.drop : flags.corrupt_rate) = parsed;
@@ -238,8 +240,8 @@ Result<Flags> ParseFlags(int argc, char** argv, int first) {
       if (!value.ok()) {
         return value.status();
       }
-      const double parsed = std::atof(value->c_str());
-      if (parsed < 0.0 || parsed > 1.0) {
+      double parsed = 0.0;
+      if (!ParseDouble(*value, &parsed) || !(parsed >= 0.0 && parsed <= 1.0)) {
         return InvalidArgumentError(arg + " wants a fraction in [0, 1], got " + *value);
       }
       flags.lossy_fraction = parsed;
@@ -875,7 +877,7 @@ int CmdFleet(const Flags& flags) {
     // member's own loss-inflated link.
     double comm_seconds = 0.0;
     for (uint32_t id : plan.members) {
-      comm_seconds += EdgeSeconds(plan.messages, plan.bytes, LossInflatedLink(fleet[id]));
+      comm_seconds += LossInflatedLink(fleet[id]).TrafficSeconds(plan.messages, plan.bytes);
     }
     std::printf("%12.6e %12.6e %8zu %8zu %10llu %12llu %10.4f\n", plan.lambda_from.ToDouble(),
                 plan.lambda_to.ToDouble(), plan.members.size(),
