@@ -127,7 +127,6 @@ int main(int argc, char** argv) {
   base.online.policy.min_relative_gain = 0.05;
   base.online.policy.horizon_windows = 2.0;
   base.online.policy.state_bytes_per_instance = 4096;
-  base.online.epochs_per_recut = 0;  // Purely drift-driven.
   // No post-recut cooldown: both adaptive runs react every epoch, so the
   // only anti-thrash defense under comparison is the quarantine rule.
   base.online.cooldown_epochs = 0;

@@ -65,8 +65,7 @@ int main() {
   // Profiler-fitted (as the CLI does), not the analytic fit: the live
   // estimator compares against this same baseline during the runs.
   Rng fit_rng(23);
-  NetworkProfiler profiler;
-  const NetworkProfile fitted = profiler.Profile(Transport(network), fit_rng);
+  const NetworkProfile fitted = ProfileNetwork(Transport(network), fit_rng);
   ProfileAnalysisEngine engine;
   Result<AnalysisResult> analysis = engine.Analyze(*profile, fitted);
   if (!analysis.ok()) {
@@ -217,7 +216,7 @@ int main() {
     if (stats.migration_resumes > worst_resumes) {
       worst_resumes = stats.migration_resumes;
     }
-    if (stats.migration_resumes > base.online.max_migration_resumes) {
+    if (stats.migration_resumes > kMaxMigrationResumes) {
       resume_bound_violated = true;
     }
     if (stats.interrupted_migrations > 0 && stats.instances_moved == 0) {
@@ -233,7 +232,7 @@ int main() {
       static_cast<unsigned long long>(total_interrupted),
       static_cast<unsigned long long>(total_moved),
       static_cast<unsigned long long>(worst_resumes),
-      static_cast<unsigned long long>(base.online.max_migration_resumes));
+      static_cast<unsigned long long>(kMaxMigrationResumes));
 
   // The storm must actually interrupt migrations — otherwise the bench is
   // measuring nothing.
@@ -247,11 +246,11 @@ int main() {
     std::printf("WARNING: an interrupted migration never completed under the storm.\n");
     return 1;
   }
-  // Bounded retries: recovery converges within the configured resume budget.
+  // Bounded retries: recovery converges within the resume cap.
   if (resume_bound_violated) {
-    std::printf("WARNING: a storm run exceeded max_migration_resumes (%llu > %llu).\n",
+    std::printf("WARNING: a storm run exceeded kMaxMigrationResumes (%llu > %llu).\n",
                 static_cast<unsigned long long>(worst_resumes),
-                static_cast<unsigned long long>(base.online.max_migration_resumes));
+                static_cast<unsigned long long>(kMaxMigrationResumes));
     return 1;
   }
   return 0;

@@ -143,7 +143,6 @@ int main() {
   options.online.policy.min_relative_gain = 0.05;
   options.online.policy.horizon_windows = 2.0;
   options.online.policy.state_bytes_per_instance = 4096;
-  options.online.epochs_per_recut = 0;  // Purely drift-driven.
   options.online.cooldown_epochs = 1;
 
   std::printf(

@@ -1,11 +1,11 @@
 #include "bench/harness.h"
 
 #include <cstdio>
-#include <fstream>
 
 #include "src/apps/octarine.h"
 #include "src/profile/log_file.h"
 #include "src/runtime/binary_rewriter.h"
+#include "src/support/file_io.h"
 #include "src/support/str_util.h"
 
 namespace coign {
@@ -48,8 +48,7 @@ Result<IccProfile> ProfileScenarios(Application& app, const std::vector<std::str
 
 NetworkProfile FitNetwork(const NetworkModel& model, uint64_t seed) {
   Rng rng(seed);
-  NetworkProfiler profiler;
-  return profiler.Profile(Transport(model), rng);
+  return ProfileNetwork(Transport(model), rng);
 }
 
 Result<RunMeasurement> MeasureDefault(Application& app, const std::string& scenario_id,
@@ -199,16 +198,7 @@ std::string BenchTrajectory::ToJson() const {
 }
 
 Status BenchTrajectory::WriteFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return InternalError("trajectory: cannot open for write: " + path);
-  }
-  out << ToJson();
-  out.flush();
-  if (!out) {
-    return InternalError("trajectory: write failed: " + path);
-  }
-  return Status::Ok();
+  return coign::WriteFile(path, ToJson(), "trajectory");
 }
 
 }  // namespace coign

@@ -90,10 +90,9 @@ int main() {
   std::vector<Distribution> tailored;
   for (const NetworkModel& network : networks) {
     Rng rng(3);
-    NetworkProfiler profiler;
     ProfileAnalysisEngine engine;
     AnalysisResult result =
-        Check(engine.Analyze(profile, profiler.Profile(Transport(network), rng)), "analyze");
+        Check(engine.Analyze(profile, ProfileNetwork(Transport(network), rng)), "analyze");
     tailored.push_back(result.distribution);
     std::printf("%-10s -> %zu classifications on the server, predicted comm %.4f s\n",
                 network.name.c_str(), result.distribution.CountOn(kServerMachine),

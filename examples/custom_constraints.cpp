@@ -82,8 +82,7 @@ int main() {
   system.DestroyAll();
   const IccProfile& profile = runtime.profiling_logger()->profile();
 
-  NetworkProfiler profiler;
-  const NetworkProfile network = profiler.Profile(Transport(NetworkModel::TenBaseT()), rng);
+  const NetworkProfile network = ProfileNetwork(Transport(NetworkModel::TenBaseT()), rng);
 
   // 1. Unconstrained: Coign pulls the chatty caches to the client.
   {

@@ -82,10 +82,9 @@ int main() {
               static_cast<unsigned long long>(merged.total_bytes()));
 
   const NetworkModel network = NetworkModel::TenBaseT();
-  NetworkProfiler profiler;
   ProfileAnalysisEngine engine;
   AnalysisResult result =
-      Check(engine.Analyze(merged, profiler.Profile(Transport(network), rng)), "analyze");
+      Check(engine.Analyze(merged, ProfileNetwork(Transport(network), rng)), "analyze");
   std::printf("\n%s\n", DistributionReport(merged, result).c_str());
 
   // --- Write the distribution into the binary --------------------------------

@@ -74,8 +74,7 @@ int main() {
   // --- 3. Profile the network ------------------------------------------------------
   const NetworkModel network = NetworkModel::TenBaseT();
   Transport transport(network);
-  NetworkProfiler profiler;
-  const NetworkProfile network_profile = profiler.Profile(transport, rng);
+  const NetworkProfile network_profile = ProfileNetwork(transport, rng);
   std::printf("Network '%s': %.1f us/message + %.1f ns/byte (r^2 %.4f)\n",
               network_profile.network_name.c_str(),
               network_profile.per_message_seconds * 1e6,

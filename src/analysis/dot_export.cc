@@ -1,8 +1,7 @@
 #include "src/analysis/dot_export.h"
 
-#include <fstream>
-
 #include "src/graph/icc_graph.h"
+#include "src/support/file_io.h"
 #include "src/support/str_util.h"
 
 namespace coign {
@@ -68,15 +67,7 @@ std::string ExportDistributionDot(const IccProfile& profile, const AnalysisResul
 
 Status WriteDistributionDot(const IccProfile& profile, const AnalysisResult& result,
                             const std::string& path, const DotExportOptions& options) {
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) {
-    return InternalError("cannot open dot file for writing: " + path);
-  }
-  file << ExportDistributionDot(profile, result, options);
-  if (!file.good()) {
-    return InternalError("short write to dot file: " + path);
-  }
-  return Status::Ok();
+  return WriteFile(path, ExportDistributionDot(profile, result, options), "dot file");
 }
 
 }  // namespace coign

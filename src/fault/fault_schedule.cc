@@ -58,9 +58,21 @@ FaultSchedule FaultSchedule::FromEpisodes(std::vector<FaultEpisode> episodes) {
 
 namespace {
 
+// Upper ends of the drawn Gilbert-Elliott chain odds and bad-state loss.
+constexpr double kGilbertGoodToBadMax = 0.25;
+constexpr double kGilbertBadToGoodMax = 0.5;
+constexpr double kGilbertLossBadMax = 0.8;
+// Probability that a drawn drop/GE/latency episode targets one machine
+// in one direction instead of all traffic symmetrically.
+constexpr double kAsymmetricProbability = 0.35;
+
+// Each crash of a crash storm lasts this fraction of the horizon.
+constexpr double kCrashStormDurationFraction = 0.05;
+constexpr double kCrashStormRestartPenaltySeconds = 0.2;
+
 // With probability `p`, point the episode at one machine in one direction.
 void MaybeAsymmetric(FaultEpisode& episode, double p, Rng& rng) {
-  if (p <= 0.0 || !rng.Bernoulli(p)) {
+  if (!rng.Bernoulli(p)) {
     return;
   }
   episode.machine = rng.Bernoulli(0.5) ? kServerMachine : kClientMachine;
@@ -102,22 +114,22 @@ FaultEpisode DrawEpisode(FaultKind kind, const RandomFaultOptions& options, Rng&
       episode.machine = rng.Bernoulli(0.5) ? kServerMachine : kClientMachine;
       break;
     case FaultKind::kGilbertElliott:
-      episode.gilbert.p_good_to_bad = rng.UniformDouble(0.01, options.ge_p_good_to_bad_max);
-      episode.gilbert.p_bad_to_good = rng.UniformDouble(0.05, options.ge_p_bad_to_good_max);
+      episode.gilbert.p_good_to_bad = rng.UniformDouble(0.01, kGilbertGoodToBadMax);
+      episode.gilbert.p_bad_to_good = rng.UniformDouble(0.05, kGilbertBadToGoodMax);
       episode.gilbert.loss_good = rng.UniformDouble(0.0, 0.05);
-      episode.gilbert.loss_bad = rng.UniformDouble(0.2, options.ge_loss_bad_max);
+      episode.gilbert.loss_bad = rng.UniformDouble(0.2, kGilbertLossBadMax);
       episode.magnitude = episode.gilbert.loss_bad;
-      MaybeAsymmetric(episode, options.asymmetric_probability, rng);
+      MaybeAsymmetric(episode, kAsymmetricProbability, rng);
       break;
     case FaultKind::kCorruptBurst:
       // Same bursty chain as Gilbert-Elliott, but the bad state flips
       // payload bits instead of losing messages (the good state is clean).
-      episode.gilbert.p_good_to_bad = rng.UniformDouble(0.01, options.ge_p_good_to_bad_max);
-      episode.gilbert.p_bad_to_good = rng.UniformDouble(0.05, options.ge_p_bad_to_good_max);
+      episode.gilbert.p_good_to_bad = rng.UniformDouble(0.01, kGilbertGoodToBadMax);
+      episode.gilbert.p_bad_to_good = rng.UniformDouble(0.05, kGilbertBadToGoodMax);
       episode.gilbert.loss_good = 0.0;
       episode.gilbert.loss_bad = rng.UniformDouble(0.1, options.corrupt_burst_max);
       episode.magnitude = episode.gilbert.loss_bad;
-      MaybeAsymmetric(episode, options.asymmetric_probability, rng);
+      MaybeAsymmetric(episode, kAsymmetricProbability, rng);
       break;
   }
   return episode;
@@ -148,18 +160,14 @@ FaultSchedule FaultSchedule::Random(const RandomFaultOptions& options, uint64_t 
   }
   // New kinds draw after every legacy kind: a given seed's schedule keeps
   // its old episodes as a prefix and only gains episodes at the tail.
-  if (options.include_gilbert_elliott) {
-    draw_kind(FaultKind::kGilbertElliott);
-  }
-  if (options.asymmetric_probability > 0.0) {
-    // Direction-targeted drop bursts on top of the symmetric population.
-    const int64_t cap = static_cast<int64_t>(2.0 * options.episodes_per_kind);
-    const int64_t count = cap <= 0 ? 0 : rng.UniformInt(0, cap);
-    for (int64_t i = 0; i < count; ++i) {
-      FaultEpisode episode = DrawEpisode(FaultKind::kDropBurst, options, rng);
-      MaybeAsymmetric(episode, 1.0, rng);
-      episodes.push_back(episode);
-    }
+  draw_kind(FaultKind::kGilbertElliott);
+  // Direction-targeted drop bursts on top of the symmetric population.
+  const int64_t cap = static_cast<int64_t>(2.0 * options.episodes_per_kind);
+  const int64_t count = cap <= 0 ? 0 : rng.UniformInt(0, cap);
+  for (int64_t i = 0; i < count; ++i) {
+    FaultEpisode episode = DrawEpisode(FaultKind::kDropBurst, options, rng);
+    MaybeAsymmetric(episode, 1.0, rng);
+    episodes.push_back(episode);
   }
   // Corruption draws last — after the asymmetric drop block — so every
   // older seed's episode prefix survives unchanged.
@@ -173,51 +181,49 @@ FaultSchedule FaultSchedule::CrashStorm(const CrashStormOptions& options, uint64
   Rng rng(seed);
   std::vector<FaultEpisode> episodes;
   const double horizon = options.horizon_seconds;
-  const double crash_len = horizon * options.crash_duration_fraction;
-  for (int i = 0; i < options.crash_count; ++i) {
+  const double crash_len = horizon * kCrashStormDurationFraction;
+  for (int i = 0; i < kCrashStormCrashes; ++i) {
     FaultEpisode crash;
     crash.kind = FaultKind::kCrashRestart;
     // Evenly spread with a jittered offset, alternating victims, so
     // crashes land across the whole run rather than clumping at one end.
-    const double slot = horizon / (options.crash_count + 1);
+    const double slot = horizon / (kCrashStormCrashes + 1);
     crash.start_seconds = slot * (i + 1) + rng.UniformDouble(-0.3, 0.3) * slot;
     crash.start_seconds = std::clamp(crash.start_seconds, 0.0, horizon - crash_len);
     crash.duration_seconds = crash_len;
     crash.machine = (i % 2 == 0) ? kServerMachine : kClientMachine;
-    crash.magnitude = options.restart_penalty_seconds;
+    crash.magnitude = kCrashStormRestartPenaltySeconds;
     episodes.push_back(crash);
   }
-  if (options.include_gilbert_elliott) {
-    // One bursty loss regime per direction, each with its own chain odds:
-    // the server-bound path degrades harder than the client-bound path.
-    FaultEpisode toward_server;
-    toward_server.kind = FaultKind::kGilbertElliott;
-    toward_server.start_seconds = 0.0;
-    toward_server.duration_seconds = horizon;
-    toward_server.machine = kServerMachine;
-    toward_server.direction = FaultDirection::kInbound;
-    toward_server.gilbert = {0.12, 0.25, 0.01, 0.6};
-    toward_server.magnitude = toward_server.gilbert.loss_bad;
-    episodes.push_back(toward_server);
+  // One bursty loss regime per direction, each with its own chain odds:
+  // the server-bound path degrades harder than the client-bound path.
+  FaultEpisode loss_to_server;
+  loss_to_server.kind = FaultKind::kGilbertElliott;
+  loss_to_server.start_seconds = 0.0;
+  loss_to_server.duration_seconds = horizon;
+  loss_to_server.machine = kServerMachine;
+  loss_to_server.direction = FaultDirection::kInbound;
+  loss_to_server.gilbert = {0.12, 0.25, 0.01, 0.6};
+  loss_to_server.magnitude = loss_to_server.gilbert.loss_bad;
+  episodes.push_back(loss_to_server);
 
-    FaultEpisode toward_client;
-    toward_client.kind = FaultKind::kGilbertElliott;
-    toward_client.start_seconds = 0.0;
-    toward_client.duration_seconds = horizon;
-    toward_client.machine = kClientMachine;
-    toward_client.direction = FaultDirection::kInbound;
-    toward_client.gilbert = {0.05, 0.4, 0.005, 0.35};
-    toward_client.magnitude = toward_client.gilbert.loss_bad;
-    episodes.push_back(toward_client);
-  }
-  if (options.include_partition) {
-    FaultEpisode partition;
-    partition.kind = FaultKind::kPartition;
-    partition.start_seconds = horizon * rng.UniformDouble(0.4, 0.6);
-    partition.duration_seconds = horizon * 0.04;
-    partition.machine = kAnyMachine;
-    episodes.push_back(partition);
-  }
+  FaultEpisode loss_to_client;
+  loss_to_client.kind = FaultKind::kGilbertElliott;
+  loss_to_client.start_seconds = 0.0;
+  loss_to_client.duration_seconds = horizon;
+  loss_to_client.machine = kClientMachine;
+  loss_to_client.direction = FaultDirection::kInbound;
+  loss_to_client.gilbert = {0.05, 0.4, 0.005, 0.35};
+  loss_to_client.magnitude = loss_to_client.gilbert.loss_bad;
+  episodes.push_back(loss_to_client);
+
+  FaultEpisode partition;
+  partition.kind = FaultKind::kPartition;
+  partition.start_seconds = horizon * rng.UniformDouble(0.4, 0.6);
+  partition.duration_seconds = horizon * 0.04;
+  partition.machine = kAnyMachine;
+  episodes.push_back(partition);
+
   if (options.corruption_rate > 0.0) {
     // Per-direction corruption regimes over the middle of the horizon —
     // the server-bound leg corrupts at the full rate, the client-bound

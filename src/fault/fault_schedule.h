@@ -130,32 +130,20 @@ struct RandomFaultOptions {
   double restart_penalty_seconds = 0.2;
   bool include_partitions = true;
   bool include_crashes = true;
-  // Gilbert-Elliott episodes (drawn after every legacy kind so older
-  // seeds keep their episode prefix).
-  bool include_gilbert_elliott = true;
-  double ge_p_good_to_bad_max = 0.25;
-  double ge_p_bad_to_good_max = 0.5;
-  double ge_loss_bad_max = 0.8;
-  // Probability that a drawn drop/GE/latency episode targets one machine
-  // in one direction instead of all traffic symmetrically.
-  double asymmetric_probability = 0.35;
   // Payload-corruption bursts (drawn after every older kind, same
-  // seed-prefix rule as Gilbert-Elliott above).
+  // seed-prefix rule as Gilbert-Elliott episodes).
   bool include_corrupt_bursts = true;
   double corrupt_burst_max = 0.6;
 };
 
-// A deterministic crash-storm: alternating crash-restart episodes on both
-// machines, a horizon-spanning asymmetric Gilbert-Elliott loss regime,
-// and a mid-run partition — the schedule migrations must survive.
+// A deterministic crash-storm: kCrashStormCrashes alternating
+// crash-restart episodes on both machines, a horizon-spanning asymmetric
+// Gilbert-Elliott loss regime, and a mid-run partition — the schedule
+// migrations must survive.
+inline constexpr int kCrashStormCrashes = 6;
+
 struct CrashStormOptions {
   double horizon_seconds = 10.0;
-  int crash_count = 6;
-  // Each crash lasts this fraction of the horizon.
-  double crash_duration_fraction = 0.05;
-  double restart_penalty_seconds = 0.2;
-  bool include_gilbert_elliott = true;
-  bool include_partition = true;
   // > 0 adds per-direction payload-corruption regimes over the middle of
   // the horizon (bad-state corrupt probability; links heal before the
   // run ends, so breaker re-promotion is observable). 0 = no corruption,

@@ -3,6 +3,17 @@
 #include <cmath>
 
 namespace coign {
+namespace {
+
+// Representative payload sizes are kProfileSizePoints sizes geometrically
+// spaced over [kProfileMinBytes, kProfileMaxBytes], each sampled
+// kProfileSamplesPerSize times.
+constexpr uint64_t kProfileMinBytes = 16;
+constexpr uint64_t kProfileMaxBytes = 256 * 1024;
+constexpr int kProfileSizePoints = 24;
+constexpr int kProfileSamplesPerSize = 32;
+
+}  // namespace
 
 NetworkProfile NetworkProfile::Exact(const NetworkModel& model) {
   NetworkProfile profile;
@@ -13,18 +24,16 @@ NetworkProfile NetworkProfile::Exact(const NetworkModel& model) {
   return profile;
 }
 
-NetworkProfile NetworkProfiler::Profile(const Transport& transport, Rng& rng) const {
+NetworkProfile ProfileNetwork(const Transport& transport, Rng& rng) {
   std::vector<double> xs;
   std::vector<double> ys;
-  const double log_min = std::log(static_cast<double>(options_.min_bytes));
-  const double log_max = std::log(static_cast<double>(options_.max_bytes));
-  for (int p = 0; p < options_.size_points; ++p) {
-    const double t = options_.size_points > 1
-                         ? static_cast<double>(p) / (options_.size_points - 1)
-                         : 0.0;
+  const double log_min = std::log(static_cast<double>(kProfileMinBytes));
+  const double log_max = std::log(static_cast<double>(kProfileMaxBytes));
+  for (int p = 0; p < kProfileSizePoints; ++p) {
+    const double t = static_cast<double>(p) / (kProfileSizePoints - 1);
     const uint64_t bytes =
         static_cast<uint64_t>(std::llround(std::exp(log_min + t * (log_max - log_min))));
-    for (int s = 0; s < options_.samples_per_size; ++s) {
+    for (int s = 0; s < kProfileSamplesPerSize; ++s) {
       // One-way message time is half of a symmetric round trip of twice the
       // payload; sampling the round trip mirrors how a real profiler pings.
       const double rtt = transport.SampleRoundTripSeconds(bytes, bytes, rng);

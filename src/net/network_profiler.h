@@ -42,25 +42,9 @@ struct NetworkProfile {
   static NetworkProfile Exact(const NetworkModel& model);
 };
 
-struct NetworkProfilerOptions {
-  // Representative payload sizes are geometrically spaced over
-  // [min_bytes, max_bytes].
-  uint64_t min_bytes = 16;
-  uint64_t max_bytes = 256 * 1024;
-  int size_points = 24;
-  int samples_per_size = 32;
-};
-
-class NetworkProfiler {
- public:
-  explicit NetworkProfiler(NetworkProfilerOptions options = {}) : options_(options) {}
-
-  // Samples the transport and fits the profile.
-  NetworkProfile Profile(const Transport& transport, Rng& rng) const;
-
- private:
-  NetworkProfilerOptions options_;
-};
+// Samples round trips over `transport` at a fixed grid of payload sizes
+// (network_profiler.cc) and fits the profile.
+NetworkProfile ProfileNetwork(const Transport& transport, Rng& rng);
 
 }  // namespace coign
 

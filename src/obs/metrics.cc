@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <limits>
 
+#include "src/support/file_io.h"
 #include "src/support/str_util.h"
 
 namespace coign {
@@ -163,16 +163,7 @@ std::string MetricsRegistry::SnapshotJson() const {
 }
 
 Status MetricsRegistry::WriteText(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return InternalError("metrics: cannot open for write: " + path);
-  }
-  out << SnapshotText();
-  out.flush();
-  if (!out) {
-    return InternalError("metrics: write failed: " + path);
-  }
-  return Status::Ok();
+  return WriteFile(path, SnapshotText(), "metrics");
 }
 
 }  // namespace coign

@@ -33,9 +33,6 @@ inline constexpr int kTrackCounters = 6;
 
 class Observability {
  public:
-  explicit Observability(size_t trace_capacity = 8192)
-      : tracer_(trace_capacity) {}
-
   Tracer& tracer() { return tracer_; }
   MetricsRegistry& metrics() { return metrics_; }
 
@@ -64,7 +61,7 @@ class Observability {
   }
 
  private:
-  Tracer tracer_;
+  Tracer tracer_;  // Tracer::kDefaultCapacity events.
   MetricsRegistry metrics_;
   std::string dump_prefix_;
   int dump_limit_ = 8;

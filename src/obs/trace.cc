@@ -1,9 +1,9 @@
 #include "src/obs/trace.h"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
+#include "src/support/file_io.h"
 #include "src/support/str_util.h"
 
 namespace coign {
@@ -211,16 +211,7 @@ std::string Tracer::ExportChromeTrace() const {
 }
 
 Status Tracer::WriteChromeTrace(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return InternalError("trace: cannot open for write: " + path);
-  }
-  out << ExportChromeTrace();
-  out.flush();
-  if (!out) {
-    return InternalError("trace: write failed: " + path);
-  }
-  return Status::Ok();
+  return WriteFile(path, ExportChromeTrace(), "trace");
 }
 
 void Tracer::Clear() {

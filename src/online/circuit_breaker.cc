@@ -5,6 +5,20 @@
 #include "src/support/str_util.h"
 
 namespace coign {
+namespace {
+
+// An epoch votes "bad" when undelivered/calls or corrupt_rejected/calls
+// crosses its threshold. Undelivered calls exhausted their whole retry
+// budget, so even a small fraction marks a very sick link; corrupt
+// rejects are retried within the budget and need a higher rate to mean
+// the link (and not one unlucky burst) is at fault.
+constexpr double kUndeliveredThreshold = 0.05;
+constexpr double kCorruptThreshold = 0.20;
+// Epochs with fewer calls than this cast no vote either way (too little
+// traffic to judge a link).
+constexpr uint64_t kMinCalls = 4;
+
+}  // namespace
 
 std::string_view BreakerStateName(BreakerState state) {
   switch (state) {
@@ -30,15 +44,13 @@ void CircuitBreaker::Open() {
 void CircuitBreaker::Observe(const BreakerSample& epoch) {
   switch (state_) {
     case BreakerState::kClosed: {
-      if (epoch.calls < config_.min_calls) {
+      if (epoch.calls < kMinCalls) {
         return;  // Too little traffic to judge the link either way.
       }
       const double calls = static_cast<double>(epoch.calls);
       const bool bad =
-          static_cast<double>(epoch.undelivered) / calls >
-              config_.undelivered_threshold ||
-          static_cast<double>(epoch.corrupt_rejected) / calls >
-              config_.corrupt_threshold;
+          static_cast<double>(epoch.undelivered) / calls > kUndeliveredThreshold ||
+          static_cast<double>(epoch.corrupt_rejected) / calls > kCorruptThreshold;
       if (!bad) {
         consecutive_bad_ = 0;
         return;

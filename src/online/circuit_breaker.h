@@ -31,27 +31,18 @@
 
 namespace coign {
 
+// An epoch votes "bad" when its undelivered or corrupt-rejected fraction
+// of calls crosses a threshold, and epochs with too few calls cast no
+// vote (kUndeliveredThreshold, kCorruptThreshold and kMinCalls in
+// circuit_breaker.cc).
 struct BreakerConfig {
   bool enabled = false;
-  // An epoch votes "bad" when undelivered/calls or corrupt_rejected/calls
-  // crosses its threshold. Undelivered calls exhausted their whole retry
-  // budget, so even a small fraction marks a very sick link; corrupt
-  // rejects are retried within the budget and need a higher rate to mean
-  // the link (and not one unlucky burst) is at fault.
-  double undelivered_threshold = 0.05;
-  double corrupt_threshold = 0.20;
-  // Epochs with fewer calls than this cast no vote either way (too little
-  // traffic to judge a link).
-  uint64_t min_calls = 4;
   // Consecutive bad epochs before the breaker opens.
   int trip_after = 2;
   // Epoch boundaries the breaker holds open before probing; doubles on
   // every failed probe, capped at max_open_epochs.
   uint64_t open_epochs = 2;
   uint64_t max_open_epochs = 16;
-  // Synthetic round trips per half-open probe and their payload size.
-  int probe_calls = 4;
-  uint64_t probe_bytes = 256;
 };
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };

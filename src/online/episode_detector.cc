@@ -1,6 +1,24 @@
 #include "src/online/episode_detector.h"
 
 namespace coign {
+namespace {
+
+// Absolute floor of the quarantine trigger: with a clean baseline, an
+// epoch is quarantined when faulted calls / remote calls exceeds this.
+constexpr double kFaultedFractionThreshold = 0.05;
+// Trigger scales with the learned steady-state fault level:
+//   fraction > threshold + multiplier * baseline  =>  quarantine.
+constexpr double kBaselineMultiplier = 3.0;
+// EWMA weight of the newest healthy epoch in the baselines. Quarantined
+// epochs never update them.
+constexpr double kBaselineAlpha = 0.3;
+// Silent-degradation trigger: quarantine an epoch whose per-call latency
+// or per-byte payload time exceeds this multiple of the healthy-epoch
+// baseline, even when no individual call was marked faulted (a congested
+// or re-routed wire slows everything without tripping the retry path).
+constexpr double kSlowdownMultiplier = 3.0;
+
+}  // namespace
 
 FaultEpisodeDetector::Verdict FaultEpisodeDetector::Observe(
     const EpochHealthSample& epoch) {
@@ -20,17 +38,15 @@ FaultEpisodeDetector::Verdict FaultEpisodeDetector::Observe(
   if (primed_) {
     // Visible faults: baseline-relative so steady background loss is the
     // network, not an episode.
-    const double fraction_trigger = config_.faulted_fraction_threshold +
-                                    config_.baseline_multiplier * fraction_baseline_;
+    const double fraction_trigger =
+        kFaultedFractionThreshold + kBaselineMultiplier * fraction_baseline_;
     if (fraction > fraction_trigger) {
       verdict.episode = Trigger::kFaultedFraction;
     } else if (latency_per_call_baseline_ > 0.0 &&
-               latency_per_call >
-                   config_.slowdown_multiplier * latency_per_call_baseline_) {
+               latency_per_call > kSlowdownMultiplier * latency_per_call_baseline_) {
       verdict.episode = Trigger::kLatencySlowdown;
     } else if (payload_per_byte_baseline_ > 0.0 &&
-               payload_per_byte >
-                   config_.slowdown_multiplier * payload_per_byte_baseline_) {
+               payload_per_byte > kSlowdownMultiplier * payload_per_byte_baseline_) {
       verdict.episode = Trigger::kPayloadSlowdown;
     }
   }
@@ -47,7 +63,6 @@ FaultEpisodeDetector::Verdict FaultEpisodeDetector::Observe(
   // Healthy epoch: absorb it. Rate baselines only move on epochs that
   // carried the corresponding traffic, so an idle epoch cannot drag the
   // per-call or per-byte baselines toward zero.
-  const double alpha = config_.baseline_alpha;
   if (!primed_) {
     fraction_baseline_ = fraction;
     latency_per_call_baseline_ = latency_per_call;
@@ -55,14 +70,15 @@ FaultEpisodeDetector::Verdict FaultEpisodeDetector::Observe(
     primed_ = true;
     return verdict;
   }
-  fraction_baseline_ = (1.0 - alpha) * fraction_baseline_ + alpha * fraction;
+  fraction_baseline_ =
+      (1.0 - kBaselineAlpha) * fraction_baseline_ + kBaselineAlpha * fraction;
   if (epoch.calls > 0) {
-    latency_per_call_baseline_ =
-        (1.0 - alpha) * latency_per_call_baseline_ + alpha * latency_per_call;
+    latency_per_call_baseline_ = (1.0 - kBaselineAlpha) * latency_per_call_baseline_ +
+                                 kBaselineAlpha * latency_per_call;
   }
   if (epoch.wire_bytes > 0) {
-    payload_per_byte_baseline_ =
-        (1.0 - alpha) * payload_per_byte_baseline_ + alpha * payload_per_byte;
+    payload_per_byte_baseline_ = (1.0 - kBaselineAlpha) * payload_per_byte_baseline_ +
+                                 kBaselineAlpha * payload_per_byte;
   }
   return verdict;
 }

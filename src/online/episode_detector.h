@@ -7,8 +7,8 @@
 // any of them:
 //   - faulted fraction  > threshold + multiplier * fraction baseline
 //     (visible faults: drops, timeouts, duplicates, scaled attempts);
-//   - per-call latency  > slowdown_multiplier * latency baseline, or
-//   - per-byte payload  > slowdown_multiplier * payload baseline
+//   - per-call latency  > kSlowdownMultiplier * latency baseline, or
+//   - per-byte payload  > kSlowdownMultiplier * payload baseline
 //     (silent degradation: the wire got slower without a single call
 //     being marked faulted — a congested link, a re-routed path).
 // Quarantined epochs never update any baseline, so a long episode cannot

@@ -5,6 +5,12 @@
 #include "src/sim/accountant.h"
 
 namespace coign {
+namespace {
+
+// Seed of the scenario bodies' RNG: every run replays the same workload.
+constexpr uint64_t kScenarioSeed = 17;
+
+}  // namespace
 
 std::vector<OnlinePhase> CyclicWorkload(const std::vector<std::string>& scenarios,
                                         int repetitions, int cycles) {
@@ -70,7 +76,7 @@ Result<OnlineRunResult> MeasureOnlineRun(Application& app,
     }
   }
 
-  Rng rng(options.scenario_seed);
+  Rng rng(kScenarioSeed);
   for (const OnlinePhase& phase : workload) {
     Result<Scenario> scenario = app.FindScenario(phase.scenario_id);
     if (!scenario.ok()) {

@@ -49,7 +49,6 @@ struct OnlineMeasurementOptions {
   NetworkProfile fitted;
   OnlineOptions online;
   bool adaptive = true;  // False: measure the fixed distribution only.
-  uint64_t scenario_seed = 17;
   // Non-null → the run executes under this fault model (not owned) with
   // the hardened transport; the repartitioner additionally gets a
   // transport-health probe so the quarantine rule and the live network

@@ -1,9 +1,9 @@
 #include "src/online/migration_journal.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "src/support/crc32c.h"
+#include "src/support/file_io.h"
 #include "src/support/str_util.h"
 
 namespace coign {
@@ -190,26 +190,15 @@ Result<MigrationJournal> MigrationJournal::Parse(const std::string& text) {
 }
 
 Status MigrationJournal::SaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return InternalError("migration journal: cannot open for write: " + path);
-  }
-  out << Serialize();
-  out.flush();
-  if (!out) {
-    return InternalError("migration journal: write failed: " + path);
-  }
-  return Status::Ok();
+  return WriteFile(path, Serialize(), "migration journal");
 }
 
 Result<MigrationJournal> MigrationJournal::LoadFromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return NotFoundError("migration journal: cannot open: " + path);
+  Result<std::string> text = ReadFile(path, "migration journal");
+  if (!text.ok()) {
+    return text.status();
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Parse(buffer.str());
+  return Parse(*text);
 }
 
 std::string MigrationJournal::ToString() const {

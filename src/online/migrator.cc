@@ -3,6 +3,16 @@
 #include "src/support/str_util.h"
 
 namespace coign {
+namespace {
+
+// Destination's copy-ack reply size.
+constexpr uint64_t kCopyAckBytes = 64;
+// Transport round trips the copy phase may spend per instance before the
+// move is journaled rolled-back and deferred (each round trip already
+// retries internally under the transport's RetryPolicy).
+constexpr int kCopyAttemptsPerInstance = 2;
+
+}  // namespace
 
 std::string MigrationReport::ToString() const {
   std::string out = StrFormat("migration{instances=%llu, bytes=%llu, seconds=%.4f",
@@ -135,9 +145,9 @@ Result<MigrationReport> LiveMigrator::Migrate(ObjectSystem& system,
     // round trip is acked or the per-instance budget runs out.
     bool copied = false;
     double copy_seconds = 0.0;
-    for (int attempt = 0; attempt < options_.copy_attempts_per_instance; ++attempt) {
+    for (int attempt = 0; attempt < kCopyAttemptsPerInstance; ++attempt) {
       const DeliveryReceipt receipt = transport.ReliableRoundTrip(
-          info.machine, destination, state_bytes, options_.ack_bytes, jitter_rng);
+          info.machine, destination, state_bytes, kCopyAckBytes, jitter_rng);
       report.copy_rpcs += 1;
       report.seconds += receipt.seconds;
       copy_seconds += receipt.seconds;

@@ -48,12 +48,6 @@ struct MigrationOptions {
   // The fallback when no per-instance state-size resolver is set (or the
   // resolver has no allocation data for an instance's classification).
   uint64_t state_bytes_per_instance = 4096;
-  // Destination's copy-ack reply size.
-  uint64_t ack_bytes = 64;
-  // Transport round trips the copy phase may spend per instance before the
-  // move is journaled rolled-back and deferred (each round trip already
-  // retries internally under the transport's RetryPolicy).
-  int copy_attempts_per_instance = 2;
 };
 
 struct MigrationReport {
@@ -94,10 +88,6 @@ class LiveMigrator {
 
   LiveMigrator(const MigrationOptions& options, ClassificationResolver resolver)
       : options_(options), resolver_(std::move(resolver)) {}
-  LiveMigrator(uint64_t state_bytes_per_instance, ClassificationResolver resolver)
-      : resolver_(std::move(resolver)) {
-    options_.state_bytes_per_instance = state_bytes_per_instance;
-  }
 
   // Serialized state size of one live instance, in bytes. Profiled
   // allocation drives this (heterogeneous components ship heterogeneous

@@ -1,6 +1,12 @@
 #include "src/online/net_estimator.h"
 
 namespace coign {
+namespace {
+
+// EWMA weight of the newest healthy epoch in the live network estimate.
+constexpr double kAlpha = 0.4;
+
+}  // namespace
 
 void LiveNetworkEstimator::ObserveEpoch(uint64_t remote_calls, uint64_t wire_bytes,
                                         double latency_seconds, double payload_seconds) {
@@ -11,11 +17,11 @@ void LiveNetworkEstimator::ObserveEpoch(uint64_t remote_calls, uint64_t wire_byt
   const double observed_per_message =
       latency_seconds / (2.0 * static_cast<double>(remote_calls));
   live_.per_message_seconds =
-      (1.0 - alpha_) * live_.per_message_seconds + alpha_ * observed_per_message;
+      (1.0 - kAlpha) * live_.per_message_seconds + kAlpha * observed_per_message;
   if (wire_bytes > 0) {
     const double observed_per_byte = payload_seconds / static_cast<double>(wire_bytes);
     live_.seconds_per_byte =
-        (1.0 - alpha_) * live_.seconds_per_byte + alpha_ * observed_per_byte;
+        (1.0 - kAlpha) * live_.seconds_per_byte + kAlpha * observed_per_byte;
   }
   ++epochs_observed_;
 }

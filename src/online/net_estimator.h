@@ -25,9 +25,7 @@ namespace coign {
 
 class LiveNetworkEstimator {
  public:
-  // `alpha` is the EWMA weight of the newest epoch (0 = frozen at fitted).
-  explicit LiveNetworkEstimator(NetworkProfile fitted, double alpha = 0.4)
-      : fitted_(fitted), live_(fitted), alpha_(alpha) {}
+  explicit LiveNetworkEstimator(NetworkProfile fitted) : fitted_(fitted), live_(fitted) {}
 
   // Folds one epoch of observed call traffic into the live estimate.
   // Epochs without remote calls carry no signal and are ignored; the
@@ -54,7 +52,6 @@ class LiveNetworkEstimator {
  private:
   NetworkProfile fitted_;
   NetworkProfile live_;
-  double alpha_;
   uint64_t epochs_observed_ = 0;
 };
 

@@ -4,6 +4,13 @@
 #include "src/support/str_util.h"
 
 namespace coign {
+namespace {
+
+// Safety multiplier on the modeled migration cost (>= 1 biases toward
+// staying put, the competitive-analysis "rent longer" bias).
+constexpr double kMigrationSafety = 1.0;
+
+}  // namespace
 
 Result<RepartitionDecision> RepartitionPolicy::Evaluate(
     const IccProfile& windowed, const NetworkProfile& network, const Distribution& current,
@@ -86,7 +93,7 @@ Result<RepartitionDecision> RepartitionPolicy::Evaluate(
   // horizon runs on the new cut, minus the state-transfer bill) or adopt
   // lazily (live instances rent the old cut through the first window; only
   // later windows — fresh instances placed by the factories — gain).
-  const double buy_cost = decision.migration_seconds * config_.migration_safety;
+  const double buy_cost = decision.migration_seconds * kMigrationSafety;
   const double migrate_net = gain * config_.horizon_windows - buy_cost;
   const double adopt_net = gain * (config_.horizon_windows - 1.0);
   if (migrate_net <= 0.0 && adopt_net <= 0.0) {

@@ -39,9 +39,6 @@ struct RepartitionConfig {
   // Hysteresis: proposed cuts must beat the current distribution by at
   // least this fraction of its communication time.
   double min_relative_gain = 0.05;
-  // Safety multiplier on the modeled migration cost (>= 1 biases toward
-  // staying put, the competitive-analysis "rent longer" bias).
-  double migration_safety = 1.0;
   // Below this much decayed window traffic, never repartition.
   double min_window_messages = 100.0;
 };
@@ -59,32 +56,17 @@ struct RepartitionConfig {
 // Detection is baseline-relative: an EWMA of healthy epochs' faulted
 // fraction tracks the steady background fault level (which retries absorb
 // and the live estimator prices in), and an epoch is quarantined only
-// when its fraction exceeds `faulted_fraction_threshold` plus
-// `baseline_multiplier` times that baseline. A lossy-but-steady link is
+// when its fraction exceeds kFaultedFractionThreshold plus
+// kBaselineMultiplier times that baseline. A lossy-but-steady link is
 // the network, not an episode. Silent degradation — the wire slowing
 // without any call being marked faulted — is screened the same way
 // against per-call latency and per-byte payload baselines (the
-// FaultEpisodeDetector in episode_detector.h implements the rule).
+// FaultEpisodeDetector in episode_detector.h implements the rule; the
+// constants live in episode_detector.cc).
 struct QuarantineConfig {
   bool enabled = true;
-  // Absolute floor of the quarantine trigger: with a clean baseline, an
-  // epoch is quarantined when faulted calls / remote calls exceeds this.
-  double faulted_fraction_threshold = 0.05;
-  // Trigger scales with the learned steady-state fault level:
-  //   fraction > threshold + multiplier * baseline  =>  quarantine.
-  double baseline_multiplier = 3.0;
-  // EWMA weight of the newest healthy epoch in the faulted-fraction
-  // baseline. Quarantined epochs never update the baseline.
-  double baseline_alpha = 0.3;
-  // Silent-degradation trigger: quarantine an epoch whose per-call latency
-  // or per-byte payload time exceeds this multiple of the healthy-epoch
-  // baseline, even when no individual call was marked faulted (a congested
-  // or re-routed wire slows everything without tripping the retry path).
-  double slowdown_multiplier = 3.0;
   // Extra epochs of distrust after the detector last fired.
   uint64_t hold_epochs = 1;
-  // EWMA weight of the newest healthy epoch in the live network estimate.
-  double estimator_alpha = 0.4;
 };
 
 enum class RejectCause {

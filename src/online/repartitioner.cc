@@ -8,6 +8,13 @@
 #include "src/support/str_util.h"
 
 namespace coign {
+namespace {
+
+// Synthetic round trips per half-open breaker probe and their payload size.
+constexpr int kBreakerProbeCalls = 4;
+constexpr uint64_t kBreakerProbeBytes = 256;
+
+}  // namespace
 
 std::string OnlineStats::ToString() const {
   std::string out = StrFormat(
@@ -111,8 +118,7 @@ void OnlineRepartitioner::SetObservability(Observability* obs) {
 void OnlineRepartitioner::SetTransportProbe(TransportProbeFn probe) {
   probe_ = std::move(probe);
   if (probe_) {
-    estimator_ = std::make_unique<LiveNetworkEstimator>(
-        network_, options_.quarantine.estimator_alpha);
+    estimator_ = std::make_unique<LiveNetworkEstimator>(network_);
     call_health_ = probe_();
     epoch_health_ = call_health_;
   } else {
@@ -129,8 +135,6 @@ ClassificationId OnlineRepartitioner::ClassificationOf(InstanceId instance) cons
 LiveMigrator OnlineRepartitioner::MakeJournaledMigrator() const {
   MigrationOptions options;
   options.state_bytes_per_instance = options_.policy.state_bytes_per_instance;
-  options.ack_bytes = options_.migration_ack_bytes;
-  options.copy_attempts_per_instance = options_.migration_copy_attempts;
   LiveMigrator migrator(options, [this](InstanceId id) { return ClassificationOf(id); });
   if (crash_gate_) {
     migrator.SetCrashGate(crash_gate_);
@@ -217,7 +221,7 @@ Status OnlineRepartitioner::ResumePendingMigration() {
   stats_.migration_rollbacks += recovered->instances_rolled_back;
   stats_.migration_wasted_bytes += recovered->wasted_bytes;
   pending.journal.Clear();
-  if (pending.resumes > options_.max_migration_resumes) {
+  if (pending.resumes > kMaxMigrationResumes) {
     // Give up: residency is consistent, stragglers rent the old placement
     // at their source until the next accepted repartition moves them.
     AbandonPendingMigration();
@@ -249,11 +253,10 @@ bool OnlineRepartitioner::RunBreakerProbe(const BreakerSample& sample) {
     return sample.calls > 0 && sample.undelivered == 0 &&
            sample.corrupt_rejected == 0;
   }
-  const BreakerConfig& config = options_.breaker;
   uint64_t bad = 0;
-  for (int i = 0; i < config.probe_calls; ++i) {
+  for (int i = 0; i < kBreakerProbeCalls; ++i) {
     const DeliveryReceipt receipt = migration_transport_->ReliableRoundTrip(
-        kClientMachine, kServerMachine, config.probe_bytes, config.probe_bytes,
+        kClientMachine, kServerMachine, kBreakerProbeBytes, kBreakerProbeBytes,
         migration_jitter_);
     if (!receipt.delivered || receipt.corrupt_rejected > 0) {
       ++bad;
@@ -390,7 +393,6 @@ void OnlineRepartitioner::OnCompute(InstanceId instance, double seconds) {
 
 Status OnlineRepartitioner::EndEpoch() {
   ++stats_.epochs;
-  ++epochs_since_evaluation_;
   Tracer* tracer = obs_ != nullptr ? &obs_->tracer() : nullptr;
   TraceSpan epoch_span(tracer, "epoch", "online", kTrackOnline);
   epoch_span.AddArg("epoch", stats_.epochs);
@@ -489,7 +491,7 @@ Status OnlineRepartitioner::EndEpoch() {
     return Status::Ok();
   }
 
-  last_drift_ = DetectDrift(base_counts_, window_.WindowMessageCounts(), options_.drift);
+  last_drift_ = DetectDrift(base_counts_, window_.WindowMessageCounts());
   if (last_drift_.reprofile_recommended) {
     ++stats_.drift_flags;
     if (obs_ != nullptr) {
@@ -522,9 +524,7 @@ Status OnlineRepartitioner::EndEpoch() {
     --cooldown_remaining_;
     return Status::Ok();
   }
-  const bool periodic = options_.epochs_per_recut > 0 &&
-                        epochs_since_evaluation_ >= options_.epochs_per_recut;
-  if (!last_drift_.reprofile_recommended && !periodic) {
+  if (!last_drift_.reprofile_recommended) {
     return Status::Ok();
   }
 
@@ -549,7 +549,6 @@ Status OnlineRepartitioner::EndEpoch() {
   }
   last_decision_ = *decision;
   ++stats_.evaluations;
-  epochs_since_evaluation_ = 0;
   if (obs_ != nullptr) {
     obs_->metrics().GetCounter("online.evaluations")->Add(1);
     // Solver-work deltas since the last sync: the policy session's stats

@@ -4,13 +4,12 @@
 // inter-component call (MessageCounts-style, O(1) per call) through the
 // sliding-window accountant. At each epoch boundary it runs the drift
 // detector against the profile the current distribution was computed from;
-// when drift fires (or on a configured periodic re-cut), it re-runs the
-// analysis engine over the windowed graph and asks the rent-or-buy policy
-// whether the better cut is worth the migration bill. Accepted cuts are
-// realized immediately: live instances are moved by the migrator (state
-// bytes charged to the network) and the runtime adopts the new
-// distribution so its component factories place future instances per the
-// new cut.
+// when drift fires, it re-runs the analysis engine over the windowed graph
+// and asks the rent-or-buy policy whether the better cut is worth the
+// migration bill. Accepted cuts are realized immediately: live instances
+// are moved by the migrator (state bytes charged to the network) and the
+// runtime adopts the new distribution so its component factories place
+// future instances per the new cut.
 
 #ifndef COIGN_SRC_ONLINE_REPARTITIONER_H_
 #define COIGN_SRC_ONLINE_REPARTITIONER_H_
@@ -36,13 +35,16 @@
 
 namespace coign {
 
+// Epoch boundaries an interrupted/incomplete migration may resume at
+// before recovery abandons it (stragglers rent the old placement).
+inline constexpr uint64_t kMaxMigrationResumes = 8;
+
 struct OnlineOptions {
   WindowOptions window;
   RepartitionConfig policy;
-  DriftOptions drift;
   AnalysisOptions analysis;
-  // Re-evaluate the cut every this many epochs even without drift;
-  // 0 = drift-driven only.
+  // Ignored: re-cuts are drift-driven only. Kept because the benchmark
+  // (coignbench/workload_online.cc) still sets it.
   uint64_t epochs_per_recut = 0;
   // Epochs to sit still after an accepted repartition (anti-thrash).
   uint64_t cooldown_epochs = 1;
@@ -55,12 +57,6 @@ struct OnlineOptions {
   // and migration resumes; half-open probes re-promote the saved
   // distributed plan once the link heals.
   BreakerConfig breaker;
-  // Journaled-migration knobs (effective with SetMigrationTransport).
-  uint64_t migration_ack_bytes = 64;
-  int migration_copy_attempts = 2;
-  // Epoch boundaries an interrupted/incomplete migration may resume at
-  // before recovery abandons it (stragglers rent the old placement).
-  uint64_t max_migration_resumes = 8;
   // Non-empty: the pending migration journal is snapshotted to this file
   // after every journaled step, an existing file is recovered from at
   // construction (torn tails tolerated), and the file is removed when the
@@ -139,7 +135,7 @@ class OnlineRepartitioner : public ObjectSystem::Interceptor {
   // copies travel the hardened wire, every step is write-ahead journaled,
   // and an interrupted migration re-enters the policy loop — each healthy
   // epoch boundary runs crash recovery from the journal and re-attempts
-  // the stragglers, up to max_migration_resumes. Quarantined epochs do not
+  // the stragglers, up to kMaxMigrationResumes. Quarantined epochs do not
   // resume: recovery too waits out detected fault episodes.
   void SetMigrationTransport(Transport* transport, Rng* jitter_rng) {
     migration_transport_ = transport;
@@ -233,7 +229,6 @@ class OnlineRepartitioner : public ObjectSystem::Interceptor {
   OnlineStats stats_;
   DriftReport last_drift_;
   RepartitionDecision last_decision_;
-  uint64_t epochs_since_evaluation_ = 0;
   uint64_t cooldown_remaining_ = 0;
   // Journaled migration path.
   Transport* migration_transport_ = nullptr;  // Not owned; null = model-priced.

@@ -5,6 +5,12 @@
 namespace coign {
 namespace {
 
+// Decayed call weights below this are dropped at epoch boundaries.
+constexpr double kPruneWeight = 0.01;
+// Mean one-way bytes assumed for calls the profiling scenarios never saw
+// (the lightweight runtime counts messages but cannot size them).
+constexpr uint64_t kUnprofiledMessageBytes = 64;
+
 // Scales a profiled histogram so its call count matches the window's
 // decayed weight, preserving the profiled size distribution.
 ExponentialHistogram ScaleHistogram(const ExponentialHistogram& h, double ratio) {
@@ -40,7 +46,7 @@ void SlidingWindowGraph::AdvanceEpoch() {
   for (auto it = window_.begin(); it != window_.end();) {
     it->second.weight *= options_.decay;
     it->second.non_remotable *= options_.decay;
-    if (it->second.weight < options_.prune_weight &&
+    if (it->second.weight < kPruneWeight &&
         epoch_.find(it->first) == epoch_.end()) {
       it = window_.erase(it);
     } else {
@@ -116,7 +122,7 @@ IccProfile SlidingWindowGraph::WindowedProfile(
            live_classifications.find(id) != live_classifications.end();
   };
   for (const auto& [key, cell] : window_) {
-    if (cell.weight < options_.prune_weight) {
+    if (cell.weight < kPruneWeight) {
       continue;
     }
     if (!known(key.src) || !known(key.dst)) {
@@ -138,8 +144,8 @@ IccProfile SlidingWindowGraph::WindowedProfile(
         continue;
       }
       ExponentialHistogram h;
-      h.AddBucket(ExponentialHistogram::BucketFor(options_.default_message_bytes), calls,
-                  calls * options_.default_message_bytes);
+      h.AddBucket(ExponentialHistogram::BucketFor(kUnprofiledMessageBytes), calls,
+                  calls * kUnprofiledMessageBytes);
       windowed.InjectCallSummary(key, h, h, non_remotable);
     }
   }

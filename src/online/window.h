@@ -7,8 +7,8 @@
 // Epoch-based exponential decay: Record() is O(1) into the current epoch's
 // accumulator; AdvanceEpoch() folds the accumulator into the decayed window
 // (window = decay * window + epoch) and prunes entries whose decayed weight
-// has fallen below a floor, so memory stays bounded no matter how long the
-// application runs or how its usage wanders.
+// has fallen below a floor (kPruneWeight, window.cc), so memory stays
+// bounded no matter how long the application runs or how its usage wanders.
 
 #ifndef COIGN_SRC_ONLINE_WINDOW_H_
 #define COIGN_SRC_ONLINE_WINDOW_H_
@@ -25,11 +25,6 @@ struct WindowOptions {
   // Per-epoch retention of old traffic; 0 forgets instantly, 1 never
   // forgets. 0.5 gives an effective window of ~2 epochs.
   double decay = 0.5;
-  // Decayed call weights below this are dropped at epoch boundaries.
-  double prune_weight = 0.01;
-  // Mean one-way bytes assumed for calls the profiling scenarios never saw
-  // (the lightweight runtime counts messages but cannot size them).
-  uint64_t default_message_bytes = 64;
 };
 
 class SlidingWindowGraph {
@@ -67,8 +62,8 @@ class SlidingWindowGraph {
   // re-analysis. Byte sizes come from `base`: a call key the profiling
   // scenarios saw re-uses its profiled size histograms scaled to the
   // window's observed call weight; an unprofiled key is synthesized at
-  // default_message_bytes. Keys are included only when both endpoint
-  // classifications carry metadata — from `base` or from
+  // kUnprofiledMessageBytes (window.cc). Keys are included only when both
+  // endpoint classifications carry metadata — from `base` or from
   // `live_classifications`, the registry of classifications first seen
   // during live execution (usage the profiling scenarios never covered).
   IccProfile WindowedProfile(

@@ -3,8 +3,8 @@
 #include <charconv>
 #include <cmath>
 #include <concepts>
-#include <fstream>
 
+#include "src/support/file_io.h"
 #include "src/support/str_util.h"
 
 namespace coign {
@@ -211,36 +211,15 @@ Result<IccProfile> ParseProfile(std::string_view text) {
 }
 
 Status WriteProfileFile(const IccProfile& profile, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return InternalError("cannot open profile file for writing: " + path);
-  }
-  out << SerializeProfile(profile);
-  if (!out.good()) {
-    return InternalError("short write to profile file: " + path);
-  }
-  return Status::Ok();
+  return WriteFile(path, SerializeProfile(profile), "profile file");
 }
 
 Result<IccProfile> ReadProfileFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return NotFoundError("cannot open profile file: " + path);
+  Result<std::string> text = ReadFile(path, "profile file");
+  if (!text.ok()) {
+    return text.status();
   }
-  // Read straight into the string, a chunk at a time. A failed read (a
-  // directory opens but does not read) sets badbit, not just eof.
-  constexpr size_t kChunk = 64 * 1024;
-  std::string text;
-  while (in) {
-    const size_t size = text.size();
-    text.resize(size + kChunk);
-    in.read(text.data() + size, kChunk);
-    text.resize(size + static_cast<size_t>(in.gcount()));
-  }
-  if (in.bad()) {
-    return InternalError("cannot read profile file: " + path);
-  }
-  return ParseProfile(text);
+  return ParseProfile(*text);
 }
 
 Result<IccProfile> MergeProfileFiles(const std::vector<std::string>& paths) {

@@ -6,6 +6,14 @@
 #include "src/support/str_util.h"
 
 namespace coign {
+namespace {
+
+// Re-profiling is recommended below this similarity or above this
+// unprofiled fraction.
+constexpr double kDriftSimilarityThreshold = 0.85;
+constexpr double kDriftUnprofiledThreshold = 0.05;
+
+}  // namespace
 
 uint64_t MessageCounts::PairKeyOf(ClassificationId src, ClassificationId dst) {
   ClassificationId a = src;
@@ -80,8 +88,8 @@ DriftReport DetectDrift(const MessageCounts& profiled, const MessageCounts& obse
       report.observed_messages == 0
           ? 0.0
           : static_cast<double>(unprofiled) / static_cast<double>(report.observed_messages);
-  report.reprofile_recommended = report.similarity < options.similarity_threshold ||
-                                 report.unprofiled_fraction > options.unprofiled_threshold;
+  report.reprofile_recommended = report.similarity < kDriftSimilarityThreshold ||
+                                 report.unprofiled_fraction > kDriftUnprofiledThreshold;
   return report;
 }
 

@@ -66,15 +66,15 @@ struct DriftReport {
 };
 
 struct DriftOptions {
-  double similarity_threshold = 0.85;
-  double unprofiled_threshold = 0.05;
   // Below this many observed messages, no judgment is made.
   uint64_t min_messages = 100;
 };
 
 // Compares `observed` with `profiled`, the CountsFromProfile of the profile
-// the distribution was chosen from. A caller that judges many windows
-// against one profile counts it once.
+// the distribution was chosen from, and recommends re-profiling when the
+// similarity falls below kDriftSimilarityThreshold or the unprofiled
+// fraction exceeds kDriftUnprofiledThreshold (drift.cc). A caller that
+// judges many windows against one profile counts it once.
 DriftReport DetectDrift(const MessageCounts& profiled, const MessageCounts& observed,
                         const DriftOptions& options = {});
 

@@ -1,6 +1,5 @@
 #include "src/sim/fleet_population.h"
 
-#include <cassert>
 #include <cmath>
 
 namespace coign {
@@ -32,9 +31,7 @@ std::vector<FleetArchetype> DefaultFleetArchetypes() {
 
 std::vector<FleetClient> GenerateFleet(const FleetPopulationOptions& options,
                                        uint64_t seed) {
-  const std::vector<FleetArchetype> archetypes =
-      options.archetypes.empty() ? DefaultFleetArchetypes() : options.archetypes;
-  assert(!archetypes.empty());
+  const std::vector<FleetArchetype> archetypes = DefaultFleetArchetypes();
   double total_weight = 0.0;
   for (const FleetArchetype& archetype : archetypes) {
     total_weight += archetype.weight;
@@ -72,8 +69,8 @@ std::vector<FleetClient> GenerateFleet(const FleetPopulationOptions& options,
     if (options.lossy_fraction > 0.0 &&
         client_rng.UniformDouble() < options.lossy_fraction) {
       client.fault_rates.drop =
-          std::exp(client_rng.UniformDouble(std::log(options.min_drop_rate),
-                                            std::log(options.max_drop_rate)));
+          std::exp(client_rng.UniformDouble(std::log(kFleetMinDropRate),
+                                            std::log(kFleetMaxDropRate)));
     }
     fleet.push_back(std::move(client));
   }

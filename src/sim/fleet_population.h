@@ -43,18 +43,18 @@ struct FleetArchetype {
   double spread = 2.0;
 };
 
+// A lossy client's steady drop rate is drawn log-uniformly from
+// [kFleetMinDropRate, kFleetMaxDropRate].
+inline constexpr double kFleetMinDropRate = 1e-4;
+inline constexpr double kFleetMaxDropRate = 3e-2;
+
 struct FleetPopulationOptions {
   int client_count = 2000;
-  // Empty = DefaultFleetArchetypes().
-  std::vector<FleetArchetype> archetypes;
-  // Fraction of clients whose link drops packets, with the steady drop
-  // rate drawn log-uniformly from [min_drop_rate, max_drop_rate]. Loss is
-  // drawn after the link parameters on each client's forked stream, so
-  // turning it on never changes anyone's latency or bandwidth, and the
-  // default 0 reproduces pre-loss fleets byte-for-byte.
+  // Fraction of clients whose link drops packets. Loss is drawn after the
+  // link parameters on each client's forked stream, so turning it on
+  // never changes anyone's latency or bandwidth, and the default 0
+  // reproduces pre-loss fleets byte-for-byte.
   double lossy_fraction = 0.0;
-  double min_drop_rate = 1e-4;
-  double max_drop_rate = 3e-2;
 };
 
 // A drop rate p costs each message 1/(1-p) expected transmissions:
@@ -71,7 +71,8 @@ NetworkProfile LossInflatedLink(const FleetClient& client);
 // fast-network tail.
 std::vector<FleetArchetype> DefaultFleetArchetypes();
 
-// Draws `options.client_count` clients deterministically from `seed`.
+// Draws `options.client_count` clients from DefaultFleetArchetypes(),
+// deterministically from `seed`.
 // Clients are returned in id order; the same (options, seed) always
 // produces the identical population.
 std::vector<FleetClient> GenerateFleet(const FleetPopulationOptions& options,

@@ -8,9 +8,9 @@ namespace coign {
 Result<RunMeasurement> MeasureRun(ObjectSystem& system,
                                   const std::function<Status(ObjectSystem&)>& body,
                                   const MeasurementOptions& options) {
+  // Both machines compute at the accountant's default scale of 1, as the
+  // paper's testbed machines are equal.
   NetworkAccountant accountant(&system, Transport(options.network), options.jitter_rng);
-  accountant.SetComputeScale(kClientMachine, options.client_compute_scale);
-  accountant.SetComputeScale(kServerMachine, options.server_compute_scale);
   if (options.faults != nullptr) {
     accountant.AttachFaults(options.faults, options.retry);
   }

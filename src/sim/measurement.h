@@ -29,8 +29,6 @@ struct MeasurementOptions {
   NetworkModel network;
   // Non-null → jittered "measured" run; null → deterministic expectation.
   Rng* jitter_rng = nullptr;
-  double client_compute_scale = 1.0;
-  double server_compute_scale = 1.0;
   // Non-null → remote calls run hardened against this fault model (not
   // owned) under `retry`; faults cost modeled time through the accountant.
   TransportFaultModel* faults = nullptr;

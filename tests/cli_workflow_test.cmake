@@ -1,5 +1,10 @@
 # Drives the coign CLI end to end: profile -> analyze -> measure -> online
-# -> chaos -> fleet.
+# -> chaos -> fleet. The stdout of each stage is compared byte for byte
+# with its checked-in copy in GOLDEN_DIR: together these pin the network
+# profiler's sample grid, the scenario seed, the sliding window, the
+# repartition policy, the fault-schedule constants and the fleet's drop
+# range.
+file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 function(run)
   execute_process(COMMAND ${ARGN} WORKING_DIRECTORY ${WORK_DIR}
@@ -9,11 +14,27 @@ function(run)
   endif()
   set(last_output "${out}" PARENT_SCOPE)
 endfunction()
+function(check_identical label a b)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                  ${WORK_DIR}/${a} ${WORK_DIR}/${b} RESULT_VARIABLE diff)
+  if(NOT diff EQUAL 0)
+    message(FATAL_ERROR "${label}: ${a} and ${b} differ across same-seed runs")
+  endif()
+endfunction()
+function(check_golden output golden)
+  file(READ ${GOLDEN_DIR}/${golden} expected)
+  if(NOT output STREQUAL expected)
+    message(FATAL_ERROR "output differs from ${golden}:\n${output}")
+  endif()
+endfunction()
 run(${COIGN_BIN} profile --scenario o_oldwp7 -o smoke)
 run(${COIGN_BIN} analyze -i smoke --network 10baset --dot smoke.dot)
+check_golden("${last_output}" cli_analyze.txt)
 run(${COIGN_BIN} measure -i smoke --scenario o_oldwp7)
+check_golden("${last_output}" cli_measure.txt)
 run(${COIGN_BIN} online -i smoke --scenario o_oldwp7 --scenario o_mixed9
     --cycles 1 --reps 2)
+check_golden("${last_output}" cli_online.txt)
 foreach(artifact smoke.profile smoke.config smoke.dist smoke.dot)
   if(NOT EXISTS ${WORK_DIR}/${artifact})
     message(FATAL_ERROR "missing artifact: ${artifact}")
@@ -27,6 +48,7 @@ set(chaos_args -i smoke --scenario o_oldwp7 --scenario o_mixed9
     --cycles 1 --reps 2)
 run(${COIGN_BIN} chaos ${chaos_args} --seed 42)
 set(chaos_first "${last_output}")
+check_golden("${chaos_first}" cli_chaos_seed42.txt)
 run(${COIGN_BIN} chaos ${chaos_args} --seed 42)
 if(NOT chaos_first STREQUAL last_output)
   message(FATAL_ERROR "chaos --seed 42 is not deterministic:\n"
@@ -44,15 +66,21 @@ if(chaos_first STREQUAL last_output)
 endif()
 
 # Corruption runs carry the same determinism contract: a corrupt-burst
-# storm with the checksummed wire replays byte-for-byte, the breaker
-# opens (degrading to the all-local plan) and re-promotes the distributed
-# plan after the links heal, and the final partition matches the
-# fault-free adaptive run's (the poison was rejected, never consumed).
+# storm with the checksummed wire replays byte-for-byte (stdout, trace and
+# metrics), the breaker opens (degrading to the all-local plan) and
+# re-promotes the distributed plan after the links heal, and the final
+# partition matches the fault-free adaptive run's (the poison was
+# rejected, never consumed).
 set(corrupt_args -i smoke --scenario o_oldwp7 --scenario o_mixed9
     --cycles 3 --reps 2 --storm --corrupt-rate 0.3 --seed 3)
-run(${COIGN_BIN} chaos ${corrupt_args})
+run(${COIGN_BIN} chaos ${corrupt_args}
+    --trace-out corrupt1.trace.json --metrics-out corrupt1.metrics.txt)
 set(corrupt_first "${last_output}")
-run(${COIGN_BIN} chaos ${corrupt_args})
+check_golden("${corrupt_first}" cli_chaos_corrupt.txt)
+run(${COIGN_BIN} chaos ${corrupt_args}
+    --trace-out corrupt2.trace.json --metrics-out corrupt2.metrics.txt)
+# Stdout echoes the artifact names, which differ by design.
+string(REPLACE "corrupt2." "corrupt1." last_output "${last_output}")
 if(NOT corrupt_first STREQUAL last_output)
   message(FATAL_ERROR "chaos --corrupt-rate is not deterministic:\n"
           "--- first ---\n${corrupt_first}\n--- second ---\n${last_output}")
@@ -75,17 +103,17 @@ endif()
 if(NOT corrupt_first MATCHES "partitions_match=yes")
   message(FATAL_ERROR "corruption storm steered the final partition:\n${corrupt_first}")
 endif()
+check_identical("corrupt trace" corrupt1.trace.json corrupt2.trace.json)
+check_identical("corrupt metrics" corrupt1.metrics.txt corrupt2.metrics.txt)
+# The trace carries the integrity and breaker instrumentation end to end.
+run(${TRACE_LINT_BIN} corrupt1.trace.json
+    --require transport.corrupt_rejected --require breaker.state
+    --require safe_mode.entered --require safe_mode.exited
+    --require breaker-transition)
 
 # Observability artifacts are part of the determinism contract: two
 # same-seed runs must write byte-identical --trace-out / --metrics-out
 # files (the trace carries simulated-clock timestamps, never wall time).
-function(check_identical label a b)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                  ${WORK_DIR}/${a} ${WORK_DIR}/${b} RESULT_VARIABLE diff)
-  if(NOT diff EQUAL 0)
-    message(FATAL_ERROR "${label}: ${a} and ${b} differ across same-seed runs")
-  endif()
-endfunction()
 run(${COIGN_BIN} online -i smoke --scenario o_oldwp7 --scenario o_mixed9
     --cycles 1 --reps 2 --trace-out online1.trace.json --metrics-out online1.metrics.txt)
 run(${COIGN_BIN} online -i smoke --scenario o_oldwp7 --scenario o_mixed9
@@ -96,23 +124,13 @@ check_identical("online metrics" online1.metrics.txt online2.metrics.txt)
 # The push-relabel engine (default) and the paper's relabel-to-front
 # (--cold-cuts) must produce identical reports end to end: both compute
 # the same exact cut value and the same unique minimal min cut, so the
-# solver choice can never steer a partition.
-run(${COIGN_BIN} online -i smoke --scenario o_oldwp7 --scenario o_mixed9
-    --cycles 1 --reps 2)
-set(online_pr "${last_output}")
+# solver choice can never steer a partition. The --cold-cuts runs must
+# match the default runs' goldens.
 run(${COIGN_BIN} online -i smoke --scenario o_oldwp7 --scenario o_mixed9
     --cycles 1 --reps 2 --cold-cuts)
-if(NOT online_pr STREQUAL last_output)
-  message(FATAL_ERROR "--cold-cuts changed the online run:\n"
-          "--- push-relabel ---\n${online_pr}\n--- relabel-to-front ---\n${last_output}")
-endif()
-run(${COIGN_BIN} chaos ${chaos_args} --seed 42)
-set(chaos_pr "${last_output}")
+check_golden("${last_output}" cli_online.txt)
 run(${COIGN_BIN} chaos ${chaos_args} --seed 42 --cold-cuts)
-if(NOT chaos_pr STREQUAL last_output)
-  message(FATAL_ERROR "--cold-cuts changed the chaos run:\n"
-          "--- push-relabel ---\n${chaos_pr}\n--- relabel-to-front ---\n${last_output}")
-endif()
+check_golden("${last_output}" cli_chaos_seed42.txt)
 
 # Solver-work counters are part of the online run's metrics surface.
 file(READ ${WORK_DIR}/online1.metrics.txt online_metrics)
@@ -124,6 +142,10 @@ endforeach()
 if(NOT online_metrics MATCHES "counter mincut.pushes [1-9]")
   message(FATAL_ERROR "online run recorded no push-relabel work:\n${online_metrics}")
 endif()
+# The push-relabel engine's solver counters are sampled per epoch onto the
+# trace's counter track.
+run(${TRACE_LINT_BIN} online1.trace.json
+    --require mincut.pushes --require mincut.relabels --require mincut.global_relabels)
 run(${COIGN_BIN} chaos ${chaos_args} --seed 42
     --trace-out chaos1.trace.json --metrics-out chaos1.metrics.txt)
 run(${COIGN_BIN} chaos ${chaos_args} --seed 42
@@ -134,16 +156,20 @@ file(READ ${WORK_DIR}/chaos1.metrics.txt chaos_metrics)
 if(NOT chaos_metrics MATCHES "counter transport.calls [1-9]")
   message(FATAL_ERROR "chaos metrics missing transport traffic:\n${chaos_metrics}")
 endif()
-file(READ ${WORK_DIR}/chaos1.trace.json chaos_trace)
-if(NOT chaos_trace MATCHES "\"traceEvents\"")
-  message(FATAL_ERROR "chaos trace is not trace_event JSON:\n${chaos_trace}")
-endif()
+# The chaos trace and every flight-recorder dump the chaos and corruption
+# runs spawned must pass trace_lint's Chrome trace_event checks.
+run(${TRACE_LINT_BIN} chaos1.trace.json)
+file(GLOB dumps RELATIVE ${WORK_DIR} ${WORK_DIR}/*.trace.json.dump-*.json)
+foreach(dump ${dumps})
+  run(${TRACE_LINT_BIN} ${dump})
+endforeach()
 
 # Fleet planning must stay byte-deterministic: same seed, same bytes —
 # stdout, trace and metrics — and another seed must change the fleet.
 set(fleet_args -i smoke --clients 200 --seed 42)
 run(${COIGN_BIN} fleet ${fleet_args} --trace-out fleet1.trace.json --metrics-out fleet1.metrics.txt)
 set(fleet_first "${last_output}")
+check_golden("${fleet_first}" cli_fleet.txt)
 run(${COIGN_BIN} fleet ${fleet_args} --trace-out fleet2.trace.json --metrics-out fleet2.metrics.txt)
 string(REPLACE "fleet2." "fleet1." fleet_second "${last_output}")
 if(NOT fleet_first STREQUAL fleet_second)
@@ -210,3 +236,13 @@ run_fails(${COIGN_BIN} chaos ${chaos_args} --drop nan)
 run_fails(${COIGN_BIN} fleet -i smoke --clients 20 --lossy nan)
 run(${COIGN_BIN} fleet -i smoke --clients 20 --seed 0 --lossy 1)
 run(${COIGN_BIN} chaos ${chaos_args} --drop 0)
+
+# A configuration record path that opens but does not read (a directory)
+# fails naming the path, as an unreadable profile does.
+run(${CMAKE_COMMAND} -E copy smoke.profile unreadable.profile)
+file(MAKE_DIRECTORY ${WORK_DIR}/unreadable.config)
+execute_process(COMMAND ${COIGN_BIN} analyze -i unreadable WORKING_DIRECTORY ${WORK_DIR}
+                RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 1 OR NOT err MATCHES "cannot read configuration record: unreadable.config")
+  message(FATAL_ERROR "analyze with a directory at unreadable.config: exit ${code}\n${out}\n${err}")
+endif()

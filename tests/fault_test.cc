@@ -452,7 +452,7 @@ TEST(FaultScheduleTest, CrashStormIsDeterministicAndCrashHeavy) {
     crashes += episode.kind == FaultKind::kCrashRestart;
     gilbert += episode.kind == FaultKind::kGilbertElliott;
   }
-  EXPECT_EQ(crashes, options.crash_count);
+  EXPECT_EQ(crashes, kCrashStormCrashes);
   EXPECT_GT(gilbert, 0);
 }
 

@@ -124,8 +124,8 @@ TEST(FleetLinkTest, GenerateFleetLossyFractionDrawsLossyClients) {
   for (const FleetClient& client : fleet) {
     if (client.fault_rates.drop > 0.0) {
       ++lossy;
-      EXPECT_GE(client.fault_rates.drop, options.min_drop_rate);
-      EXPECT_LE(client.fault_rates.drop, options.max_drop_rate);
+      EXPECT_GE(client.fault_rates.drop, kFleetMinDropRate);
+      EXPECT_LE(client.fault_rates.drop, kFleetMaxDropRate);
     }
   }
   EXPECT_GT(lossy, fleet.size() / 8);

@@ -65,9 +65,8 @@ Result<PipelineOutput> RunPipeline(const std::string& scenario_id,
   }
 
   // Network profile + analysis.
-  NetworkProfiler profiler;
   Transport transport(network);
-  const NetworkProfile network_profile = profiler.Profile(transport, rng);
+  const NetworkProfile network_profile = ProfileNetwork(transport, rng);
   ProfileAnalysisEngine engine;
   Result<AnalysisResult> analysis = engine.Analyze(output.profile, network_profile);
   if (!analysis.ok()) {

@@ -140,7 +140,6 @@ CaseOutcome RunMigrationCase(const MigrationCase& c) {
 
   MigrationOptions options;
   options.state_bytes_per_instance = 2048;
-  options.copy_attempts_per_instance = 2;
   LiveMigrator migrator(options, ClassOf);
   int steps = 0;
   bool fired = false;

@@ -145,8 +145,7 @@ TEST_P(NetworkProfilerParamTest, FitRecoversModelParameters) {
   const NetworkModel& model = GetParam().second;
   Transport transport(model);
   Rng rng(2024);
-  NetworkProfiler profiler;
-  const NetworkProfile profile = profiler.Profile(transport, rng);
+  const NetworkProfile profile = ProfileNetwork(transport, rng);
   EXPECT_EQ(profile.network_name, model.name);
   EXPECT_GT(profile.sample_count, 0u);
   EXPECT_NEAR(profile.per_message_seconds, model.per_message_seconds,

@@ -50,7 +50,6 @@ ClassificationInfo InfoOf(ClassificationId id, const std::string& name) {
 TEST(SlidingWindowTest, EpochFoldAndExponentialDecay) {
   WindowOptions options;
   options.decay = 0.5;
-  options.prune_weight = 0.01;
   SlidingWindowGraph window(options);
   const CallKey key = KeyOf(1, 2);
 
@@ -70,12 +69,12 @@ TEST(SlidingWindowTest, EpochFoldAndExponentialDecay) {
 TEST(SlidingWindowTest, PruningBoundsMemory) {
   WindowOptions options;
   options.decay = 0.5;
-  options.prune_weight = 0.01;
   SlidingWindowGraph window(options);
   window.Record(KeyOf(1, 2), 1);
   window.AdvanceEpoch();
   EXPECT_EQ(window.tracked_keys(), 1u);
-  // 1 * 0.5^n falls below 0.01 within 7 epochs; the key must vanish.
+  // 1 * 0.5^n falls below the 0.01 prune floor within 7 epochs; the key
+  // must vanish.
   for (int i = 0; i < 8; ++i) {
     window.AdvanceEpoch();
   }
@@ -294,7 +293,7 @@ TEST_F(MigratorTest, MovesInstancesAcrossTheCutAndBillsState) {
   Distribution target;
   target.placement[7] = kServerMachine;
   const NetworkProfile network = NetworkProfile::Exact(NetworkModel::TenBaseT());
-  LiveMigrator migrator(/*state_bytes_per_instance=*/2048,
+  LiveMigrator migrator(MigrationOptions{.state_bytes_per_instance = 2048},
                         [](InstanceId) -> ClassificationId { return 7; });
   Result<MigrationReport> report = migrator.Migrate(system_, target, network);
   ASSERT_TRUE(report.ok());
@@ -316,7 +315,7 @@ TEST_F(MigratorTest, UnclassifiedInstancesStayPut) {
   Distribution target;
   target.default_machine = kServerMachine;
   const NetworkProfile network = NetworkProfile::Exact(NetworkModel::TenBaseT());
-  LiveMigrator migrator(2048,
+  LiveMigrator migrator(MigrationOptions{.state_bytes_per_instance = 2048},
                         [](InstanceId) -> ClassificationId { return kNoClassification; });
   Result<MigrationReport> report = migrator.Migrate(system_, target, network);
   ASSERT_TRUE(report.ok());
@@ -438,7 +437,6 @@ TEST(DriftEdgeCaseTest, MatchingTrafficIsNotDrift) {
 BreakerConfig TestBreakerConfig() {
   BreakerConfig config;
   config.enabled = true;
-  config.min_calls = 4;
   config.trip_after = 2;
   config.open_epochs = 2;
   config.max_open_epochs = 8;
@@ -468,7 +466,7 @@ TEST(CircuitBreakerTest, QuietEpochsCastNoVote) {
   CircuitBreaker breaker(TestBreakerConfig());
   const BreakerSample quiet{/*calls=*/3, /*undelivered=*/3, /*corrupt_rejected=*/3};
   for (int i = 0; i < 10; ++i) {
-    breaker.Observe(quiet);  // Below min_calls: too little traffic to judge.
+    breaker.Observe(quiet);  // Below 4 calls: too little traffic to judge.
   }
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
   EXPECT_EQ(breaker.trips(), 0u);

@@ -46,9 +46,7 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -67,6 +65,7 @@
 #include "src/profile/log_file.h"
 #include "src/runtime/rte.h"
 #include "src/sim/measurement.h"
+#include "src/support/file_io.h"
 #include "src/support/str_util.h"
 
 namespace coign {
@@ -108,25 +107,6 @@ Result<NetworkModel> NetworkByName(const std::string& name) {
     return NetworkModel::San();
   }
   return NotFoundError("unknown network (use isdn|10baset|100baset|atm|san): " + name);
-}
-
-Status WriteFile(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return InternalError("cannot write " + path);
-  }
-  out << text;
-  return out.good() ? Status::Ok() : InternalError("short write to " + path);
-}
-
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return NotFoundError("cannot read " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 struct Flags {
@@ -366,8 +346,8 @@ int CmdProfile(const Flags& flags) {
   }
   ConfigurationRecord config;
   config.classifier_table = (*runtime)->classifier().ExportDescriptors();
-  const Status wrote_config =
-      WriteFile(flags.output_base + ".config", config.Serialize());
+  const Status wrote_config = WriteFile(flags.output_base + ".config", config.Serialize(),
+                                        "configuration record");
   if (!wrote_config.ok()) {
     std::fprintf(stderr, "%s\n", wrote_config.ToString().c_str());
     return 1;
@@ -388,7 +368,8 @@ int CmdAnalyze(const Flags& flags) {
     std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
     return 1;
   }
-  Result<std::string> config_text = ReadFile(flags.input_base + ".config");
+  Result<std::string> config_text =
+      ReadFile(flags.input_base + ".config", "configuration record");
   if (!config_text.ok()) {
     std::fprintf(stderr, "%s\n", config_text.status().ToString().c_str());
     return 1;
@@ -405,8 +386,7 @@ int CmdAnalyze(const Flags& flags) {
   }
 
   Rng rng(23);
-  NetworkProfiler profiler;
-  const NetworkProfile fitted = profiler.Profile(Transport(*network), rng);
+  const NetworkProfile fitted = ProfileNetwork(Transport(*network), rng);
   std::printf("network %s: %.1f us/message + %.1f ns/byte (r^2 %.4f)\n\n",
               fitted.network_name.c_str(), fitted.per_message_seconds * 1e6,
               fitted.seconds_per_byte * 1e9, fitted.fit_r_squared);
@@ -424,7 +404,8 @@ int CmdAnalyze(const Flags& flags) {
 
   config->mode = RuntimeMode::kDistributed;
   config->distribution = analysis->distribution;
-  const Status wrote = WriteFile(flags.input_base + ".dist", config->Serialize());
+  const Status wrote =
+      WriteFile(flags.input_base + ".dist", config->Serialize(), "distribution record");
   if (!wrote.ok()) {
     std::fprintf(stderr, "%s\n", wrote.ToString().c_str());
     return 1;
@@ -452,7 +433,8 @@ int CmdMeasure(const Flags& flags) {
     std::fprintf(stderr, "%s\n", app.status().ToString().c_str());
     return 1;
   }
-  Result<std::string> dist_text = ReadFile(flags.input_base + ".dist");
+  Result<std::string> dist_text =
+      ReadFile(flags.input_base + ".dist", "distribution record");
   if (!dist_text.ok()) {
     std::fprintf(stderr, "%s (run `coign analyze` first)\n",
                  dist_text.status().ToString().c_str());
@@ -533,7 +515,8 @@ int CmdOnline(const Flags& flags) {
     std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
     return 1;
   }
-  Result<std::string> dist_text = ReadFile(flags.input_base + ".dist");
+  Result<std::string> dist_text =
+      ReadFile(flags.input_base + ".dist", "distribution record");
   if (!dist_text.ok()) {
     std::fprintf(stderr, "%s (run `coign analyze` first)\n",
                  dist_text.status().ToString().c_str());
@@ -551,11 +534,9 @@ int CmdOnline(const Flags& flags) {
   }
 
   Rng rng(23);
-  NetworkProfiler profiler;
-
   OnlineMeasurementOptions options;
   options.network = *network;
-  options.fitted = profiler.Profile(Transport(*network), rng);
+  options.fitted = ProfileNetwork(Transport(*network), rng);
   if (flags.cold_cuts) {
     options.online.analysis.algorithm = CutAlgorithm::kRelabelToFront;
   }
@@ -620,7 +601,8 @@ int CmdChaos(const Flags& flags) {
     std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
     return 1;
   }
-  Result<std::string> dist_text = ReadFile(flags.input_base + ".dist");
+  Result<std::string> dist_text =
+      ReadFile(flags.input_base + ".dist", "distribution record");
   if (!dist_text.ok()) {
     std::fprintf(stderr, "%s (run `coign analyze` first)\n",
                  dist_text.status().ToString().c_str());
@@ -638,10 +620,9 @@ int CmdChaos(const Flags& flags) {
   }
 
   Rng rng(23);
-  NetworkProfiler profiler;
   OnlineMeasurementOptions options;
   options.network = *network;
-  options.fitted = profiler.Profile(Transport(*network), rng);
+  options.fitted = ProfileNetwork(Transport(*network), rng);
   options.retry = SuggestedRetryPolicy(*network);
   if (flags.cold_cuts) {
     options.online.analysis.algorithm = CutAlgorithm::kRelabelToFront;
