@@ -10,11 +10,21 @@
 // 2,000 and 20,000 seeded clients (30% lossy). It reports solves and wall
 // time for both, and exits nonzero unless every client's envelope placement
 // equals its own analysis.
+//
+// It then splits Plan() into its stages over 11 repetitions, each of which
+// times a plan, the envelope search (Envelope) and the segment assembly
+// (one AnalyzeSegment per occupied segment, at a member's link) back to
+// back. The client pass (validation, λ keys, segment lookup and median
+// selection) is a repetition's plan less its other two stages, so a
+// change in host speed between repetitions cancels. Each column is the
+// median over the repetitions.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
@@ -29,6 +39,7 @@ namespace {
 
 constexpr uint64_t kFleetSeed = 42;
 constexpr double kLossyFraction = 0.3;
+constexpr int kRepetitions = 11;
 
 double SecondsOf(const std::function<void()>& fn) {
   const auto start = std::chrono::steady_clock::now();
@@ -36,6 +47,21 @@ double SecondsOf(const std::function<void()>& fn) {
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
   return elapsed.count();
 }
+
+double Median(std::vector<double> values) {
+  const auto middle = values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
+  std::nth_element(values.begin(), middle, values.end());
+  return *middle;
+}
+
+// Milliseconds per stage, one entry per repetition.
+struct StageSplit {
+  int clients = 0;
+  std::vector<double> plan_ms;
+  std::vector<double> envelope_ms;
+  std::vector<double> assembly_ms;
+  std::vector<double> client_pass_ms;
+};
 
 }  // namespace
 
@@ -49,10 +75,12 @@ int main() {
   std::printf("fleet planning: exact cut envelope vs one analysis per client\n");
   std::printf("profile Octarine o_newdoc + o_oldwp3, fleet seed %llu, %.0f%% lossy links\n\n",
               static_cast<unsigned long long>(kFleetSeed), 100.0 * kLossyFraction);
-  std::printf("%8s %6s %7s %13s %10s %15s %9s %11s\n", "clients", "cuts", "solves",
-              "envelope (s)", "analyses", "per-client (s)", "speedup", "mismatches");
+  std::printf("%8s %6s %8s %7s %10s %10s %15s %9s %11s\n", "clients", "cuts", "segments",
+              "solves", "plan (ms)", "analyses", "per-client (s)", "speedup", "mismatches");
 
   const FleetPartitionService service;
+  const ProfileAnalysisEngine engine;
+  std::vector<StageSplit> splits;
   size_t mismatches = 0;
   for (const int clients : {2000, 20000}) {
     FleetPopulationOptions population;
@@ -60,12 +88,44 @@ int main() {
     population.lossy_fraction = kLossyFraction;
     const std::vector<FleetClient> fleet = GenerateFleet(population, kFleetSeed);
 
-    Result<FleetPlanResult> planned(InternalError("unset"));
-    const double envelope_seconds = SecondsOf([&] { planned = service.Plan(*profile, fleet); });
+    Result<FleetPlanResult> planned = service.Plan(*profile, fleet);
     if (!planned.ok()) {
       std::fprintf(stderr, "plan: %s\n", planned.status().ToString().c_str());
       return 1;
     }
+    Result<CutEnvelope> envelope = engine.Envelope(*profile);
+    if (!envelope.ok()) {
+      std::fprintf(stderr, "envelope: %s\n", envelope.status().ToString().c_str());
+      return 1;
+    }
+    // Each occupied segment's index in the envelope and a member's link.
+    std::vector<std::pair<size_t, NetworkProfile>> occupied;
+    for (const SegmentPlan& plan : planned->plans) {
+      const std::vector<EnvelopeSegment>& segments = envelope->segments();
+      size_t s = 0;
+      while (!(segments[s].from == plan.lambda_from)) {
+        ++s;
+      }
+      occupied.emplace_back(s, LossInflatedLink(fleet[plan.members.front()]));
+    }
+    std::vector<AnalysisResult> assembled(occupied.size());
+    StageSplit split;
+    split.clients = clients;
+    for (int rep = 0; rep < kRepetitions; ++rep) {
+      const double plan_ms = 1e3 * SecondsOf([&] { planned = service.Plan(*profile, fleet); });
+      const double envelope_ms = 1e3 * SecondsOf([&] { envelope = engine.Envelope(*profile); });
+      const double assembly_ms = 1e3 * SecondsOf([&] {
+        for (size_t i = 0; i < occupied.size(); ++i) {
+          assembled[i] = engine.AnalyzeSegment(*profile, *envelope, occupied[i].first,
+                                               occupied[i].second);
+        }
+      });
+      split.plan_ms.push_back(plan_ms);
+      split.envelope_ms.push_back(envelope_ms);
+      split.assembly_ms.push_back(assembly_ms);
+      split.client_pass_ms.push_back(plan_ms - envelope_ms - assembly_ms);
+    }
+    splits.push_back(split);
 
     // The naive service: every client's own cut, compared with its plan.
     Result<std::vector<std::string>> misplaced(InternalError("unset"));
@@ -77,10 +137,20 @@ int main() {
     }
     const size_t differ = misplaced->size();
     mismatches += differ;
-    std::printf("%8d %6zu %7zu %13.4f %10d %15.3f %8.0fx %11zu\n", clients,
-                planned->breakpoints.size() + 1, planned->stats.plans_computed,
-                envelope_seconds, clients, naive_seconds, naive_seconds / envelope_seconds,
-                differ);
+    const double plan_ms = Median(split.plan_ms);
+    std::printf("%8d %6zu %8zu %7zu %10.3f %10d %15.3f %8.0fx %11zu\n", clients,
+                planned->breakpoints.size() + 1, planned->stats.cohorts,
+                planned->stats.plans_computed, plan_ms, clients, naive_seconds,
+                1e3 * naive_seconds / plan_ms, differ);
+  }
+
+  std::printf("\nPlan() stages, median of %d repetitions (ms)\n", kRepetitions);
+  std::printf("%8s %10s %10s %10s %12s\n", "clients", "plan", "envelope", "assembly",
+              "client pass");
+  for (const StageSplit& split : splits) {
+    std::printf("%8d %10.3f %10.3f %10.3f %12.3f\n", split.clients, Median(split.plan_ms),
+                Median(split.envelope_ms), Median(split.assembly_ms),
+                Median(split.client_pass_ms));
   }
   std::printf("\n%s\n", mismatches == 0
                             ? "every client's envelope placement equals its own analysis"

@@ -14,6 +14,11 @@ namespace {
 
 using Wide = unsigned __int128;
 
+// A key bracket's relative half-width, 8u for u = 2^-53: more than the
+// 3.01u of the rounded breakpoint's three roundings plus the u of RN(β)
+// and the u of the bracket's own rounding (see Lookup in envelope.h).
+constexpr double kBracketWidth = 0x1p-50;
+
 // mantissa·2^exponent: the exact value of a double, or of its product with
 // a 64-bit integer or another double (mantissas stay below 2^117).
 struct Dyadic {
@@ -178,23 +183,48 @@ std::string LambdaRatio::ToString() const {
 bool operator==(const LambdaRatio& a, const LambdaRatio& b) { return Compare(a, b) == 0; }
 bool operator<(const LambdaRatio& a, const LambdaRatio& b) { return Compare(a, b) < 0; }
 
-int CompareLambda(const NetworkProfile& a, const NetworkProfile& b) {
+int CompareLambda(const LambdaKey& a, const LambdaKey& b) {
+  if (a.value != b.value) {
+    return a.value < b.value ? -1 : 1;
+  }
   // spb_a / pm_a vs spb_b / pm_b, cross-multiplied.
   return Compare(Times(ExactValue(a.seconds_per_byte), ExactValue(b.per_message_seconds)),
                  Times(ExactValue(b.seconds_per_byte), ExactValue(a.per_message_seconds)));
 }
 
-size_t CutEnvelope::SegmentOf(const NetworkProfile& network) const {
-  const Dyadic per_byte = ExactValue(network.seconds_per_byte);
-  const Dyadic per_message = ExactValue(network.per_message_seconds);
-  // Segments after the first start at finite breakpoints, in increasing
-  // order; count those at or below λ (spb·den >= pm·num).
-  const auto starts_at_or_below = [&](const EnvelopeSegment& segment) {
-    return Compare(Times(per_byte, segment.from.den), Times(per_message, segment.from.num)) >= 0;
+int CompareLambda(const NetworkProfile& a, const NetworkProfile& b) {
+  return CompareLambda(LambdaKey(a.seconds_per_byte, a.per_message_seconds),
+                       LambdaKey(b.seconds_per_byte, b.per_message_seconds));
+}
+
+size_t CutEnvelope::SegmentOf(const LambdaKey& key) const {
+  // Segments after the first start at the finite breakpoints; count those
+  // at or below λ. A scan rather than a binary search, so that no branch
+  // depends on the key; K is small next to the 2K−1 solves that found the
+  // breakpoints.
+  size_t above = 0;    // Brackets the key lies above.
+  size_t reached = 0;  // Brackets whose low end the key reaches.
+  for (const Breakpoint& breakpoint : breakpoints_) {
+    above += key.value > breakpoint.high;
+    reached += key.value >= breakpoint.low;
+  }
+  if (above == reached) {
+    return above;  // Outside every bracket: the key decides.
+  }
+  // Inside a bracket: spb·den >= pm·num, exactly.
+  const Dyadic per_byte = ExactValue(key.seconds_per_byte);
+  const Dyadic per_message = ExactValue(key.per_message_seconds);
+  const auto at_or_below = [&](const Breakpoint& breakpoint) {
+    return Compare(Times(per_byte, breakpoint.lambda.den),
+                   Times(per_message, breakpoint.lambda.num)) >= 0;
   };
   return static_cast<size_t>(
-      std::partition_point(segments_.begin() + 1, segments_.end(), starts_at_or_below) -
-      segments_.begin() - 1);
+      std::partition_point(breakpoints_.begin(), breakpoints_.end(), at_or_below) -
+      breakpoints_.begin());
+}
+
+size_t CutEnvelope::SegmentOf(const NetworkProfile& network) const {
+  return SegmentOf(LambdaKey(network.seconds_per_byte, network.per_message_seconds));
 }
 
 Result<CutEnvelope> CutEnvelope::Solve(ConcreteGraph graph, size_t non_remotable_pairs) {
@@ -263,6 +293,14 @@ Result<CutEnvelope> CutEnvelope::Solve(ConcreteGraph graph, size_t non_remotable
     segment.bytes = line.bytes;
     segment.client_side = std::move(line.client_side);
     envelope.segments_.push_back(std::move(segment));
+  }
+  // Key brackets (see Lookup in envelope.h): the rounded breakpoint
+  // widened by 2^-50 = 8 units in the last place each way.
+  for (size_t s = 1; s < envelope.segments_.size(); ++s) {
+    const LambdaRatio& lambda = envelope.segments_[s].from;
+    const double rounded = static_cast<double>(lambda.num) / static_cast<double>(lambda.den);
+    envelope.breakpoints_.push_back(
+        {lambda, rounded * (1.0 - kBracketWidth), rounded * (1.0 + kBracketWidth)});
   }
   envelope.solves_ = prober.solves();
   return envelope;

@@ -38,10 +38,24 @@
 // line that touches the envelope at a single λ owns no segment and is
 // dropped.
 //
-// Lookup. A network's λ is placed among the breakpoints by exact
-// cross-multiplication of its doubles. A network exactly on a breakpoint
-// belongs to the segment on its right (the higher-λ side): segments are
-// [from, to).
+// Lookup. A network's λ is placed among the breakpoints key first
+// (LambdaKey). Its key is q = RN(spb / pm), the IEEE quotient of its two
+// cost terms, correctly rounded to nearest, so it can be 0 or +∞.
+// Rounding to nearest is monotone: λ ≥ β implies q ≥ RN(β). So a key
+// below RN(β) is a λ below β, and a key above RN(β) a λ above it. Each
+// finite breakpoint β = num / den carries a double bracket [low, high]
+// that holds RN(β), computed once by Solve. The rounded breakpoint
+// r = RN(RN(num) / RN(den)) is within a factor 1 ± 3.01u of β (three
+// roundings, u = 2^-53) and RN(β) within 1 ± u, so r widened by
+// 1 ± 2^-50 = 1 ± 8u (one more rounding) holds RN(β) strictly inside.
+// The relative bounds hold because 1 ≤ num, den < 2^63 keeps breakpoints
+// in [2^-63, 2^63], far from underflow and overflow. A key outside every
+// bracket is placed by double comparisons alone; only a key inside one
+// runs the exact test, which cross-multiplies the terms' exact values in
+// 128-bit integers. Likewise, two keys order two links' λ unless they are
+// equal, and only equal keys are compared exactly. A network exactly on a
+// breakpoint belongs to the segment on its right (the higher-λ side):
+// segments are [from, to).
 
 #ifndef COIGN_SRC_ANALYSIS_ENVELOPE_H_
 #define COIGN_SRC_ANALYSIS_ENVELOPE_H_
@@ -74,6 +88,21 @@ struct LambdaRatio {
   friend bool operator<(const LambdaRatio& a, const LambdaRatio& b);
 };
 
+// A link's λ as one double, with the two cost terms it came from for the
+// exact comparison of equal keys. Terms finite and > 0.
+struct LambdaKey {
+  LambdaKey(double seconds_per_byte, double per_message_seconds)
+      : value(seconds_per_byte / per_message_seconds),
+        seconds_per_byte(seconds_per_byte),
+        per_message_seconds(per_message_seconds) {}
+
+  // seconds_per_byte / per_message_seconds, rounded once: 0 when it
+  // underflows, +∞ when it overflows.
+  double value;
+  double seconds_per_byte;
+  double per_message_seconds;
+};
+
 struct EnvelopeSegment {
   // The λ interval [from, to) the cut is optimal on: 0 for the first
   // segment, +∞ for the last.
@@ -97,12 +126,22 @@ class CutEnvelope {
   // The concrete graph the cuts index (its seconds are not priced).
   const ConcreteGraph& graph() const { return graph_; }
 
-  // Index of the segment holding `network`'s λ. Both cost terms must be
-  // finite and > 0.
+  // Index of the segment holding the key's λ, exactly (see Lookup).
+  size_t SegmentOf(const LambdaKey& key) const;
+  // The same for `network`'s λ. Both cost terms must be finite and > 0.
   size_t SegmentOf(const NetworkProfile& network) const;
 
  private:
   friend class ProfileAnalysisEngine;
+
+  // A finite breakpoint (the `from` of every segment but the first) and
+  // its key bracket: every key below `low` is a λ below `lambda`, every
+  // key above `high` a λ above it.
+  struct Breakpoint {
+    LambdaRatio lambda;
+    double low = 0.0;
+    double high = 0.0;
+  };
 
   // The search over `graph`'s cuts; non_remotable_pairs rides along for
   // result assembly.
@@ -111,10 +150,14 @@ class CutEnvelope {
   ConcreteGraph graph_;
   size_t non_remotable_pairs_ = 0;
   std::vector<EnvelopeSegment> segments_;
+  std::vector<Breakpoint> breakpoints_;  // In λ order.
   size_t solves_ = 0;
 };
 
-// Sign of λ(a) − λ(b), computed exactly. Cost terms finite and > 0.
+// Sign of λ(a) − λ(b), computed exactly: by the keys unless they are
+// equal, then by the exact cross-products of the terms (see Lookup).
+int CompareLambda(const LambdaKey& a, const LambdaKey& b);
+// The same for two profiles' λ. Cost terms finite and > 0.
 int CompareLambda(const NetworkProfile& a, const NetworkProfile& b);
 
 }  // namespace coign

@@ -54,19 +54,20 @@ Result<FleetPlanResult> FleetPartitionService::Plan(const IccProfile& profile,
   }
   // Each client's cut is priced at its own link with its steady drop rate
   // charged: both cost terms scale by 1/(1-p), which leaves λ in place.
-  std::vector<NetworkProfile> links;
-  links.reserve(fleet.size());
+  // The client's λ key is the quotient of the two charged terms.
+  std::vector<LambdaKey> keys;
+  keys.reserve(fleet.size());
   for (size_t i = 0; i < fleet.size(); ++i) {
     const Status valid = ValidateClient(fleet[i], i);
     if (!valid.ok()) {
       return valid;
     }
-    links.push_back(LossInflatedLink(fleet[i]));
-    if (!FinitePositive(links.back().per_message_seconds) ||
-        !FinitePositive(links.back().seconds_per_byte)) {
+    const LinkTerms link = LossInflatedTerms(fleet[i]);
+    if (!FinitePositive(link.per_message_seconds) || !FinitePositive(link.seconds_per_byte)) {
       return InvalidArgumentError(
           StrFormat("fleet client %zu: the loss-inflated link leaves the finite range", i));
     }
+    keys.emplace_back(link.seconds_per_byte, link.per_message_seconds);
   }
 
   Result<CutEnvelope> envelope = engine_.Envelope(profile);
@@ -76,7 +77,7 @@ Result<FleetPlanResult> FleetPartitionService::Plan(const IccProfile& profile,
   const std::vector<EnvelopeSegment>& segments = envelope->segments();
   std::vector<std::vector<uint32_t>> members(segments.size());
   for (uint32_t id = 0; id < fleet.size(); ++id) {
-    members[envelope->SegmentOf(links[id])].push_back(id);
+    members[envelope->SegmentOf(keys[id])].push_back(id);
   }
 
   FleetPlanResult result;
@@ -97,10 +98,11 @@ Result<FleetPlanResult> FleetPartitionService::Plan(const IccProfile& profile,
     std::vector<uint32_t> order = members[s];
     const auto median = order.begin() + static_cast<std::ptrdiff_t>((order.size() - 1) / 2);
     std::nth_element(order.begin(), median, order.end(), [&](uint32_t a, uint32_t b) {
-      const int by_lambda = CompareLambda(links[a], links[b]);
+      const int by_lambda = CompareLambda(keys[a], keys[b]);
       return by_lambda != 0 ? by_lambda < 0 : a < b;
     });
-    plan.analysis = engine_.AnalyzeSegment(profile, *envelope, s, links[*median]);
+    plan.analysis =
+        engine_.AnalyzeSegment(profile, *envelope, s, LossInflatedLink(fleet[*median]));
     for (uint32_t id : members[s]) {
       result.client_plan_[id] = static_cast<int>(result.plans.size());
     }

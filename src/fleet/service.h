@@ -11,6 +11,19 @@
 // per-edge picosecond rounding does not reorder cuts, as fleet_test and
 // bench_fleet check.
 //
+// The client pass is key first. One loop validates each client, charges
+// its drop rate to its two link terms (LossInflatedTerms) and keeps their
+// correctly rounded quotient as its λ key (LambdaKey). Rounding is
+// monotone, so unequal keys order two clients' λ exactly. Segment lookup
+// compares a key with a bracket around each breakpoint that holds the
+// breakpoint's correctly rounded value: the breakpoint's rounded quotient
+// widened by 1 ± 2^-50, eight units in the last place, where its own
+// rounding and the rounding to the correctly rounded value add at most
+// about five. Only a key inside a bracket runs the exact 128-bit
+// comparison; the median selection runs it only for equal keys, then
+// breaks ties by id (envelope.h, Lookup). Placements and medians are those
+// of the exact comparison alone.
+//
 // Determinism: FleetPlanResult is a pure function of (profile, fleet,
 // options). The search and the lookups run in order on the calling
 // thread.

@@ -4,18 +4,41 @@
 
 namespace coign {
 
-NetworkModel InflateForLoss(NetworkModel network, double drop_rate) {
+namespace {
+
+// Charges `drop_rate` to a link's two terms in place.
+void ChargeLoss(double drop_rate, double& per_message_seconds, double& bytes_per_second) {
   if (drop_rate <= 0.0) {
-    return network;
+    return;
   }
   const double inflation = 1.0 / (1.0 - drop_rate);
-  network.per_message_seconds *= inflation;
-  network.bytes_per_second /= inflation;
+  per_message_seconds *= inflation;
+  bytes_per_second /= inflation;
+}
+
+}  // namespace
+
+NetworkModel InflateForLoss(NetworkModel network, double drop_rate) {
+  ChargeLoss(drop_rate, network.per_message_seconds, network.bytes_per_second);
   return network;
 }
 
+LinkTerms LossInflatedTerms(const FleetClient& client) {
+  // The two doubles alone: copying the model would copy its name.
+  double per_message_seconds = client.network.per_message_seconds;
+  double bytes_per_second = client.network.bytes_per_second;
+  ChargeLoss(client.fault_rates.drop, per_message_seconds, bytes_per_second);
+  return {per_message_seconds, 1.0 / bytes_per_second};
+}
+
 NetworkProfile LossInflatedLink(const FleetClient& client) {
-  return NetworkProfile::Exact(InflateForLoss(client.network, client.fault_rates.drop));
+  const LinkTerms terms = LossInflatedTerms(client);
+  NetworkProfile link;
+  link.network_name = client.network.name;
+  link.per_message_seconds = terms.per_message_seconds;
+  link.seconds_per_byte = terms.seconds_per_byte;
+  link.fit_r_squared = 1.0;
+  return link;
 }
 
 std::vector<FleetArchetype> DefaultFleetArchetypes() {

@@ -62,8 +62,16 @@ struct FleetPopulationOptions {
 // Both cost terms scale alike, so loss never moves a cut.
 NetworkModel InflateForLoss(NetworkModel network, double drop_rate);
 
-// The link a client's cut is priced at: its measured link with its steady
-// drop rate charged (InflateForLoss), as an exact profile.
+// The two cost terms of a client's link with its steady drop rate charged
+// (InflateForLoss), seconds_per_byte being 1 / the inflated bandwidth.
+struct LinkTerms {
+  double per_message_seconds = 0.0;
+  double seconds_per_byte = 0.0;
+};
+LinkTerms LossInflatedTerms(const FleetClient& client);
+
+// The link a client's cut is priced at: LossInflatedTerms as an exact
+// profile named after the client's network.
 NetworkProfile LossInflatedLink(const FleetClient& client);
 
 // The default mix: a consumer-heavy population across the five presets,

@@ -19,6 +19,7 @@
 #include "src/support/rng.h"
 #include "tests/oracles/envelope_oracle.h"
 #include "tests/oracles/fleet_oracle.h"
+#include "tests/oracles/lambda_oracle.h"
 
 namespace coign {
 namespace {
@@ -333,6 +334,187 @@ TEST(EnvelopeTest, BenchmarkProfileHasFourCutsFromSevenSolves) {
     if (s < 3) {
       EXPECT_TRUE(segments[s].to == breakpoints[s]) << segments[s].to.ToString();
     }
+  }
+}
+
+// The finite breakpoints of `envelope`, in λ order.
+std::vector<LambdaRatio> Breakpoints(const CutEnvelope& envelope) {
+  std::vector<LambdaRatio> breakpoints;
+  for (size_t s = 1; s < envelope.segments().size(); ++s) {
+    breakpoints.push_back(envelope.segments()[s].from);
+  }
+  return breakpoints;
+}
+
+double Ulps(double x, int ulps) {
+  for (; ulps > 0; --ulps) {
+    x = std::nextafter(x, std::numeric_limits<double>::infinity());
+  }
+  for (; ulps < 0; ++ulps) {
+    x = std::nextafter(x, 0.0);
+  }
+  return x;
+}
+
+// Three free classifications between the driver and a storage-pinned
+// Store, each moving to the server at its own breakpoint β = (2d−2)/(q+4)
+// for d driver calls and one call of q + 4 bytes to Store. With q ≈ 2^54
+// and q + 4 ≡ 6 (mod 8), q + 4 is no double, and the quotient rounded from
+// the rounded terms lands one ulp below RN(β): a key bracket of an ulp or
+// less misplaces links within an ulp of β.
+IccProfile HugeTrafficProfile() {
+  IccProfile profile;
+  Declare(profile, 0, kApiStorage);
+  const uint64_t request_bytes[3] = {(uint64_t{1} << 54) + 2, (uint64_t{1} << 54) + 10,
+                                     (uint64_t{1} << 54) + 18};
+  const int driver_calls[3] = {2, 3, 5};
+  for (ClassificationId id = 1; id <= 3; ++id) {
+    Declare(profile, id, kApiNone);
+    profile.RecordCall(Call(id, 0), request_bytes[id - 1], 4, true);
+    for (int call = 0; call < driver_calls[id - 1]; ++call) {
+      profile.RecordCall(Call(kNoClassification, id), 0, 0, true);
+    }
+  }
+  return profile;
+}
+
+TEST(EnvelopeTest, KeyFirstLookupMatchesTheReferenceOnAndAroundEveryBreakpoint) {
+  std::vector<IccProfile> profiles = {ScenarioProfile({"o_newdoc", "o_oldwp3"}),
+                                      HugeTrafficProfile()};
+  for (uint64_t seed = 1; seed <= kRandomProfiles; ++seed) {
+    profiles.push_back(RandomProfile(seed));
+  }
+  const ProfileAnalysisEngine engine;
+  size_t on_breakpoint = 0;
+  size_t huge_breakpoints = 0;
+  for (size_t p = 0; p < profiles.size(); ++p) {
+    SCOPED_TRACE("profile " + std::to_string(p));
+    Result<CutEnvelope> envelope = engine.Envelope(profiles[p]);
+    if (!envelope.ok()) {
+      continue;  // Infeasible random constraints.
+    }
+    const std::vector<LambdaRatio> breakpoints = Breakpoints(*envelope);
+    const auto expect_reference = [&](const NetworkProfile& link) {
+      const size_t reference =
+          lambda_oracle::SegmentOf(breakpoints, link.seconds_per_byte, link.per_message_seconds);
+      EXPECT_EQ(envelope->SegmentOf(link), reference)
+          << link.seconds_per_byte << " / " << link.per_message_seconds;
+      return reference;
+    };
+    for (size_t j = 0; j < breakpoints.size(); ++j) {
+      const LambdaRatio& breakpoint = breakpoints[j];
+      SCOPED_TRACE("breakpoint " + breakpoint.ToString());
+      constexpr uint64_t kExact = uint64_t{1} << 53;
+      if (breakpoint.num < kExact && breakpoint.den < kExact) {
+        // Exactly on the breakpoint at three scales, then one ulp either
+        // side on each term.
+        for (const int exponent : {-60, -40, 0}) {
+          NetworkProfile on;
+          on.per_message_seconds = std::ldexp(static_cast<double>(breakpoint.den), exponent);
+          on.seconds_per_byte = std::ldexp(static_cast<double>(breakpoint.num), exponent);
+          EXPECT_EQ(expect_reference(on), j + 1);
+          ++on_breakpoint;
+          for (const int step : {-1, 1}) {
+            NetworkProfile moved = on;
+            moved.per_message_seconds = Ulps(on.per_message_seconds, step);
+            EXPECT_EQ(expect_reference(moved), step < 0 ? j + 1 : j);
+            moved = on;
+            moved.seconds_per_byte = Ulps(on.seconds_per_byte, step);
+            EXPECT_EQ(expect_reference(moved), step < 0 ? j : j + 1);
+          }
+        }
+      } else {
+        ++huge_breakpoints;
+      }
+      // Rounded terms a few ulps either way: λ within a few ulps of the
+      // breakpoint, where keys tie with its rounded quotient.
+      NetworkProfile near;
+      near.per_message_seconds = std::ldexp(static_cast<double>(breakpoint.den), -60);
+      near.seconds_per_byte = std::ldexp(static_cast<double>(breakpoint.num), -60);
+      for (int pm_ulps = -3; pm_ulps <= 3; ++pm_ulps) {
+        for (int spb_ulps = -3; spb_ulps <= 3; ++spb_ulps) {
+          NetworkProfile link;
+          link.per_message_seconds = Ulps(near.per_message_seconds, pm_ulps);
+          link.seconds_per_byte = Ulps(near.seconds_per_byte, spb_ulps);
+          expect_reference(link);
+        }
+      }
+    }
+  }
+  EXPECT_GT(on_breakpoint, 300u) << "not enough breakpoints to be a sweep";
+  EXPECT_EQ(huge_breakpoints, 3u);
+}
+
+TEST(EnvelopeTest, KeyFirstCompareLambdaMatchesTheReference) {
+  // Pairs a few ulps apart on each term, pairs scaled by a power of two
+  // (equal λ from different terms), and independent pairs.
+  Rng rng(19);
+  size_t tied_keys_unequal_lambda = 0;
+  size_t equal_lambda_different_terms = 0;
+  for (int i = 0; i < 20000; ++i) {
+    NetworkProfile a;
+    a.per_message_seconds = std::ldexp(rng.UniformDouble(1.0, 2.0), -int(rng.UniformInt(0, 30)));
+    a.seconds_per_byte = std::ldexp(rng.UniformDouble(1.0, 2.0), -int(rng.UniformInt(10, 40)));
+    NetworkProfile b = a;
+    const int kind = i % 3;
+    if (kind == 0) {
+      b.per_message_seconds = Ulps(a.per_message_seconds, int(rng.UniformInt(-3, 3)));
+      b.seconds_per_byte = Ulps(a.seconds_per_byte, int(rng.UniformInt(-3, 3)));
+    } else if (kind == 1) {
+      const int scale = int(rng.UniformInt(-20, 20));
+      b.per_message_seconds = std::ldexp(a.per_message_seconds, scale);
+      b.seconds_per_byte = std::ldexp(a.seconds_per_byte, scale);
+    } else {
+      b.per_message_seconds = std::ldexp(rng.UniformDouble(1.0, 2.0), -int(rng.UniformInt(0, 30)));
+      b.seconds_per_byte = std::ldexp(rng.UniformDouble(1.0, 2.0), -int(rng.UniformInt(10, 40)));
+    }
+    const int reference = lambda_oracle::CompareLambda(a.seconds_per_byte, a.per_message_seconds,
+                                                       b.seconds_per_byte, b.per_message_seconds);
+    ASSERT_EQ(CompareLambda(a, b), reference) << "pair " << i;
+    ASSERT_EQ(CompareLambda(b, a), -reference) << "pair " << i;
+    const bool tied_keys = LambdaKey(a.seconds_per_byte, a.per_message_seconds).value ==
+                           LambdaKey(b.seconds_per_byte, b.per_message_seconds).value;
+    tied_keys_unequal_lambda += tied_keys && reference != 0 ? 1 : 0;
+    equal_lambda_different_terms +=
+        reference == 0 && a.per_message_seconds != b.per_message_seconds ? 1 : 0;
+  }
+  // Not vacuous: the exact fallback decided some pairs, and ties on exact
+  // λ came from different terms.
+  EXPECT_GT(tied_keys_unequal_lambda, 100u);
+  EXPECT_GT(equal_lambda_different_terms, 1000u);
+}
+
+TEST(EnvelopeTest, KeysThatOverflowOrUnderflowCompareAndPlaceExactly) {
+  // λ = 2^1100 and 2^1101 both round to +∞, λ = 2^-1100 and 2^-1101 both
+  // to 0; the exact comparison orders each pair.
+  const auto link = [](double per_message_seconds, double seconds_per_byte) {
+    NetworkProfile profile;
+    profile.per_message_seconds = per_message_seconds;
+    profile.seconds_per_byte = seconds_per_byte;
+    return profile;
+  };
+  const NetworkProfile huge = link(0x1p-600, 0x1p500);
+  const NetworkProfile huger = link(0x1p-601, 0x1p500);
+  const NetworkProfile tiny = link(0x1p600, 0x1p-500);
+  const NetworkProfile tinier = link(0x1p601, 0x1p-500);
+  EXPECT_EQ(LambdaKey(huge.seconds_per_byte, huge.per_message_seconds).value,
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(LambdaKey(tinier.seconds_per_byte, tinier.per_message_seconds).value, 0.0);
+  for (const auto& [a, b] : {std::pair{huge, huger}, std::pair{tiny, tinier},
+                             std::pair{tinier, huge}}) {
+    const int reference = lambda_oracle::CompareLambda(a.seconds_per_byte, a.per_message_seconds,
+                                                       b.seconds_per_byte, b.per_message_seconds);
+    EXPECT_NE(reference, 0);
+    EXPECT_EQ(CompareLambda(a, b), reference);
+  }
+  Result<CutEnvelope> envelope =
+      ProfileAnalysisEngine().Envelope(ScenarioProfile({"o_newdoc", "o_oldwp3"}));
+  ASSERT_TRUE(envelope.ok());
+  for (const NetworkProfile& extreme : {huge, huger, tiny, tinier}) {
+    const size_t reference = lambda_oracle::SegmentOf(
+        Breakpoints(*envelope), extreme.seconds_per_byte, extreme.per_message_seconds);
+    EXPECT_EQ(envelope->SegmentOf(extreme), reference);
+    EXPECT_EQ(reference, extreme.seconds_per_byte > 1.0 ? 3u : 0u);
   }
 }
 

@@ -193,6 +193,14 @@ if(fleet_first STREQUAL last_output)
   message(FATAL_ERROR "fleet ignores --seed: seeds 42 and 7 match")
 endif()
 
+# At the benchmark's scale and profile (fleet-cold: 20,000 clients, 30%
+# lossy, Octarine o_newdoc + o_oldwp3) the fleet fills all four envelope
+# segments, so the golden's member counts and mean communication times pin
+# every client's placement at scale.
+run(${COIGN_BIN} profile --scenario o_newdoc --scenario o_oldwp3 -o oct)
+run(${COIGN_BIN} fleet -i oct --clients 20000 --lossy 0.3 --seed 42)
+check_golden("${last_output}" cli_fleet_20k.txt)
+
 # Loss never moves a cut: it scales both cost terms of a link alike, so the
 # same fleet without lossy links fills the same segments with the same
 # clients. Only the mean communication time (the last column) may differ.

@@ -15,6 +15,7 @@
 #include "src/fleet/service.h"
 #include "src/sim/fleet_population.h"
 #include "tests/oracles/fleet_oracle.h"
+#include "tests/oracles/lambda_oracle.h"
 
 namespace coign {
 namespace {
@@ -310,6 +311,197 @@ TEST(FleetServiceTest, AClientOnABreakpointIsServedTheRightHandSegment) {
   ASSERT_EQ(planned->plans.size(), 1u);
   EXPECT_TRUE(planned->plans[0].lambda_from == planned->breakpoints[0]);
   EXPECT_EQ(planned->plans[0].analysis.distribution.MachineFor(1), kServerMachine);
+}
+
+// A driver, a storage-pinned Store and three free classifications, each
+// with one 2·25,000-byte call to Store and d zero-byte calls from the
+// driver: on the client it costs 2 messages and 50,000 bytes, on the
+// server 2d messages, so it moves to the server at λ = (d−1)/25,000. The
+// three switch points, 8e-4, 1.2e-3 and 7.8e-3, sit inside a generated
+// fleet's λ range, and each Analyze is a five-node cut.
+IccProfile SwitchingProfile() {
+  IccProfile profile;
+  const auto add = [&](ClassificationId id, uint32_t api) {
+    ClassificationInfo info;
+    info.id = id;
+    info.clsid = Guid::FromName("clsid:switch" + std::to_string(id));
+    info.class_name = "Switch" + std::to_string(id);
+    info.api_usage = api;
+    info.instance_count = 1;
+    profile.RecordClassification(info);
+  };
+  add(0, kApiStorage);
+  CallKey key;
+  key.iid = Guid::FromName("iid:IFleetSwitch");
+  const int driver_calls[3] = {21, 31, 196};
+  for (ClassificationId id = 1; id <= 3; ++id) {
+    add(id, kApiNone);
+    key.src = id;
+    key.dst = 0;
+    profile.RecordCall(key, 25000, 25000, true);
+    key.src = kNoClassification;
+    key.dst = id;
+    for (int call = 0; call < driver_calls[id - 1]; ++call) {
+      profile.RecordCall(key, 0, 0, true);
+    }
+  }
+  return profile;
+}
+
+// Checks `planned` against the exact λ reference: every member is in the
+// segment lambda_oracle::SegmentOf places its λ in, and every plan is
+// assembled at the link of lambda_oracle::MedianMember.
+void ExpectReferencePlacementAndMedians(const IccProfile& profile,
+                                        const std::vector<FleetClient>& fleet,
+                                        const FleetPlanResult& planned) {
+  const ProfileAnalysisEngine engine;
+  Result<CutEnvelope> envelope = engine.Envelope(profile);
+  ASSERT_TRUE(envelope.ok()) << envelope.status().ToString();
+  const std::vector<EnvelopeSegment>& segments = envelope->segments();
+  size_t members = 0;
+  for (const SegmentPlan& plan : planned.plans) {
+    size_t s = 0;
+    while (s < segments.size() && !(segments[s].from == plan.lambda_from)) {
+      ++s;
+    }
+    ASSERT_LT(s, segments.size()) << plan.lambda_from.ToString();
+    for (uint32_t id : plan.members) {
+      const LinkTerms link = LossInflatedTerms(fleet[id]);
+      EXPECT_EQ(lambda_oracle::SegmentOf(planned.breakpoints, link.seconds_per_byte,
+                                         link.per_message_seconds),
+                s)
+          << "client " << id;
+    }
+    members += plan.members.size();
+    const uint32_t median = lambda_oracle::MedianMember(fleet, plan.members);
+    EXPECT_EQ(fleet_oracle::DiffAnalysis(
+                  engine.AnalyzeSegment(profile, *envelope, s, LossInflatedLink(fleet[median])),
+                  plan.analysis),
+              "")
+        << "segment " << s << ", reference median client " << median;
+  }
+  EXPECT_EQ(members, fleet.size());
+}
+
+// A client whose loss-free link has exactly these terms. Its
+// seconds_per_byte is 1 / bytes_per_second, so the term must survive
+// 1 / (1 / x), as powers of two do.
+FleetClient ClientWithTerms(uint32_t id, double per_message_seconds, double seconds_per_byte) {
+  FleetClient client;
+  client.id = id;
+  client.network.per_message_seconds = per_message_seconds;
+  client.network.bytes_per_second = 1.0 / seconds_per_byte;
+  const LinkTerms link = LossInflatedTerms(client);
+  EXPECT_EQ(link.per_message_seconds, per_message_seconds);
+  EXPECT_EQ(link.seconds_per_byte, seconds_per_byte);
+  return client;
+}
+
+double Ulps(double x, int ulps) {
+  for (; ulps > 0; --ulps) {
+    x = std::nextafter(x, std::numeric_limits<double>::infinity());
+  }
+  for (; ulps < 0; ++ulps) {
+    x = std::nextafter(x, 0.0);
+  }
+  return x;
+}
+
+TEST(FleetServiceTest, EqualKeysAreOrderedByTheExactComparison) {
+  // EnvelopeTest.CompareLambdaIsExact's pair: terms (13, 1), and terms a
+  // few ulps off them whose quotient rounds the same although their λ is
+  // larger. Client 1 takes the first, client 0 the second scaled by 2^10,
+  // which moves neither its key nor its λ but changes its analysis. Both
+  // are in the profile's one segment, so the exact fallback must rank
+  // client 1 first and make it the median of two; ids alone would pick
+  // client 0.
+  const IccProfile profile = TestProfile();
+  const double pm = Ulps(13.0, 3);
+  const double spb = Ulps(1.0, 2);
+  const std::vector<FleetClient> fleet = {ClientWithTerms(0, 0x1p10 * pm, 0x1p10 * spb),
+                                          ClientWithTerms(1, 13.0, 1.0)};
+  ASSERT_EQ(LambdaKey(0x1p10 * spb, 0x1p10 * pm).value, LambdaKey(1.0, 13.0).value);
+  ASSERT_GT(lambda_oracle::CompareLambda(spb, pm, 1.0, 13.0), 0);
+  Result<FleetPlanResult> planned = FleetPartitionService().Plan(profile, fleet);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  ASSERT_EQ(planned->plans.size(), 1u);
+  EXPECT_EQ(planned->plans[0].members, (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(lambda_oracle::MedianMember(fleet, {0, 1}), 1u);
+  ExpectReferencePlacementAndMedians(profile, fleet, *planned);
+  // Not vacuous: the two links give different analyses.
+  const ProfileAnalysisEngine engine;
+  Result<AnalysisResult> at_zero = engine.Analyze(profile, LossInflatedLink(fleet[0]));
+  ASSERT_TRUE(at_zero.ok());
+  EXPECT_NE(fleet_oracle::DiffAnalysis(*at_zero, planned->plans[0].analysis), "");
+}
+
+TEST(FleetServiceTest, EqualLambdaFromDifferentTermsIsOrderedById) {
+  // λ = 1/3 from terms 2^11 apart: equal keys and equal exact λ, so the
+  // lower id is the median of two, whichever client it is.
+  const IccProfile profile = TestProfile();
+  const FleetClient small = ClientWithTerms(0, 3 * 0x1p-20, 0x1p-20);
+  const FleetClient large = ClientWithTerms(0, 3 * 0x1p-9, 0x1p-9);
+  for (const auto& [first, second] : {std::pair{small, large}, std::pair{large, small}}) {
+    std::vector<FleetClient> fleet = {first, second};
+    fleet[1].id = 1;
+    ASSERT_EQ(lambda_oracle::CompareLambda(0x1p-20, 3 * 0x1p-20, 0x1p-9, 3 * 0x1p-9), 0);
+    Result<FleetPlanResult> planned = FleetPartitionService().Plan(profile, fleet);
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    ASSERT_EQ(planned->plans.size(), 1u);
+    EXPECT_EQ(lambda_oracle::MedianMember(fleet, {0, 1}), 0u);
+    ExpectReferencePlacementAndMedians(profile, fleet, *planned);
+    Result<AnalysisResult> at_one =
+        ProfileAnalysisEngine().Analyze(profile, LossInflatedLink(fleet[1]));
+    ASSERT_TRUE(at_one.ok());
+    EXPECT_NE(fleet_oracle::DiffAnalysis(*at_one, planned->plans[0].analysis), "");
+  }
+}
+
+TEST(FleetServiceTest, KeysThatOverflowOrUnderflowArePlacedExactly) {
+  // λ = 2^1100 and 2^1099 both round to +∞, λ = 2^-1100 and 2^-1101 both
+  // to 0: the last and the first segment each hold two clients whose keys
+  // tie, ordered by the exact comparison against their ids.
+  const IccProfile profile = SwitchingProfile();
+  const std::vector<FleetClient> fleet = {
+      ClientWithTerms(0, 0x1p-600, 0x1p500), ClientWithTerms(1, 0x1p-599, 0x1p500),
+      ClientWithTerms(2, 0x1p600, 0x1p-500), ClientWithTerms(3, 0x1p601, 0x1p-500)};
+  EXPECT_EQ(LambdaKey(0x1p500, 0x1p-600).value, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(LambdaKey(0x1p-500, 0x1p600).value, 0.0);
+  Result<FleetPlanResult> planned = FleetPartitionService().Plan(profile, fleet);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  ASSERT_EQ(planned->breakpoints.size(), 3u);
+  ASSERT_EQ(planned->plans.size(), 2u);
+  EXPECT_EQ(planned->plans[0].members, (std::vector<uint32_t>{2, 3}));
+  EXPECT_EQ(planned->plans[1].members, (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(lambda_oracle::MedianMember(fleet, {2, 3}), 3u);
+  EXPECT_EQ(lambda_oracle::MedianMember(fleet, {0, 1}), 1u);
+  ExpectReferencePlacementAndMedians(profile, fleet, *planned);
+}
+
+TEST(FleetServiceTest, KeyFirstPlansMatchTheReferenceOnTenFleets) {
+  // Ten 2,000-client fleets, 30% lossy, through the λ reference (segment
+  // and median of every client and plan) and the per-client oracle.
+  const IccProfile profile = SwitchingProfile();
+  Result<CutEnvelope> envelope = ProfileAnalysisEngine().Envelope(profile);
+  ASSERT_TRUE(envelope.ok()) << envelope.status().ToString();
+  ASSERT_EQ(envelope->segments().size(), 4u);
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::vector<FleetClient> fleet = Population(2000, 0.3, seed);
+    Result<FleetPlanResult> planned = FleetPartitionService().Plan(profile, fleet);
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    EXPECT_EQ(planned->plans.size(), 4u);
+    ExpectReferencePlacementAndMedians(profile, fleet, *planned);
+    Result<std::vector<std::string>> misplaced =
+        fleet_oracle::MisplacedClients(profile, fleet, *planned);
+    ASSERT_TRUE(misplaced.ok());
+    EXPECT_TRUE(misplaced->empty()) << misplaced->size() << " misplaced, first: "
+                                    << misplaced->front();
+    Result<std::vector<std::string>> mispriced =
+        fleet_oracle::MispricedPlans(profile, fleet, *planned);
+    ASSERT_TRUE(mispriced.ok());
+    EXPECT_TRUE(mispriced->empty()) << mispriced->front();
+  }
 }
 
 TEST(FleetServiceTest, PlansAreAPureFunctionOfTheInputs) {

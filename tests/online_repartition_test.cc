@@ -530,6 +530,71 @@ TEST(CircuitBreakerTest, MissingProbeVerdictKeepsItHalfOpen) {
   EXPECT_EQ(breaker.probes(), 0u);
 }
 
+// Delivers every attempt and records what it carried.
+class RecordingFaultModel : public TransportFaultModel {
+ public:
+  struct Attempt {
+    MachineId src;
+    MachineId dst;
+    uint64_t request_bytes;
+    uint64_t reply_bytes;
+  };
+
+  AttemptPlan OnAttempt(MachineId src, MachineId dst, uint64_t request_bytes,
+                        uint64_t reply_bytes, double /*expected_seconds*/) override {
+    attempts.push_back({src, dst, request_bytes, reply_bytes});
+    return AttemptPlan{};
+  }
+  void AdvanceClock(double /*seconds*/) override {}
+  double JitterUnit() override { return 0.0; }
+
+  std::vector<Attempt> attempts;
+};
+
+TEST_F(MigratorTest, HalfOpenBreakerProbesWithFourRoundTripsOf256Bytes) {
+  // A repartitioner whose wire health is scripted: two dead epochs trip
+  // the breaker, healthy epochs run the hold down, and the epoch that
+  // ends it probes the migration transport, the only traffic on it here.
+  ConfigurationRecord config;
+  config.mode = RuntimeMode::kDistributed;
+  CoignRuntime runtime(&system_, config);
+  OnlineOptions options;
+  options.breaker = TestBreakerConfig();
+  OnlineRepartitioner repartitioner(&system_, &runtime, IccProfile(),
+                                    NetworkProfile::Exact(NetworkModel::TenBaseT()), options);
+  TransportHealth health;
+  repartitioner.SetTransportProbe([&health] { return health; });
+  Transport transport(NetworkModel::TenBaseT());
+  RecordingFaultModel recorder;
+  transport.AttachFaults(&recorder);
+  repartitioner.SetMigrationTransport(&transport, nullptr);
+
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    health.calls += kDeadEpoch.calls;
+    health.undelivered += kDeadEpoch.undelivered;
+    ASSERT_TRUE(repartitioner.EndEpoch().ok());
+  }
+  ASSERT_EQ(repartitioner.breaker().state(), BreakerState::kOpen);
+  ASSERT_TRUE(repartitioner.safe_mode());
+  EXPECT_TRUE(recorder.attempts.empty());
+  for (int epoch = 0; epoch < 8 && repartitioner.breaker().probes() == 0; ++epoch) {
+    health.calls += kHealthyEpoch.calls;
+    ASSERT_TRUE(repartitioner.EndEpoch().ok());
+  }
+  ASSERT_EQ(repartitioner.breaker().probes(), 1u);
+  EXPECT_EQ(repartitioner.breaker().state(), BreakerState::kClosed);
+  EXPECT_FALSE(repartitioner.safe_mode());
+
+  // kBreakerProbeCalls round trips of kBreakerProbeBytes each way.
+  ASSERT_EQ(recorder.attempts.size(), 4u);
+  for (const RecordingFaultModel::Attempt& attempt : recorder.attempts) {
+    EXPECT_EQ(attempt.src, kClientMachine);
+    EXPECT_EQ(attempt.dst, kServerMachine);
+    EXPECT_EQ(attempt.request_bytes, 256u);
+    EXPECT_EQ(attempt.reply_bytes, 256u);
+  }
+}
+
 // --- End to end: the closed loop on a real application ----------------------
 
 // Profiles octarine in process and analyzes a shipped distribution — the

@@ -1,9 +1,7 @@
 #include "tests/oracles/fleet_oracle.h"
 
-#include <algorithm>
-
-#include "src/analysis/envelope.h"
 #include "src/support/str_util.h"
+#include "tests/oracles/lambda_oracle.h"
 
 namespace coign::fleet_oracle {
 
@@ -71,12 +69,7 @@ Result<std::vector<std::string>> MispricedPlans(const IccProfile& profile,
   const ProfileAnalysisEngine engine;
   std::vector<std::string> mispriced;
   for (size_t i = 0; i < planned.plans.size(); ++i) {
-    std::vector<uint32_t> order = planned.plans[i].members;
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      const int by_lambda = CompareLambda(LossInflatedLink(fleet[a]), LossInflatedLink(fleet[b]));
-      return by_lambda != 0 ? by_lambda < 0 : a < b;
-    });
-    const uint32_t median = order[(order.size() - 1) / 2];
+    const uint32_t median = lambda_oracle::MedianMember(fleet, planned.plans[i].members);
     Result<AnalysisResult> expected = engine.Analyze(profile, LossInflatedLink(fleet[median]));
     if (!expected.ok()) {
       return expected.status();

@@ -32,7 +32,7 @@ Result<std::vector<std::string>> MisplacedClients(const IccProfile& profile,
                                                   const FleetPlanResult& planned);
 
 // One line per plan whose analysis differs from Analyze at the link of
-// its median member in (λ, id) order.
+// its median member in (λ, id) order (lambda_oracle::MedianMember).
 Result<std::vector<std::string>> MispricedPlans(const IccProfile& profile,
                                                 const std::vector<FleetClient>& fleet,
                                                 const FleetPlanResult& planned);
