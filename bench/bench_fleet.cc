@@ -17,7 +17,10 @@
 // back. The client pass (validation, λ keys, segment lookup and median
 // selection) is a repetition's plan less its other two stages, so a
 // change in host speed between repetitions cancels. Each column is the
-// median over the repetitions.
+// median over the repetitions. Beside the split it prints the size of the
+// constraint quotient the envelope's probes solve: the concrete graph's
+// nodes and edges against its constraint groups, the communication edges
+// between them and the group pairs those edges join.
 
 #include <algorithm>
 #include <chrono>
@@ -28,6 +31,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "src/analysis/envelope.h"
 #include "src/apps/octarine.h"
 #include "src/fleet/service.h"
 #include "src/sim/fleet_population.h"
@@ -143,6 +147,19 @@ int main() {
                 planned->stats.plans_computed, plan_ms, clients, naive_seconds,
                 1e3 * naive_seconds / plan_ms, differ);
   }
+
+  // The constraint quotient, built as the envelope's probes build it.
+  Result<CutEnvelope> envelope = engine.Envelope(*profile);
+  if (!envelope.ok()) {
+    std::fprintf(stderr, "envelope: %s\n", envelope.status().ToString().c_str());
+    return 1;
+  }
+  const ConcreteGraph& graph = envelope->graph();
+  const ConstraintQuotient quotient = ContractConstraints(graph);
+  std::printf("\nconstraint quotient: %d nodes -> %d groups, %zu edges -> %zu cuttable edges "
+              "(%zu group pairs)\n",
+              graph.node_count(), quotient.groups.count(), graph.edges().size(),
+              quotient.crossing_edges, quotient.pairs.size());
 
   std::printf("\nPlan() stages, median of %d repetitions (ms)\n", kRepetitions);
   std::printf("%8s %10s %10s %10s %12s\n", "clients", "plan", "envelope", "assembly",

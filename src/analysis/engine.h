@@ -2,12 +2,15 @@
 //
 // Pipeline: ICC profile + location constraints → abstract ICC graph →
 // (× network profile) → concrete graph → minimum cut → distribution.
-// The production cut is one cold highest-label push-relabel solve on a
-// flat CSR network built for the call; the paper's lift-to-front
-// algorithm remains selectable for cross-checking and ablation. Both
+// The production cut is one cold highest-label push-relabel solve of the
+// sentinel quotient of a flat CSR network built for the call (the
+// location constraints glue most nodes into a few groups; see
+// incremental.h); the paper's lift-to-front algorithm remains selectable
+// for cross-checking and ablation, and solves the whole network. Both
 // return the identical exact cut: for a maximum flow the
-// residual-reachable source side is the unique minimal minimum cut, so the
-// distribution does not depend on the algorithm.
+// residual-reachable source side is the unique minimal minimum cut, and
+// the quotient's lifts to it, so the distribution does not depend on the
+// algorithm.
 //
 // For many networks at once, Envelope() solves the profile's exact cut
 // envelope (envelope.h) and AnalyzeSegment() turns one of its cuts into

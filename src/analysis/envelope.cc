@@ -96,41 +96,44 @@ Wide Cost(const Line& line, uint64_t wm, uint64_t wb) {
 
 class Prober {
  public:
-  explicit Prober(const ConcreteGraph& graph) : graph_(graph) {}
+  // Contracts the graph's constraint groups once: constraints do not
+  // depend on λ.
+  explicit Prober(const ConcreteGraph& graph) : quotient_(ContractConstraints(graph)) {}
 
   // The minimal minimum cut with every communication edge priced
-  // messages·wm + bytes·wb (the caller has bounded every sum).
+  // messages·wm + bytes·wb (the caller has bounded every sum), solved on
+  // the group quotient and lifted to the graph's nodes.
   Result<Line> Probe(uint64_t wm, uint64_t wb) {
-    CompactFlowNetwork network(graph_.node_count());
-    for (const ConcreteEdge& edge : graph_.edges()) {
-      network.AddEdge(edge.a, edge.b,
-                      edge.constraint
-                          ? kInfiniteCapacity
-                          : static_cast<CapUnits>(edge.messages * wm + edge.bytes * wb));
-    }
-    network.Finalize();
-    solver_.Reset(std::move(network), ConcreteGraph::kClientNode, ConcreteGraph::kServerNode);
-    CutResult cut = solver_.Solve();
-    ++solves_;
-    if (cut.cut_value == kInfiniteCapacity) {
+    const SentinelGroups& groups = quotient_.groups;
+    const int client = groups.of(ConcreteGraph::kClientNode);
+    const int server = groups.of(ConcreteGraph::kServerNode);
+    if (client == server) {
       return FailedPreconditionError(kUnsatisfiableConstraints);
     }
+    CompactFlowNetwork network(groups.count());
+    for (const ConstraintQuotient::Pair& pair : quotient_.pairs) {
+      network.AddEdge(pair.a, pair.b, static_cast<CapUnits>(pair.messages * wm + pair.bytes * wb));
+    }
+    network.Finalize();
+    solver_.Reset(std::move(network), client, server);
+    const CutResult cut = solver_.Solve();
+    ++solves_;
     Line line;
-    for (const ConcreteEdge& edge : graph_.edges()) {
-      if (!edge.constraint && cut.in_source_side[static_cast<size_t>(edge.a)] !=
-                                  cut.in_source_side[static_cast<size_t>(edge.b)]) {
-        line.messages += edge.messages;
-        line.bytes += edge.bytes;
+    for (const ConstraintQuotient::Pair& pair : quotient_.pairs) {
+      if (cut.in_source_side[static_cast<size_t>(pair.a)] !=
+          cut.in_source_side[static_cast<size_t>(pair.b)]) {
+        line.messages += pair.messages;
+        line.bytes += pair.bytes;
       }
     }
-    line.client_side = std::move(cut.in_source_side);
+    line.client_side = groups.Lift(cut.in_source_side);
     return line;
   }
 
   size_t solves() const { return solves_; }
 
  private:
-  const ConcreteGraph& graph_;
+  ConstraintQuotient quotient_;
   IncrementalMinCut solver_;
   size_t solves_ = 0;
 };
@@ -182,6 +185,42 @@ std::string LambdaRatio::ToString() const {
 
 bool operator==(const LambdaRatio& a, const LambdaRatio& b) { return Compare(a, b) == 0; }
 bool operator<(const LambdaRatio& a, const LambdaRatio& b) { return Compare(a, b) < 0; }
+
+ConstraintQuotient ContractConstraints(const ConcreteGraph& graph) {
+  ConstraintQuotient quotient;
+  SentinelGroups& groups = quotient.groups;
+  groups.Reset(graph.node_count());
+  for (const ConcreteEdge& edge : graph.edges()) {
+    if (edge.constraint) {
+      groups.Join(edge.a, edge.b);
+    }
+  }
+  groups.Seal();
+  std::vector<ConstraintQuotient::Pair>& pairs = quotient.pairs;
+  for (const ConcreteEdge& edge : graph.edges()) {
+    const int a = groups.of(edge.a);
+    const int b = groups.of(edge.b);
+    if (a != b) {
+      pairs.push_back({std::min(a, b), std::max(a, b), edge.messages, edge.bytes});
+    }
+  }
+  quotient.crossing_edges = pairs.size();
+  std::sort(pairs.begin(), pairs.end(),
+            [](const ConstraintQuotient::Pair& x, const ConstraintQuotient::Pair& y) {
+              return x.a != y.a ? x.a < y.a : x.b < y.b;
+            });
+  size_t kept = 0;
+  for (const ConstraintQuotient::Pair& pair : pairs) {
+    if (kept > 0 && pairs[kept - 1].a == pair.a && pairs[kept - 1].b == pair.b) {
+      pairs[kept - 1].messages += pair.messages;
+      pairs[kept - 1].bytes += pair.bytes;
+    } else {
+      pairs[kept++] = pair;
+    }
+  }
+  pairs.resize(kept);
+  return quotient;
+}
 
 int CompareLambda(const LambdaKey& a, const LambdaKey& b) {
   if (a.value != b.value) {

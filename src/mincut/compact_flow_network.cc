@@ -1,6 +1,7 @@
 #include "src/mincut/compact_flow_network.h"
 
 #include <cassert>
+#include <utility>
 
 namespace coign {
 
@@ -13,7 +14,7 @@ void CompactFlowNetwork::Stage(int from, int to, CapUnits capacity, bool directe
   assert(from >= 0 && from < node_count_);
   assert(to >= 0 && to < node_count_);
   assert(capacity >= 0);
-  edges_.push_back(StagedEdge{from, to, capacity, directed});
+  edges_.push_back(Edge{from, to, capacity, directed});
 }
 
 void CompactFlowNetwork::AddArc(int from, int to, CapUnits capacity) {
@@ -35,7 +36,7 @@ void CompactFlowNetwork::Finalize() {
   // Placing them by a stable counting sort over the staged order keeps
   // each node's arcs in edge-insertion order — the scan order every
   // solver, and cut_edges extraction, follows.
-  for (const StagedEdge& edge : edges_) {
+  for (const Edge& edge : edges_) {
     ++first_out_[static_cast<size_t>(edge.from) + 1];
     ++first_out_[static_cast<size_t>(edge.to) + 1];
   }
@@ -44,7 +45,7 @@ void CompactFlowNetwork::Finalize() {
   }
   arcs_.assign(edges_.size() * 2, CompactArc{});
   std::vector<int> next_slot(first_out_.begin(), first_out_.end() - 1);
-  for (const StagedEdge& edge : edges_) {
+  for (const Edge& edge : edges_) {
     const int forward = next_slot[static_cast<size_t>(edge.from)]++;
     const int backward = next_slot[static_cast<size_t>(edge.to)]++;
     arcs_[static_cast<size_t>(forward)].to = edge.to;
@@ -71,24 +72,35 @@ void CompactFlowNetwork::ResetFlow() {
 }
 
 CutResult CompactFlowNetwork::ExtractCut(int source, CapUnits flow_value) const {
+  return CutOf(ResidualReachable(source), flow_value);
+}
+
+std::vector<bool> CompactFlowNetwork::ResidualReachable(int source) const {
   assert(finalized_);
-  CutResult result;
-  result.cut_value = flow_value;
-  result.in_source_side.assign(static_cast<size_t>(node_count_), false);
+  std::vector<bool> reached(static_cast<size_t>(node_count_), false);
   std::vector<int> stack = {source};
-  result.in_source_side[static_cast<size_t>(source)] = true;
+  reached[static_cast<size_t>(source)] = true;
   while (!stack.empty()) {
     const int node = stack.back();
     stack.pop_back();
     const int end = first_out(node + 1);
     for (int a = first_out(node); a < end; ++a) {
       const CompactArc& arc = arcs_[static_cast<size_t>(a)];
-      if (arc.Residual() > 0 && !result.in_source_side[static_cast<size_t>(arc.to)]) {
-        result.in_source_side[static_cast<size_t>(arc.to)] = true;
+      if (arc.Residual() > 0 && !reached[static_cast<size_t>(arc.to)]) {
+        reached[static_cast<size_t>(arc.to)] = true;
         stack.push_back(arc.to);
       }
     }
   }
+  return reached;
+}
+
+CutResult CompactFlowNetwork::CutOf(std::vector<bool> source_side, CapUnits flow_value) const {
+  assert(finalized_);
+  assert(source_side.size() == static_cast<size_t>(node_count_));
+  CutResult result;
+  result.cut_value = flow_value;
+  result.in_source_side = std::move(source_side);
   bool sentinel_crossing = false;
   for (int node = 0; node < node_count_; ++node) {
     if (!result.in_source_side[static_cast<size_t>(node)]) {

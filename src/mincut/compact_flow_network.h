@@ -23,6 +23,12 @@
 // staged edge list, so each node's arcs appear in edge-insertion order and
 // every solver scans them in that order.
 //
+// The staged edge list stays readable after Finalize(), so the production
+// cut (incremental.h) can contract the nodes that undirected sentinel
+// edges glue together and solve the smaller quotient network. It takes
+// the quotient's ResidualReachable() side and reads the cut back off the
+// original network with CutOf().
+//
 // Re-entrancy contract: CompactFlowNetwork is a plain value type with no
 // shared or global state. The one-shot min-cut entry points take it by
 // const reference and run on per-call working copies, so concurrent cuts
@@ -132,6 +138,14 @@ struct CompactArc {
 
 class CompactFlowNetwork {
  public:
+  // One staged AddArc/AddEdge call.
+  struct Edge {
+    int32_t from = 0;
+    int32_t to = 0;
+    CapUnits capacity = 0;
+    bool directed = false;  // Reverse arc: zero-capacity stub vs. capacity.
+  };
+
   CompactFlowNetwork() = default;
   explicit CompactFlowNetwork(int node_count);
 
@@ -149,6 +163,8 @@ class CompactFlowNetwork {
   int node_count() const { return node_count_; }
   int arc_count() const { return static_cast<int>(arcs_.size()); }
   int edge_count() const { return static_cast<int>(edges_.size()); }
+  // The staged edges, in insertion order.
+  const std::vector<Edge>& edges() const { return edges_; }
 
   // CSR accessors (finalized only). Arcs out of `node` are
   // arcs()[first_out(node) .. first_out(node + 1)).
@@ -159,26 +175,26 @@ class CompactFlowNetwork {
   void ResetFlow();
 
   // Derives the partition and cut edges once a maximum flow is in place:
-  // source side = nodes reachable from `source` through positive-residual
-  // arcs, cut_edges in ascending-node then arc order. If a sentinel-
-  // capacity arc crosses the partition, cut_value is promoted to exactly
-  // kInfiniteCapacity, so every solver reports unsatisfiable constraint
-  // sets identically.
+  // CutOf(ResidualReachable(source), flow_value).
   CutResult ExtractCut(int source, CapUnits flow_value) const;
 
- private:
-  struct StagedEdge {
-    int32_t from = 0;
-    int32_t to = 0;
-    CapUnits capacity = 0;
-    bool directed = false;  // Reverse arc: zero-capacity stub vs. capacity.
-  };
+  // Nodes reachable from `source` through positive-residual arcs: for a
+  // maximum flow, the source side of the unique minimal minimum cut.
+  std::vector<bool> ResidualReachable(int source) const;
 
+  // The cut with this source side: cut_edges are the positive-capacity
+  // arcs leaving it, in ascending-node then arc order. If a sentinel-
+  // capacity arc crosses the partition, cut_value is promoted to exactly
+  // kInfiniteCapacity, so every solver reports unsatisfiable constraint
+  // sets identically; otherwise it is `flow_value`.
+  CutResult CutOf(std::vector<bool> source_side, CapUnits flow_value) const;
+
+ private:
   void Stage(int from, int to, CapUnits capacity, bool directed);
 
   int node_count_ = 0;
   bool finalized_ = false;
-  std::vector<StagedEdge> edges_;
+  std::vector<Edge> edges_;
   std::vector<int> first_out_;      // node_count_ + 1 entries.
   std::vector<CompactArc> arcs_;    // 2 * edges_.size() entries.
 };

@@ -1,20 +1,74 @@
-// The production min-cut entry the analysis engine uses: one cold
-// push-relabel solve of one finalized CompactFlowNetwork, plus the cut
-// extraction. Nothing here is incremental any more; the name stays
-// because the benchmark's analyze replay (coignbench/workload_analyze.cc)
-// times this exact cold solve by it.
+// The production min-cut entry the analysis engine uses for two-machine
+// cuts (Analyze and the cut envelope's probes): one cold push-relabel
+// solve of one finalized CompactFlowNetwork, on the network's sentinel
+// quotient, plus the cut extraction. MultiwayCutIsolation (multiway.h)
+// does not come through here: it runs PushRelabelSolver on its whole
+// network. Nothing here is incremental any more; the name stays because
+// the benchmark's analyze replay (coignbench/workload_analyze.cc) times
+// this exact cold solve by it.
 //
-// Solve() runs the solver to a full maximum flow and reports the unique
-// minimal source side (the residual-reachable set), so the result is
-// identical to every other exact solver's, relabel-to-front included.
+// The quotient. Location constraints reach the flow network as undirected
+// kInfiniteCapacity edges, and they glue most of a real profile's nodes
+// into a few groups: the Octarine o_newdoc + o_oldwp3 graph's 909 nodes
+// and 2,036 edges become 32 groups joined by 48 cuttable edges. Solve()
+// union-finds the groups (SentinelGroups), drops every edge inside a
+// group, keeps the rest between the groups' representatives (parallel
+// edges stay parallel, directed arcs stay directed) and push-relabels that
+// quotient. The analysis engine's networks hold only undirected
+// sentinels, but the API also takes AddArc(a, b, kInfiniteCapacity), and
+// such a directed sentinel arc glues nothing: a cut may put its head on
+// the source side and its tail on the sink side, so its endpoints stay
+// apart. A network with no undirected sentinel is solved as it is; one
+// whose sentinels glue only a few nodes pays for a quotient almost as
+// large as itself (DESIGN.md §14, "Weakly glued networks").
+//
+// Lifting. A cut that splits a group crosses an undirected sentinel edge,
+// so every finite cut keeps each group whole, and the finite cuts of the
+// network and of its quotient are the same cuts at the same values. The
+// minimal minimum cut (the residual-reachable side of any maximum flow) is
+// therefore the quotient's minimal minimum cut with each group expanded:
+// Solve() expands it and reads cut_edges and the sentinel check off the
+// original CSR, so every feasible CutResult is exactly what solving the
+// whole network returns, and the cut value is the same on every input.
+// Terminals in one group cannot be separated by a finite cut: Solve()
+// returns exactly kInfiniteCapacity for them without a solve.
 
 #ifndef COIGN_SRC_MINCUT_INCREMENTAL_H_
 #define COIGN_SRC_MINCUT_INCREMENTAL_H_
+
+#include <vector>
 
 #include "src/mincut/compact_flow_network.h"
 #include "src/mincut/push_relabel.h"
 
 namespace coign {
+
+// Nodes glued together by undirected sentinel edges, numbered densely in
+// order of each group's lowest node. The one contraction helper: Solve()
+// glues a network's undirected sentinel edges, and the cut envelope's
+// ContractConstraints (envelope.h) a concrete graph's constraint edges.
+class SentinelGroups {
+ public:
+  // `node_count` singleton groups.
+  void Reset(int node_count);
+  // Glues the groups of a and b.
+  void Join(int a, int b);
+  // Numbers the groups; call after the last Join and before of/Lift.
+  void Seal();
+
+  int count() const { return count_; }
+  // The group of `node`, in [0, count()).
+  int of(int node) const { return group_[static_cast<size_t>(node)]; }
+  // A side per node from a side per group.
+  std::vector<bool> Lift(const std::vector<bool>& group_side) const;
+
+ private:
+  int Find(int node);
+
+  std::vector<int> parent_;  // Union-find; every root is its group's lowest node.
+  std::vector<int> group_;
+  int count_ = 0;
+};
 
 class IncrementalMinCut {
  public:
@@ -25,16 +79,20 @@ class IncrementalMinCut {
   // does not reallocate.
   void Reset(CompactFlowNetwork network, int source, int sink);
 
-  // Cold push-relabel from zero flow, then the cut. Calling it again
-  // re-solves from zero.
+  // Cold push-relabel of the quotient from zero flow, then the cut of the
+  // installed network. Calling it again re-solves from zero.
   CutResult Solve();
 
-  // Solver work of the most recent Solve().
-  const MinCutSolveStats& last_stats() const { return solver_.last_stats(); }
+  // Solver work of the most recent Solve(); all zero when its terminals
+  // shared a group.
+  const MinCutSolveStats& last_stats() const { return stats_; }
 
  private:
   CompactFlowNetwork network_;
+  CompactFlowNetwork quotient_;
+  SentinelGroups groups_;
   PushRelabelSolver solver_;
+  MinCutSolveStats stats_;
   int source_ = 0;
   int sink_ = 1;
 };

@@ -261,11 +261,4 @@ CapUnits PushRelabelSolver::Solve(CompactFlowNetwork& net, int source, int sink)
   return excess_[static_cast<size_t>(sink)];
 }
 
-CutResult MinCutPushRelabel(const CompactFlowNetwork& network, int source, int sink) {
-  CompactFlowNetwork working = network;
-  PushRelabelSolver solver;
-  const CapUnits flow = solver.Solve(working, source, sink);
-  return working.ExtractCut(source, flow);
-}
-
 }  // namespace coign

@@ -1,9 +1,12 @@
 // Highest-label push-relabel max-flow on CompactFlowNetwork.
 //
-// This is the production solver behind CutAlgorithm::kPushRelabel; the
-// paper's CLRS relabel-to-front and the test-only Edmonds-Karp stay as
-// differential oracles (see tests/mincut_equivalence_test.cc). Two
-// heuristics make it fast on the repeated-cut workloads:
+// This is the production solver behind CutAlgorithm::kPushRelabel, which
+// runs it on a network's sentinel quotient (incremental.h), and behind
+// MultiwayCutIsolation, which runs it on the whole network; the paper's
+// CLRS relabel-to-front and the test-only Edmonds-Karp stay as
+// differential oracles on the whole network (see
+// tests/mincut_equivalence_test.cc). Two heuristics make it fast on the
+// repeated-cut workloads:
 //
 //  * Gap relabeling: when no node remains at height h < n, every node at
 //    height h < height < n is unreachable from the sink in the residual
@@ -83,11 +86,6 @@ class PushRelabelSolver {
   int highest_active_ = 0;
   int n_ = 0;
 };
-
-// Convenience entry with the same signature as MinCutRelabelToFront, for
-// the differential oracles and the parameterized algorithm tests. Solves
-// on a per-call working copy of the finalized `network`.
-CutResult MinCutPushRelabel(const CompactFlowNetwork& network, int source, int sink);
 
 }  // namespace coign
 

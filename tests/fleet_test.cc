@@ -235,6 +235,59 @@ TEST(FleetServiceTest, RejectsLinksThatLossInflatesOutOfRange) {
       "latency overflows when inflated");
 }
 
+// A GUI-pinned and a storage-pinned classification joined by non-remotable
+// calls, through `chain` free classifications or, for chain 0, directly,
+// with remotable calls from outside any classification to each. No cut
+// can honour every constraint.
+IccProfile UnsatisfiableProfile(int chain) {
+  IccProfile profile;
+  const ClassificationId store = static_cast<ClassificationId>(chain + 1);
+  for (ClassificationId id = 0; id <= store; ++id) {
+    ClassificationInfo info;
+    info.id = id;
+    info.clsid = Guid::FromName("clsid:Unsatisfiable" + std::to_string(id));
+    info.class_name = "C" + std::to_string(id);
+    info.api_usage = id == 0 ? kApiGui : id == store ? kApiStorage : kApiNone;
+    info.instance_count = 1;
+    profile.RecordClassification(info);
+    CallKey key;
+    key.src = kNoClassification;
+    key.dst = id;
+    key.iid = Guid::FromName("iid:IUnsatisfiable");
+    profile.RecordCall(key, 64, 64, true);
+    if (id > 0) {
+      key.src = id - 1;
+      profile.RecordCall(key, 16, 16, /*remotable=*/false);
+    }
+  }
+  return profile;
+}
+
+TEST(FleetServiceTest, UnsatisfiableConstraintsFailEveryEntryPoint) {
+  AnalysisOptions whole_network;
+  whole_network.algorithm = CutAlgorithm::kRelabelToFront;
+  const ProfileAnalysisEngine engine;
+  const ProfileAnalysisEngine relabel_to_front(whole_network);
+  const NetworkProfile link = NetworkProfile::Exact(NetworkModel::TenBaseT());
+  for (const int chain : {3, 0}) {
+    SCOPED_TRACE("chain of " + std::to_string(chain));
+    const IccProfile profile = UnsatisfiableProfile(chain);
+    const auto expect_unsatisfiable = [](const Status& status, const char* what) {
+      EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << what;
+      EXPECT_EQ(status.message(), kUnsatisfiableConstraints) << what;
+    };
+    // The constraint edges glue both terminals into one group, so the
+    // production cut returns without a solve.
+    MinCutSession session;
+    expect_unsatisfiable(engine.Analyze(profile, link, &session).status(), "Analyze");
+    EXPECT_EQ(session.stats().pushes, 0u);
+    expect_unsatisfiable(relabel_to_front.Analyze(profile, link).status(),
+                         "Analyze by relabel-to-front");
+    expect_unsatisfiable(engine.Envelope(profile).status(), "Envelope");
+    expect_unsatisfiable(FleetPartitionService().Plan(profile, TestFleet(20)).status(), "Plan");
+  }
+}
+
 TEST(FleetServiceTest, EveryClientIsServedItsOwnOptimalCut) {
   // The benchmark profile and o_oldwp7, each with a clean seed-42 fleet
   // and a 30%-lossy seed-7 fleet: 1,200 clients, each checked against

@@ -1,22 +1,24 @@
 // Differential fuzz oracle for the minimum-cut stack: on every generated
 // graph, relabel-to-front (the paper's lift-to-front reference),
 // Edmonds-Karp (the verification baseline), the highest-label
-// push-relabel production solver — both its one-shot entry and the
-// IncrementalMinCut Reset + Solve path the analysis engine takes — and an
-// exhaustive reference min-cut (independent of any flow algorithm) must
-// agree on the cut value EXACTLY — integer equality in CapUnits, no
-// epsilon, no ulp slack. Cuts themselves may differ when several minimum
-// cuts exist, but every returned partition must separate the terminals and
-// every cut value must equal the capacity actually crossing the returned
-// partition.
+// push-relabel solver on the whole network, the production
+// IncrementalMinCut Reset + Solve path the analysis engine takes (the same
+// solver on the network's sentinel quotient) and an exhaustive reference
+// min-cut (independent of any flow algorithm) must agree on the cut value
+// EXACTLY — integer equality in CapUnits, no epsilon, no ulp slack. Every
+// returned partition must separate the terminals and every cut value must
+// equal the capacity actually crossing the returned partition. On
+// feasible graphs both push-relabel legs must also return relabel-to-
+// front's partition and cut_edges: the unique minimal minimum cut.
 //
 // The generator deliberately produces adversarial shapes: tied cuts (many
 // equal-value minimum cuts from tiny integer capacities), near-equal
 // capacities (huge bases ± 1 unit, where any float arithmetic would lose
 // the low bits), sentinel constraint edges up to fully infeasible
-// pure-sentinel s-t paths, degenerate 2-node graphs, and disconnected
-// terminals. A failing graph is shrunk to a minimal repro — greedy edge
-// removal while the disagreement persists, mirroring the fault harness's
+// pure-sentinel s-t paths, degenerate 2-node graphs, disconnected
+// terminals, and sentinel-glued groups for the quotient. A failing graph
+// is shrunk to a minimal repro — greedy edge removal while the
+// disagreement persists, mirroring the fault harness's
 // SmallestFailingPrefix — and printed as an AddEdge/AddArc transcript.
 
 #include <gtest/gtest.h>
@@ -36,8 +38,10 @@
 namespace coign {
 namespace {
 
-// The CI gate (and the issue's acceptance bar) is >= 500 seeded graphs.
+// The CI gate is >= 500 seeded graphs from the five cycled families,
+// plus the contraction family's own seeds.
 constexpr int kGraphs = 520;
+constexpr int kContractionGraphs = 100;
 
 // ---------------------------------------------------------------------------
 // Graph specification: a flat edge list, so shrinking is list surgery.
@@ -88,9 +92,11 @@ std::string Describe(const GraphSpec& spec) {
 
 // ---------------------------------------------------------------------------
 // Adversarial generator. Five families, cycled by seed so every family
-// gets >= 100 of the >= 500 graphs.
+// gets >= 100 of the >= 500 graphs, and the contraction family on seeds
+// of its own.
 
 constexpr int kFamilies = 5;
+constexpr int kContractionFamily = kFamilies;
 
 const char* FamilyName(int family) {
   switch (family) {
@@ -98,8 +104,105 @@ const char* FamilyName(int family) {
     case 1: return "near-equal";
     case 2: return "sentinel-heavy";
     case 3: return "degenerate";
-    default: return "general-mix";
+    case 4: return "general-mix";
+    default: return "contraction";
   }
+}
+
+// Groups glued by undirected sentinel chains, stars and cliques (the
+// terminals in two of them), finite edges inside groups (which the
+// quotient drops) and between them, parallel edges between groups (some
+// pairs summing past the finite range), directed sentinel arcs between
+// groups (which glue nothing) and, in some graphs, a long sentinel path
+// that joins the terminals' groups through the others.
+GraphSpec GenContractionGraph(uint64_t seed) {
+  Rng rng(seed);
+  GraphSpec spec;
+  spec.node_count = static_cast<int>(rng.UniformInt(8, 14));
+  const int group_count = static_cast<int>(rng.UniformInt(2, 4));
+  std::vector<std::vector<int>> groups(static_cast<size_t>(group_count));
+  groups[0].push_back(spec.source);
+  groups[1].push_back(spec.sink);
+  for (int node = 2; node < spec.node_count; ++node) {
+    // Nodes 2 .. group_count - 1 seed the inner groups; the rest land
+    // anywhere.
+    const int group =
+        node < group_count ? node : static_cast<int>(rng.UniformInt(0, group_count - 1));
+    groups[static_cast<size_t>(group)].push_back(node);
+  }
+  auto finite = [&rng]() -> CapUnits {
+    return rng.Bernoulli(0.3) ? rng.UniformInt(1, 4) : rng.UniformInt(1, 1'000'000);
+  };
+  auto member = [&rng](const std::vector<int>& group) {
+    return group[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(group.size()) - 1))];
+  };
+  for (const std::vector<int>& group : groups) {
+    const int64_t shape = rng.UniformInt(0, 2);  // Chain, star, clique.
+    for (size_t i = 1; i < group.size(); ++i) {
+      if (shape == 0) {
+        spec.edges.push_back({group[i - 1], group[i], kInfiniteCapacity, false});
+      } else if (shape == 1) {
+        spec.edges.push_back({group[0], group[i], kInfiniteCapacity, false});
+      } else {
+        for (size_t j = 0; j < i; ++j) {
+          spec.edges.push_back({group[j], group[i], kInfiniteCapacity, false});
+        }
+      }
+    }
+    if (group.size() > 1 && rng.Bernoulli(0.5)) {
+      spec.edges.push_back({group.front(), group.back(), finite(), rng.Bernoulli(0.3)});
+    }
+  }
+  // Finite edges between groups, some doubled onto the same group pair.
+  const int links = static_cast<int>(rng.UniformInt(group_count, 3 * group_count));
+  for (int i = 0; i < links; ++i) {
+    const int64_t from = rng.UniformInt(0, group_count - 1);
+    const int64_t to = (from + rng.UniformInt(1, group_count - 1)) % group_count;
+    const std::vector<int>& a = groups[static_cast<size_t>(from)];
+    const std::vector<int>& b = groups[static_cast<size_t>(to)];
+    spec.edges.push_back({member(a), member(b), finite(), rng.Bernoulli(0.15)});
+    if (rng.Bernoulli(0.3)) {
+      spec.edges.push_back({member(b), member(a), finite(), false});
+    }
+  }
+  // A parallel pair between two groups whose sum passes the finite range,
+  // or one such edge alone, a finite cut of its own.
+  if (rng.Bernoulli(0.35)) {
+    const int64_t from = rng.UniformInt(0, group_count - 1);
+    const int64_t to = (from + rng.UniformInt(1, group_count - 1)) % group_count;
+    const int copies = rng.Bernoulli(0.6) ? 2 : 1;
+    for (int copy = 0; copy < copies; ++copy) {
+      spec.edges.push_back({member(groups[static_cast<size_t>(from)]),
+                            member(groups[static_cast<size_t>(to)]),
+                            kMaxFiniteCapacity / 2 + rng.UniformInt(1, 4), false});
+    }
+  }
+  // A directed sentinel arc between groups, never from the source's group
+  // straight into the sink's.
+  if (rng.Bernoulli(0.5)) {
+    const int64_t from = rng.UniformInt(0, group_count - 1);
+    int64_t to = (from + rng.UniformInt(1, group_count - 1)) % group_count;
+    if (from == 0 && to == 1) {
+      to = group_count > 2 ? 2 : 0;
+    }
+    if (to != from) {
+      spec.edges.push_back({member(groups[static_cast<size_t>(from)]),
+                            member(groups[static_cast<size_t>(to)]), kInfiniteCapacity, true});
+    }
+  }
+  // Terminals joined only through a long sentinel path over inner nodes.
+  if (rng.Bernoulli(0.12)) {
+    int previous = spec.source;
+    for (int step = 0; step < 4; ++step) {
+      const int next = static_cast<int>(rng.UniformInt(2, spec.node_count - 1));
+      if (next != previous) {
+        spec.edges.push_back({previous, next, kInfiniteCapacity, false});
+        previous = next;
+      }
+    }
+    spec.edges.push_back({previous, spec.sink, kInfiniteCapacity, false});
+  }
+  return spec;
 }
 
 GraphSpec GenGraph(uint64_t seed) {
@@ -211,11 +314,16 @@ Disagreement CheckGraph(const GraphSpec& spec) {
   const CompactFlowNetwork network = BuildNetwork(spec);
   const CutResult lift = MinCutRelabelToFront(network, spec.source, spec.sink);
   const CutResult baseline = MinCutEdmondsKarp(network, spec.source, spec.sink);
-  const CutResult highest = MinCutPushRelabel(network, spec.source, spec.sink);
   const CapUnits reference = ReferenceMinCut(network, spec.source, spec.sink);
 
-  // Engine leg: the analysis engine's production entry, on a network it
-  // owns.
+  // The push-relabel solver alone, on the whole network.
+  CompactFlowNetwork whole = network;
+  PushRelabelSolver solver;
+  const CapUnits whole_flow = solver.Solve(whole, spec.source, spec.sink);
+  const CutResult highest = whole.ExtractCut(spec.source, whole_flow);
+
+  // Engine leg: the analysis engine's production entry (the same solver on
+  // the sentinel quotient), on a network it owns.
   IncrementalMinCut engine_cut;
   engine_cut.Reset(BuildNetwork(spec), spec.source, spec.sink);
   const CutResult engine = engine_cut.Solve();
@@ -259,15 +367,23 @@ Disagreement CheckGraph(const GraphSpec& spec) {
   // solver extracts the residual-reachable set of a genuine maximum flow,
   // which is the unique *minimal* minimum cut — so the byte-level
   // partition must match even when several minimum cuts exist (the
-  // tied-cuts family). Infeasible graphs are excluded: a saturated
-  // "flow" is not a maximum flow, the uniqueness argument lapses, and the
-  // engine rejects the cut before any partition is used anyway.
+  // tied-cuts family), and so must the cut edges read off it. The engine
+  // leg gets there by lifting the quotient's minimal minimum cut.
+  // Infeasible graphs are excluded: a saturated "flow" is not a maximum
+  // flow, the uniqueness argument lapses, and the engine rejects the cut
+  // before any partition is used anyway.
   if (reference != kInfiniteCapacity) {
     if (highest.in_source_side != lift.in_source_side) {
       why << "PR partition differs from RTF; ";
     }
     if (engine.in_source_side != lift.in_source_side) {
       why << "PR-engine partition differs from RTF; ";
+    }
+    if (highest.cut_edges != lift.cut_edges) {
+      why << "PR cut_edges differ from RTF; ";
+    }
+    if (engine.cut_edges != lift.cut_edges) {
+      why << "PR-engine cut_edges differ from RTF; ";
     }
   }
   result.what = why.str();
@@ -296,28 +412,89 @@ GraphSpec ShrinkFailingGraph(GraphSpec spec) {
   return spec;
 }
 
+// Groups of nodes joined by undirected sentinel edges, by a flood fill
+// that shares no code with the engine's union-find: group[node].
+std::vector<int> SentinelGroupsOf(const GraphSpec& spec, int* count) {
+  std::vector<int> group(static_cast<size_t>(spec.node_count), -1);
+  *count = 0;
+  for (int start = 0; start < spec.node_count; ++start) {
+    if (group[static_cast<size_t>(start)] >= 0) {
+      continue;
+    }
+    std::vector<int> stack = {start};
+    group[static_cast<size_t>(start)] = *count;
+    while (!stack.empty()) {
+      const int node = stack.back();
+      stack.pop_back();
+      for (const SpecEdge& edge : spec.edges) {
+        if (edge.directed || edge.capacity != kInfiniteCapacity ||
+            (edge.a != node && edge.b != node)) {
+          continue;
+        }
+        const int other = edge.a == node ? edge.b : edge.a;
+        if (group[static_cast<size_t>(other)] < 0) {
+          group[static_cast<size_t>(other)] = *count;
+          stack.push_back(other);
+        }
+      }
+    }
+    ++*count;
+  }
+  return group;
+}
+
 TEST(MinCutDifferentialFuzzTest, BothAlgorithmsMatchTheReferenceOracleExactly) {
-  int infeasible = 0;
-  for (int i = 0; i < kGraphs; ++i) {
-    const uint64_t seed = 0x5eed0000u + static_cast<uint64_t>(i);
-    const GraphSpec spec = GenGraph(seed);
+  int infeasible = 0;  // Of the kGraphs five-family graphs.
+  int contraction_feasible = 0;
+  int contraction_below_half = 0;  // Feasible, fewer groups than n / 2.
+  int joined_through_a_path = 0;   // Terminals share a group, no direct edge.
+  for (int i = 0; i < kGraphs + kContractionGraphs; ++i) {
+    const bool contraction = i >= kGraphs;
+    const uint64_t seed = contraction ? 0xc0de0000u + static_cast<uint64_t>(i - kGraphs)
+                                      : 0x5eed0000u + static_cast<uint64_t>(i);
+    const int family = contraction ? kContractionFamily : static_cast<int>(seed % kFamilies);
+    const GraphSpec spec = contraction ? GenContractionGraph(seed) : GenGraph(seed);
     const Disagreement check = CheckGraph(spec);
     if (check.failed) {
       const GraphSpec minimal = ShrinkFailingGraph(spec);
       const Disagreement residual = CheckGraph(minimal);
       FAIL() << "graph " << i << " (seed " << seed << ", family "
-             << FamilyName(static_cast<int>(seed % kFamilies)) << ") disagrees: "
+             << FamilyName(family) << ") disagrees: "
              << check.what << "\nminimal repro (" << minimal.edges.size()
              << " of " << spec.edges.size() << " edges): " << residual.what
              << "\n" << Describe(minimal);
     }
-    if (ReferenceMinCut(BuildNetwork(spec), spec.source, spec.sink) == kInfiniteCapacity) {
-      ++infeasible;
+    const bool feasible =
+        ReferenceMinCut(BuildNetwork(spec), spec.source, spec.sink) != kInfiniteCapacity;
+    if (!contraction) {
+      infeasible += feasible ? 0 : 1;
+      continue;
+    }
+    int groups = 0;
+    const std::vector<int> group = SentinelGroupsOf(spec, &groups);
+    if (feasible) {
+      ++contraction_feasible;
+      contraction_below_half += 2 * groups < spec.node_count ? 1 : 0;
+    }
+    const bool direct = std::any_of(spec.edges.begin(), spec.edges.end(), [&](const SpecEdge& e) {
+      return e.capacity == kInfiniteCapacity && ((e.a == spec.source && e.b == spec.sink) ||
+                                                 (e.a == spec.sink && e.b == spec.source));
+    });
+    if (group[static_cast<size_t>(spec.source)] == group[static_cast<size_t>(spec.sink)] &&
+        !direct) {
+      ++joined_through_a_path;
     }
   }
-  // The adversarial families must actually produce infeasible (sentinel
-  // crossing) inputs, or the hardest agreement case went untested.
+  // The five adversarial families must themselves produce infeasible
+  // (sentinel crossing) inputs, or the hardest agreement case went
+  // untested; the contraction family's are not counted here.
   EXPECT_GT(infeasible, 10);
+  // The contraction family is not vacuous: most of its feasible graphs
+  // solve a quotient of under half their nodes, and some are infeasible
+  // only because a sentinel path puts both terminals in one group.
+  EXPECT_GT(2 * contraction_below_half, contraction_feasible);
+  EXPECT_GT(contraction_feasible, kContractionGraphs / 2);
+  EXPECT_GT(joined_through_a_path, 0);
 }
 
 TEST(MinCutDifferentialFuzzTest, ShrinkerProducesAMinimalRepro) {
