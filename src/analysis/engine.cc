@@ -25,20 +25,22 @@ size_t NonRemotablePairs(const AbstractIccGraph& abstract) {
                     [](const AbstractIccGraph::Edge& edge) { return edge.MustColocate(); }));
 }
 
-// The post-solve assembly every result comes from, whichever way its cut
-// was found: placement and instance counts per side, the crossing
-// communication edges (heaviest first) and the predicted communication
-// time, recomputed from the concrete edges.
-AnalysisResult Assemble(const IccProfile& profile, const ConcreteGraph& concrete,
-                        const std::vector<bool>& client_side, CapUnits cut_value,
+// The assembly every result comes from, whichever way its cut was found:
+// placement and instance counts per side, then one pass over the edges
+// that prices each at `network` and sums the crossing ones into the
+// predicted communication time, the cut's exact value and the crossing
+// edge reports (heaviest first). An edge is priced through a priced copy,
+// so its capacity is ConcreteEdge::Capacity()'s, the one quantization
+// site: on a solved graph the crossing capacities sum to the maximum flow
+// exactly. A feasible side crosses no constraint edge.
+AnalysisResult Assemble(const IccProfile& profile, const ConcreteGraph& graph,
+                        const NetworkProfile& network, const std::vector<bool>& client_side,
                         size_t non_remotable_pairs) {
   AnalysisResult result;
-  result.cut_value_units = cut_value;
-  result.total_comm_seconds = concrete.TotalCommunicationSeconds();
 
   // Build the classification → machine map from the cut sides.
-  for (int node = 2; node < concrete.node_count(); ++node) {
-    const ClassificationId id = concrete.ClassificationAt(node);
+  for (int node = 2; node < graph.node_count(); ++node) {
+    const ClassificationId id = graph.ClassificationAt(node);
     const bool on_client = client_side[static_cast<size_t>(node)];
     result.distribution.placement[id] = on_client ? kClientMachine : kServerMachine;
     const ClassificationInfo* info = profile.FindClassification(id);
@@ -53,22 +55,26 @@ AnalysisResult Assemble(const IccProfile& profile, const ConcreteGraph& concrete
   }
   result.distribution.default_machine = kClientMachine;
 
-  for (const ConcreteEdge& edge : concrete.edges()) {
-    if (edge.constraint) {
+  for (const ConcreteEdge& unpriced : graph.edges()) {
+    if (unpriced.constraint) {
       continue;
     }
+    ConcreteEdge edge = unpriced;
+    edge.seconds = network.TrafficSeconds(edge.messages, edge.bytes);
+    result.total_comm_seconds += edge.seconds;
     const bool a_client = client_side[static_cast<size_t>(edge.a)];
     const bool b_client = client_side[static_cast<size_t>(edge.b)];
     if (a_client == b_client) {
       continue;
     }
+    result.cut_value_units = SatAdd(result.cut_value_units, edge.Capacity());
     result.predicted_comm_seconds += edge.seconds;
     CutEdgeReport report;
     const int client_node = a_client ? edge.a : edge.b;
     const int server_node = a_client ? edge.b : edge.a;
-    report.client_side = client_node >= 2 ? concrete.ClassificationAt(client_node)
+    report.client_side = client_node >= 2 ? graph.ClassificationAt(client_node)
                                           : kNoClassification;
-    report.server_side = server_node >= 2 ? concrete.ClassificationAt(server_node)
+    report.server_side = server_node >= 2 ? graph.ClassificationAt(server_node)
                                           : kNoClassification;
     report.seconds = edge.seconds;
     result.cut_edges.push_back(report);
@@ -114,8 +120,9 @@ Result<AnalysisResult> ProfileAnalysisEngine::Analyze(const IccProfile& profile,
   const ConcreteGraph concrete = ConcreteGraph::Build(abstract, network, constraints);
 
   // The quantization boundary: predicted seconds become integer CapUnits
-  // here, exactly once per edge (ConcreteEdge::Capacity; rounding rule and
-  // error bound documented at SecondsToCapUnits). Everything below the
+  // here, by the one rounding site (ConcreteEdge::Capacity; rounding rule
+  // and error bound documented at SecondsToCapUnits), which Assemble
+  // reads the cut's value through as well. Everything below the
   // boundary — all cut algorithms, the cut value, infeasibility
   // detection — is exact 64-bit arithmetic; everything above (prediction,
   // reports) stays in seconds.
@@ -136,8 +143,7 @@ Result<AnalysisResult> ProfileAnalysisEngine::Analyze(const IccProfile& profile,
   if (cut.cut_value == kInfiniteCapacity) {
     return FailedPreconditionError(kUnsatisfiableConstraints);
   }
-  return Assemble(profile, concrete, cut.in_source_side, cut.cut_value,
-                  NonRemotablePairs(abstract));
+  return Assemble(profile, concrete, network, cut.in_source_side, NonRemotablePairs(abstract));
 }
 
 Result<CutEnvelope> ProfileAnalysisEngine::Envelope(const IccProfile& profile) const {
@@ -155,19 +161,8 @@ AnalysisResult ProfileAnalysisEngine::AnalyzeSegment(const IccProfile& profile,
                                                      const CutEnvelope& envelope,
                                                      size_t segment,
                                                      const NetworkProfile& network) const {
-  ConcreteGraph concrete = envelope.graph();
-  concrete.Price(network);
-  const std::vector<bool>& client_side = envelope.segments()[segment].client_side;
-  // The cut's value at this network, from the same quantized capacities a
-  // solve here would use: the maximum flow equals it whenever the
-  // segment's cut is minimum at this network.
-  CapUnits cut_value = 0;
-  for (const ConcreteEdge& edge : concrete.edges()) {
-    if (client_side[static_cast<size_t>(edge.a)] != client_side[static_cast<size_t>(edge.b)]) {
-      cut_value = SatAdd(cut_value, edge.Capacity());
-    }
-  }
-  return Assemble(profile, concrete, client_side, cut_value, envelope.non_remotable_pairs_);
+  return Assemble(profile, envelope.graph(), network, envelope.segments()[segment].client_side,
+                  envelope.non_remotable_pairs_);
 }
 
 }  // namespace coign

@@ -14,8 +14,8 @@
 //
 // For many networks at once, Envelope() solves the profile's exact cut
 // envelope (envelope.h) and AnalyzeSegment() turns one of its cuts into
-// an AnalysisResult at a network inside it, through the same result
-// assembly as Analyze.
+// an AnalysisResult at a network inside it. Every result comes from one
+// assembly: a graph, a network to price it at and a side.
 
 #ifndef COIGN_SRC_ANALYSIS_ENGINE_H_
 #define COIGN_SRC_ANALYSIS_ENGINE_H_
@@ -57,9 +57,10 @@ struct CutEdgeReport {
 
 struct AnalysisResult {
   Distribution distribution;
-  // The exact fixed-point cut value (picosecond units) the min-cut layer
-  // chose — both algorithms return this identical integer. Reports convert
-  // it back to seconds with CapUnitsToSeconds for display.
+  // The exact fixed-point value (picosecond units) of the chosen cut: the
+  // capacities of the crossing edges, summed off the side. For a solved
+  // cut that is the maximum flow, exactly, whichever algorithm found it.
+  // Reports convert it back to seconds with CapUnitsToSeconds for display.
   CapUnits cut_value_units = 0;
   // Predicted inter-machine communication time of the chosen distribution.
   double predicted_comm_seconds = 0.0;
@@ -121,11 +122,13 @@ class ProfileAnalysisEngine {
   Result<CutEnvelope> Envelope(const IccProfile& profile) const;
 
   // `segment`'s cut of `envelope` (solved from `profile`) assembled at
-  // `network` by Analyze's own result assembly. The cut is the exact
-  // optimum for every λ inside the segment. Analyze rounds each edge's
-  // seconds to whole picoseconds, so the two results are equal wherever
-  // that rounding does not reorder cuts; analysis_envelope_test and
-  // fleet_test check it on sampled profiles and fleets.
+  // `network` by Analyze's own result assembly, which prices the
+  // envelope's unpriced graph edge by edge as it reads it; no graph is
+  // copied. The cut is the exact optimum for every λ inside the segment.
+  // Analyze rounds each edge's seconds to whole picoseconds, so the two
+  // results are equal wherever that rounding does not reorder cuts;
+  // analysis_envelope_test and fleet_test check it on sampled profiles
+  // and fleets.
   AnalysisResult AnalyzeSegment(const IccProfile& profile, const CutEnvelope& envelope,
                                 size_t segment, const NetworkProfile& network) const;
 

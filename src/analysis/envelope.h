@@ -135,7 +135,8 @@ class CutEnvelope {
   // one), plus two for each line that touched the envelope at one point.
   size_t solves() const { return solves_; }
 
-  // The concrete graph the cuts index (its seconds are not priced).
+  // The concrete graph the cuts index. Its seconds are not priced:
+  // AnalyzeSegment prices each edge as it reads it.
   const ConcreteGraph& graph() const { return graph_; }
 
   // Index of the segment holding the key's λ, exactly (see Lookup).

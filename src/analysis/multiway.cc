@@ -26,7 +26,8 @@ Result<MultiwayAnalysisResult> AnalyzeMultiway(const IccProfile& profile,
   // machine t is terminal t, the client terminal (the driver and any
   // undeclared endpoint) becomes the GUI machine, and classification node
   // i >= 2 becomes k + i - 2. Nothing lands on the server terminal, which
-  // only pins use.
+  // only pins use. Its edges and the pins below are staged straight into
+  // the network the isolation heuristic partitions.
   const int k = options.machine_count;
   const ConcreteGraph concrete = ConcreteGraph::Build(AbstractIccGraph::FromProfile(profile),
                                                       network, LocationConstraints());
@@ -35,9 +36,9 @@ Result<MultiwayAnalysisResult> AnalyzeMultiway(const IccProfile& profile,
   auto renumbered = [&](int node) {
     return node == ConcreteGraph::kClientNode ? options.gui_machine : k + node - 2;
   };
-  EdgeList edges;
+  CompactFlowNetwork flow(node_count);
   for (const ConcreteEdge& edge : concrete.edges()) {
-    edges.emplace_back(renumbered(edge.a), renumbered(edge.b), edge.Capacity());
+    flow.AddEdge(renumbered(edge.a), renumbered(edge.b), edge.Capacity());
   }
 
   // Programmer/administrator pins.
@@ -47,7 +48,7 @@ Result<MultiwayAnalysisResult> AnalyzeMultiway(const IccProfile& profile,
     }
     const int node = concrete.NodeOf(id);
     if (node >= 0) {
-      edges.emplace_back(machine, renumbered(node), kInfiniteCapacity);
+      flow.AddEdge(machine, renumbered(node), kInfiniteCapacity);
     }
   }
 
@@ -56,9 +57,9 @@ Result<MultiwayAnalysisResult> AnalyzeMultiway(const IccProfile& profile,
     const ClassificationInfo* info = profile.FindClassification(ids[i]);
     const int node = k + static_cast<int>(i);
     if (info->api_usage & kApiGui) {
-      edges.emplace_back(options.gui_machine, node, kInfiniteCapacity);
+      flow.AddEdge(options.gui_machine, node, kInfiniteCapacity);
     } else if (info->api_usage & (kApiStorage | kApiOdbc)) {
-      edges.emplace_back(options.storage_machine, node, kInfiniteCapacity);
+      flow.AddEdge(options.storage_machine, node, kInfiniteCapacity);
     }
   }
 
@@ -66,7 +67,7 @@ Result<MultiwayAnalysisResult> AnalyzeMultiway(const IccProfile& profile,
   for (int t = 0; t < k; ++t) {
     terminals[static_cast<size_t>(t)] = t;
   }
-  const MultiwayCutResult cut = MultiwayCutIsolation(node_count, edges, terminals);
+  const MultiwayCutResult cut = MultiwayCutIsolation(flow, terminals);
   if (cut.total_weight == kInfiniteCapacity) {
     return FailedPreconditionError("multiway constraints unsatisfiable");
   }

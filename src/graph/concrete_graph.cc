@@ -4,34 +4,17 @@
 
 namespace coign {
 
-void ConcreteGraph::AddEdge(int a, int b, uint64_t messages, uint64_t bytes, bool constraint) {
+void ConcreteGraph::AddEdge(int a, int b, uint64_t messages, uint64_t bytes, double seconds,
+                            bool constraint) {
   if (a == b) {
     return;
   }
-  edges_.push_back(ConcreteEdge{a, b, messages, bytes, 0.0, constraint});
+  edges_.push_back(ConcreteEdge{a, b, messages, bytes, seconds, constraint});
 }
 
 int ConcreteGraph::NodeOf(ClassificationId id) const {
   const auto it = std::lower_bound(node_ids_.begin(), node_ids_.end(), id);
   return it == node_ids_.end() || *it != id ? -1 : static_cast<int>(it - node_ids_.begin()) + 2;
-}
-
-void ConcreteGraph::Price(const NetworkProfile& network) {
-  for (ConcreteEdge& edge : edges_) {
-    if (!edge.constraint) {
-      edge.seconds = network.TrafficSeconds(edge.messages, edge.bytes);
-    }
-  }
-}
-
-double ConcreteGraph::TotalCommunicationSeconds() const {
-  double total = 0.0;
-  for (const ConcreteEdge& edge : edges_) {
-    if (!edge.constraint) {
-      total += edge.seconds;
-    }
-  }
-  return total;
 }
 
 ConcreteGraph ConcreteGraph::Build(const AbstractIccGraph& abstract,
@@ -57,11 +40,12 @@ ConcreteGraph ConcreteGraph::Build(const AbstractIccGraph& abstract,
     if (a == b) {
       continue;
     }
-    graph.AddEdge(a, b, edge.messages, edge.bytes, /*constraint=*/false);
+    graph.AddEdge(a, b, edge.messages, edge.bytes,
+                  network.TrafficSeconds(edge.messages, edge.bytes), /*constraint=*/false);
     if (edge.MustColocate()) {
       // Non-remotable interface between the endpoints: they cannot be
       // split, whatever the traffic volume.
-      graph.AddEdge(a, b, 0, 0, /*constraint=*/true);
+      graph.AddEdge(a, b, 0, 0, 0.0, /*constraint=*/true);
     }
   }
 
@@ -72,15 +56,13 @@ ConcreteGraph ConcreteGraph::Build(const AbstractIccGraph& abstract,
       continue;
     }
     const int terminal = (machine == kServerMachine) ? kServerNode : kClientNode;
-    graph.AddEdge(terminal, node, 0, 0, /*constraint=*/true);
+    graph.AddEdge(terminal, node, 0, 0, 0.0, /*constraint=*/true);
   }
 
   // Pairwise colocation.
   for (const auto& [a, b] : constraints.colocated()) {
-    graph.AddEdge(node_of(a), node_of(b), 0, 0, /*constraint=*/true);
+    graph.AddEdge(node_of(a), node_of(b), 0, 0, 0.0, /*constraint=*/true);
   }
-
-  graph.Price(network);
   return graph;
 }
 

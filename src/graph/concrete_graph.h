@@ -50,13 +50,10 @@ class ConcreteGraph {
   static constexpr int kServerNode = 1;
 
   // Builds the concrete graph from the abstract graph, a fitted network
-  // profile, and location constraints.
+  // profile, and location constraints. Each communication edge's seconds
+  // are the TrafficSeconds of its traffic under `network`.
   static ConcreteGraph Build(const AbstractIccGraph& abstract, const NetworkProfile& network,
                              const LocationConstraints& constraints);
-
-  // Sets every communication edge's seconds to the TrafficSeconds of its
-  // traffic under `network` — the one pricing step, which Build ends with.
-  void Price(const NetworkProfile& network);
 
   int node_count() const { return static_cast<int>(node_ids_.size()) + 2; }
   const std::vector<ConcreteEdge>& edges() const { return edges_; }
@@ -70,12 +67,9 @@ class ConcreteGraph {
   // All classification ids in dense order (ascending).
   const std::vector<ClassificationId>& classifications() const { return node_ids_; }
 
-  // Sum of non-constraint edge seconds — total potential communication time
-  // if everything were split (an upper bound used in reports).
-  double TotalCommunicationSeconds() const;
-
  private:
-  void AddEdge(int a, int b, uint64_t messages, uint64_t bytes, bool constraint);
+  void AddEdge(int a, int b, uint64_t messages, uint64_t bytes, double seconds,
+               bool constraint);
 
   std::vector<ClassificationId> node_ids_;  // Dense index - 2 → classification.
   std::vector<ConcreteEdge> edges_;

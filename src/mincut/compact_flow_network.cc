@@ -1,7 +1,6 @@
 #include "src/mincut/compact_flow_network.h"
 
 #include <cassert>
-#include <utility>
 
 namespace coign {
 
@@ -35,7 +34,7 @@ void CompactFlowNetwork::Finalize() {
   // Each staged edge contributes one arc at its tail and one at its head.
   // Placing them by a stable counting sort over the staged order keeps
   // each node's arcs in edge-insertion order — the scan order every
-  // solver, and cut_edges extraction, follows.
+  // solver follows.
   for (const Edge& edge : edges_) {
     ++first_out_[static_cast<size_t>(edge.from) + 1];
     ++first_out_[static_cast<size_t>(edge.to) + 1];
@@ -72,48 +71,29 @@ void CompactFlowNetwork::ResetFlow() {
 }
 
 CutResult CompactFlowNetwork::ExtractCut(int source, CapUnits flow_value) const {
-  return CutOf(ResidualReachable(source), flow_value);
-}
-
-std::vector<bool> CompactFlowNetwork::ResidualReachable(int source) const {
   assert(finalized_);
-  std::vector<bool> reached(static_cast<size_t>(node_count_), false);
+  CutResult cut;
+  cut.cut_value = flow_value;
+  std::vector<bool>& side = cut.in_source_side;
+  side.assign(static_cast<size_t>(node_count_), false);
+  // Heads of saturated sentinel arcs out of the side. A sentinel arc with
+  // residual left reaches its head, so only these can cross the cut.
+  std::vector<int> sentinel_heads;
   std::vector<int> stack = {source};
-  reached[static_cast<size_t>(source)] = true;
+  side[static_cast<size_t>(source)] = true;
   while (!stack.empty()) {
     const int node = stack.back();
     stack.pop_back();
     const int end = first_out(node + 1);
     for (int a = first_out(node); a < end; ++a) {
       const CompactArc& arc = arcs_[static_cast<size_t>(a)];
-      if (arc.Residual() > 0 && !reached[static_cast<size_t>(arc.to)]) {
-        reached[static_cast<size_t>(arc.to)] = true;
-        stack.push_back(arc.to);
-      }
-    }
-  }
-  return reached;
-}
-
-CutResult CompactFlowNetwork::CutOf(std::vector<bool> source_side, CapUnits flow_value) const {
-  assert(finalized_);
-  assert(source_side.size() == static_cast<size_t>(node_count_));
-  CutResult result;
-  result.cut_value = flow_value;
-  result.in_source_side = std::move(source_side);
-  bool sentinel_crossing = false;
-  for (int node = 0; node < node_count_; ++node) {
-    if (!result.in_source_side[static_cast<size_t>(node)]) {
-      continue;
-    }
-    const int end = first_out(node + 1);
-    for (int a = first_out(node); a < end; ++a) {
-      const CompactArc& arc = arcs_[static_cast<size_t>(a)];
-      if (arc.capacity > 0 && !result.in_source_side[static_cast<size_t>(arc.to)]) {
-        result.cut_edges.emplace_back(node, arc.to);
+      if (arc.Residual() <= 0) {
         if (arc.capacity == kInfiniteCapacity) {
-          sentinel_crossing = true;
+          sentinel_heads.push_back(arc.to);
         }
+      } else if (!side[static_cast<size_t>(arc.to)]) {
+        side[static_cast<size_t>(arc.to)] = true;
+        stack.push_back(arc.to);
       }
     }
   }
@@ -123,10 +103,13 @@ CutResult CompactFlowNetwork::CutOf(std::vector<bool> source_side, CapUnits flow
   // sentinel arc can only be saturated — and thus end up crossing — when
   // the max flow itself reached the sentinel, so this is a no-op except
   // on infeasible inputs or genuinely saturated flows.)
-  if (sentinel_crossing) {
-    result.cut_value = kInfiniteCapacity;
+  for (int head : sentinel_heads) {
+    if (!side[static_cast<size_t>(head)]) {
+      cut.cut_value = kInfiniteCapacity;
+      break;
+    }
   }
-  return result;
+  return cut;
 }
 
 }  // namespace coign

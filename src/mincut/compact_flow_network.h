@@ -25,9 +25,10 @@
 //
 // The staged edge list stays readable after Finalize(), so the production
 // cut (incremental.h) can contract the nodes that undirected sentinel
-// edges glue together and solve the smaller quotient network. It takes
-// the quotient's ResidualReachable() side and reads the cut back off the
-// original network with CutOf().
+// edges glue together and solve the smaller quotient network. A cut is a
+// side and its value; ExtractCut() reads both off the network that was
+// solved, and the production cut lifts only the side back to the
+// original nodes.
 //
 // Re-entrancy contract: CompactFlowNetwork is a plain value type with no
 // shared or global state. The one-shot min-cut entry points take it by
@@ -40,7 +41,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
 namespace coign {
@@ -112,15 +112,13 @@ inline double CapUnitsToSeconds(CapUnits units) {
   return static_cast<double>(units) / kCapUnitsPerSecond;
 }
 
-// A two-way partition produced by a min-cut algorithm.
+// A two-way partition produced by a min-cut algorithm: a side and its
+// value. Callers that need the crossing edges read them off the side.
 struct CutResult {
   // == max flow value, exactly. kInfiniteCapacity when the cut crosses a
   // sentinel arc (constraints unsatisfiable) or the value saturated.
   CapUnits cut_value = 0;
   std::vector<bool> in_source_side;    // Per node.
-  // Saturated edges crossing the cut, as (from, to) with from on the
-  // source side.
-  std::vector<std::pair<int, int>> cut_edges;
 
   int SourceSideCount() const;
 };
@@ -174,20 +172,13 @@ class CompactFlowNetwork {
 
   void ResetFlow();
 
-  // Derives the partition and cut edges once a maximum flow is in place:
-  // CutOf(ResidualReachable(source), flow_value).
+  // The one cut extraction, once a maximum flow of value `flow_value` is
+  // in place. The side is every node reachable from `source` through
+  // positive-residual arcs: for a maximum flow, the source side of the
+  // unique minimal minimum cut. The value is `flow_value`, promoted to
+  // exactly kInfiniteCapacity if a sentinel-capacity arc leaves the side,
+  // so every solver reports unsatisfiable constraint sets identically.
   CutResult ExtractCut(int source, CapUnits flow_value) const;
-
-  // Nodes reachable from `source` through positive-residual arcs: for a
-  // maximum flow, the source side of the unique minimal minimum cut.
-  std::vector<bool> ResidualReachable(int source) const;
-
-  // The cut with this source side: cut_edges are the positive-capacity
-  // arcs leaving it, in ascending-node then arc order. If a sentinel-
-  // capacity arc crosses the partition, cut_value is promoted to exactly
-  // kInfiniteCapacity, so every solver reports unsatisfiable constraint
-  // sets identically; otherwise it is `flow_value`.
-  CutResult CutOf(std::vector<bool> source_side, CapUnits flow_value) const;
 
  private:
   void Stage(int from, int to, CapUnits capacity, bool directed);

@@ -71,12 +71,12 @@ CutResult IncrementalMinCut::Solve() {
   const int source = groups_.of(source_);
   const int sink = groups_.of(sink_);
   if (source == sink) {
-    // Every cut splits the terminals' group. The source alone is one such
-    // cut; CutOf finds the sentinel it crosses.
+    // Every cut splits the terminals' group and so crosses a sentinel; the
+    // source alone is one such cut.
     stats_ = MinCutSolveStats{};
-    std::vector<bool> side(static_cast<size_t>(n), false);
-    side[static_cast<size_t>(source_)] = true;
-    return network_.CutOf(std::move(side), kInfiniteCapacity);
+    CutResult cut{kInfiniteCapacity, std::vector<bool>(static_cast<size_t>(n), false)};
+    cut.in_source_side[static_cast<size_t>(source_)] = true;
+    return cut;
   }
   CompactFlowNetwork* solved = &network_;  // Nothing glued: its own quotient.
   if (groups_.count() < n) {
@@ -98,7 +98,9 @@ CutResult IncrementalMinCut::Solve() {
   }
   const CapUnits flow = solver_.Solve(*solved, source, sink);
   stats_ = solver_.last_stats();
-  return network_.CutOf(groups_.Lift(solved->ResidualReachable(source)), flow);
+  CutResult cut = solved->ExtractCut(source, flow);
+  cut.in_source_side = groups_.Lift(cut.in_source_side);
+  return cut;
 }
 
 }  // namespace coign

@@ -1,11 +1,11 @@
-// The production min-cut entry the analysis engine uses for two-machine
-// cuts (Analyze and the cut envelope's probes): one cold push-relabel
-// solve of one finalized CompactFlowNetwork, on the network's sentinel
-// quotient, plus the cut extraction. MultiwayCutIsolation (multiway.h)
-// does not come through here: it runs PushRelabelSolver on its whole
-// network. Nothing here is incremental any more; the name stays because
-// the benchmark's analyze replay (coignbench/workload_analyze.cc) times
-// this exact cold solve by it.
+// The one production min-cut entry: one cold push-relabel solve of one
+// finalized CompactFlowNetwork, on the network's sentinel quotient, plus
+// the cut extraction. Every production cut comes through here: the
+// analysis engine's two-machine cuts (Analyze and the cut envelope's
+// probes) and each isolating cut of MultiwayCutIsolation (multiway.h).
+// Nothing here is incremental any more; the name stays because the
+// benchmark's analyze replay (coignbench/workload_analyze.cc) times this
+// exact cold solve by it.
 //
 // The quotient. Location constraints reach the flow network as undirected
 // kInfiniteCapacity edges, and they glue most of a real profile's nodes
@@ -14,24 +14,28 @@
 // union-finds the groups (SentinelGroups), drops every edge inside a
 // group, keeps the rest between the groups' representatives (parallel
 // edges stay parallel, directed arcs stay directed) and push-relabels that
-// quotient. The analysis engine's networks hold only undirected
-// sentinels, but the API also takes AddArc(a, b, kInfiniteCapacity), and
-// such a directed sentinel arc glues nothing: a cut may put its head on
-// the source side and its tail on the sink side, so its endpoints stay
-// apart. A network with no undirected sentinel is solved as it is; one
-// whose sentinels glue only a few nodes pays for a quotient almost as
-// large as itself (DESIGN.md §14, "Weakly glued networks").
+// quotient. The API also takes AddArc(a, b, kInfiniteCapacity), and such a
+// directed sentinel arc glues nothing: a cut may put its head on the
+// source side and its tail on the sink side, so its endpoints stay apart.
+// MultiwayCutIsolation's super-sink arcs are such arcs. A network with no
+// undirected sentinel is solved as it is; one whose sentinels glue only a
+// few nodes pays for a quotient almost as large as itself (DESIGN.md §14,
+// "Weakly glued networks").
 //
 // Lifting. A cut that splits a group crosses an undirected sentinel edge,
 // so every finite cut keeps each group whole, and the finite cuts of the
 // network and of its quotient are the same cuts at the same values. The
 // minimal minimum cut (the residual-reachable side of any maximum flow) is
-// therefore the quotient's minimal minimum cut with each group expanded:
-// Solve() expands it and reads cut_edges and the sentinel check off the
-// original CSR, so every feasible CutResult is exactly what solving the
-// whole network returns, and the cut value is the same on every input.
-// Terminals in one group cannot be separated by a finite cut: Solve()
-// returns exactly kInfiniteCapacity for them without a solve.
+// therefore the quotient's minimal minimum cut with each group expanded.
+// Solve() extracts the cut from the quotient it solved and lifts only the
+// side, group by group; it never rescans the installed network. The
+// sentinel check needs no rescan either: an undirected sentinel never
+// crosses a lifted side, and a directed sentinel arc crosses it exactly
+// when its copy in the quotient crosses the quotient's side. So every
+// feasible CutResult is exactly what solving the whole network returns,
+// and the cut value is the same on every input. Terminals in one group
+// cannot be separated by a finite cut: Solve() returns exactly
+// kInfiniteCapacity for them without a solve.
 
 #ifndef COIGN_SRC_MINCUT_INCREMENTAL_H_
 #define COIGN_SRC_MINCUT_INCREMENTAL_H_
@@ -79,8 +83,9 @@ class IncrementalMinCut {
   // does not reallocate.
   void Reset(CompactFlowNetwork network, int source, int sink);
 
-  // Cold push-relabel of the quotient from zero flow, then the cut of the
-  // installed network. Calling it again re-solves from zero.
+  // Cold push-relabel of the quotient from zero flow, then its cut with
+  // the side lifted to the installed network's nodes. Calling it again
+  // re-solves from zero.
   CutResult Solve();
 
   // Solver work of the most recent Solve(); all zero when its terminals

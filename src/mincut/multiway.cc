@@ -1,49 +1,44 @@
 #include "src/mincut/multiway.h"
 
-#include <algorithm>
 #include <cassert>
+#include <utility>
 
-#include "src/mincut/push_relabel.h"
+#include "src/mincut/incremental.h"
 
 namespace coign {
 
-MultiwayCutResult MultiwayCutIsolation(int node_count, const EdgeList& edges,
+MultiwayCutResult MultiwayCutIsolation(const CompactFlowNetwork& network,
                                        const std::vector<int>& terminals) {
   const size_t k = terminals.size();
   assert(k >= 2);
+  const int node_count = network.node_count();
 
   // Isolating cut for each terminal: terminal as source, a super-sink wired
-  // to every other terminal with infinite capacity.
-  struct Isolating {
-    CapUnits value = 0;
-    std::vector<bool> side;  // True = with the terminal.
-  };
-  std::vector<Isolating> cuts(k);
-
-  PushRelabelSolver solver;
+  // to every other terminal with infinite capacity. Each side is true for
+  // the nodes with the terminal (the super-sink's entry is never read).
+  std::vector<CutResult> cuts(k);
+  IncrementalMinCut solver;
   for (size_t t = 0; t < k; ++t) {
-    CompactFlowNetwork network(node_count + 1);
+    CompactFlowNetwork isolating(node_count + 1);
     const int super_sink = node_count;
-    for (const auto& [a, b, weight] : edges) {
-      network.AddEdge(a, b, weight);
+    for (const CompactFlowNetwork::Edge& edge : network.edges()) {
+      assert(!edge.directed);
+      isolating.AddEdge(edge.from, edge.to, edge.capacity);
     }
     for (size_t other = 0; other < k; ++other) {
       if (other != t) {
-        network.AddArc(terminals[other], super_sink, kInfiniteCapacity);
+        isolating.AddArc(terminals[other], super_sink, kInfiniteCapacity);
       }
     }
-    network.Finalize();
-    const CapUnits flow = solver.Solve(network, terminals[t], super_sink);
-    const CutResult cut = network.ExtractCut(terminals[t], flow);
-    cuts[t].value = cut.cut_value;
-    cuts[t].side = cut.in_source_side;
-    cuts[t].side.resize(static_cast<size_t>(node_count));  // Drop the super-sink.
+    isolating.Finalize();
+    solver.Reset(std::move(isolating), terminals[t], super_sink);
+    cuts[t] = solver.Solve();
   }
 
   // Discard the heaviest isolating cut; its terminal keeps the leftovers.
   size_t discarded = 0;
   for (size_t t = 1; t < k; ++t) {
-    if (cuts[t].value > cuts[discarded].value) {
+    if (cuts[t].cut_value > cuts[discarded].cut_value) {
       discarded = t;
     }
   }
@@ -55,7 +50,7 @@ MultiwayCutResult MultiwayCutIsolation(int node_count, const EdgeList& edges,
       continue;
     }
     for (int node = 0; node < node_count; ++node) {
-      if (cuts[t].side[static_cast<size_t>(node)]) {
+      if (cuts[t].in_source_side[static_cast<size_t>(node)]) {
         result.assignment[static_cast<size_t>(node)] = static_cast<int>(t);
       }
     }
@@ -68,9 +63,10 @@ MultiwayCutResult MultiwayCutIsolation(int node_count, const EdgeList& edges,
 
   // Total weight of edges whose endpoints ended up apart. Saturating: a
   // crossing sentinel edge pins the total at exactly kInfiniteCapacity.
-  for (const auto& [a, b, weight] : edges) {
-    if (result.assignment[static_cast<size_t>(a)] != result.assignment[static_cast<size_t>(b)]) {
-      result.total_weight = SatAdd(result.total_weight, weight);
+  for (const CompactFlowNetwork::Edge& edge : network.edges()) {
+    if (result.assignment[static_cast<size_t>(edge.from)] !=
+        result.assignment[static_cast<size_t>(edge.to)]) {
+      result.total_weight = SatAdd(result.total_weight, edge.capacity);
     }
   }
   return result;

@@ -6,15 +6,16 @@
 // minimum cut for each terminal (terminal vs all other terminals merged
 // into a super-sink), discard the most expensive one, and take the union of
 // the rest. Nodes claimed by no isolating cut stay with the discarded
-// terminal. Each isolating cut is solved by the production push-relabel
-// solver; on feasible inputs its source side is the unique minimal minimum
-// cut, so the assignment does not depend on the max-flow algorithm.
+// terminal. Each isolating cut goes through the production cut path
+// (IncrementalMinCut, incremental.h): undirected sentinel edges (pins and
+// welds) glue their endpoints into groups, and the super-sink arcs stay
+// directed arcs. On feasible inputs each source side is the unique minimal
+// minimum cut, so the assignment does not depend on the max-flow algorithm
+// or on the contraction.
 
 #ifndef COIGN_SRC_MINCUT_MULTIWAY_H_
 #define COIGN_SRC_MINCUT_MULTIWAY_H_
 
-#include <functional>
-#include <tuple>
 #include <vector>
 
 #include "src/mincut/compact_flow_network.h"
@@ -28,12 +29,10 @@ struct MultiwayCutResult {
   std::vector<int> assignment;
 };
 
-// Undirected weighted edges (a, b, weight) in CapUnits.
-using EdgeList = std::vector<std::tuple<int, int, CapUnits>>;
-
-// Partitions `node_count` nodes among the terminals. `edges` are undirected
-// (a, b, weight). Each terminal must be a distinct valid node.
-MultiwayCutResult MultiwayCutIsolation(int node_count, const EdgeList& edges,
+// Partitions `network`'s nodes among the terminals. Only the staged edges
+// are read, so the network need not be finalized; they must be undirected
+// (AddEdge). Each terminal must be a distinct valid node.
+MultiwayCutResult MultiwayCutIsolation(const CompactFlowNetwork& network,
                                        const std::vector<int>& terminals);
 
 }  // namespace coign

@@ -1,9 +1,10 @@
 // Highest-label push-relabel max-flow on CompactFlowNetwork.
 //
-// This is the production solver behind CutAlgorithm::kPushRelabel, which
-// runs it on a network's sentinel quotient (incremental.h), and behind
-// MultiwayCutIsolation, which runs it on the whole network; the paper's
-// CLRS relabel-to-front and the test-only Edmonds-Karp stay as
+// This is the production solver. Its one production caller is
+// IncrementalMinCut (incremental.h), which runs it on a network's sentinel
+// quotient for every production cut: CutAlgorithm::kPushRelabel, the cut
+// envelope's probes and MultiwayCutIsolation's isolating cuts. The
+// paper's CLRS relabel-to-front and the test-only Edmonds-Karp stay as
 // differential oracles on the whole network (see
 // tests/mincut_equivalence_test.cc). Two heuristics make it fast on the
 // repeated-cut workloads:

@@ -610,19 +610,15 @@ Status OnlineRepartitioner::EndEpoch() {
     } else {
       // Same migrator construction as the journaled path so both price
       // state from profiled allocations; the model-priced overload simply
-      // never consults the journal knobs.
+      // never consults the journal knobs, and its report carries no
+      // wasted bytes, dedups or interruption.
       LiveMigrator migrator = MakeJournaledMigrator();
       Result<MigrationReport> moved =
           migrator.Migrate(*system_, decision->proposed, network_);
       if (!moved.ok()) {
         return moved.status();
       }
-      if (charge_) {
-        charge_(moved->bytes_transferred, moved->seconds);
-      }
-      stats_.instances_moved += moved->instances_moved;
-      stats_.migration_bytes += moved->bytes_transferred;
-      stats_.migration_seconds += moved->seconds;
+      AbsorbMigrationReport(*moved);
       runtime_->AdoptDistribution(decision->proposed);
     }
   } else {

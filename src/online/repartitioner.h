@@ -191,7 +191,8 @@ class OnlineRepartitioner : public ObjectSystem::Interceptor {
  private:
   ClassificationId ClassificationOf(InstanceId instance) const;
   LiveMigrator MakeJournaledMigrator() const;
-  // Folds one journaled migration report into stats and the charge hook.
+  // Folds one migration report, journaled or model-priced, into stats and
+  // the charge hook.
   void AbsorbMigrationReport(const MigrationReport& report);
   // Recovery + re-attempt of the pending migration at an epoch boundary.
   Status ResumePendingMigration();

@@ -4,30 +4,16 @@
 
 namespace coign {
 
-namespace {
-
-// Charges `drop_rate` to a link's two terms in place.
-void ChargeLoss(double drop_rate, double& per_message_seconds, double& bytes_per_second) {
-  if (drop_rate <= 0.0) {
-    return;
-  }
-  const double inflation = 1.0 / (1.0 - drop_rate);
-  per_message_seconds *= inflation;
-  bytes_per_second /= inflation;
-}
-
-}  // namespace
-
-NetworkModel InflateForLoss(NetworkModel network, double drop_rate) {
-  ChargeLoss(drop_rate, network.per_message_seconds, network.bytes_per_second);
-  return network;
-}
-
 LinkTerms LossInflatedTerms(const FleetClient& client) {
   // The two doubles alone: copying the model would copy its name.
   double per_message_seconds = client.network.per_message_seconds;
   double bytes_per_second = client.network.bytes_per_second;
-  ChargeLoss(client.fault_rates.drop, per_message_seconds, bytes_per_second);
+  const double drop_rate = client.fault_rates.drop;
+  if (drop_rate > 0.0) {
+    const double inflation = 1.0 / (1.0 - drop_rate);
+    per_message_seconds *= inflation;
+    bytes_per_second /= inflation;
+  }
   return {per_message_seconds, 1.0 / bytes_per_second};
 }
 

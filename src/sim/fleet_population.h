@@ -57,17 +57,17 @@ struct FleetPopulationOptions {
   double lossy_fraction = 0.0;
 };
 
-// A drop rate p costs each message 1/(1-p) expected transmissions:
-// latency inflates by that factor, effective bandwidth deflates by it.
-// Both cost terms scale alike, so loss never moves a cut.
-NetworkModel InflateForLoss(NetworkModel network, double drop_rate);
-
-// The two cost terms of a client's link with its steady drop rate charged
-// (InflateForLoss), seconds_per_byte being 1 / the inflated bandwidth.
+// A link's two cost terms.
 struct LinkTerms {
   double per_message_seconds = 0.0;
   double seconds_per_byte = 0.0;
 };
+
+// The one loss charge: a client's link terms with its steady drop rate
+// charged, seconds_per_byte being 1 / the inflated bandwidth. A drop rate
+// p costs each message 1/(1-p) expected transmissions: latency inflates by
+// that factor, effective bandwidth deflates by it. Both cost terms scale
+// alike, so loss never moves a cut.
 LinkTerms LossInflatedTerms(const FleetClient& client);
 
 // The link a client's cut is priced at: LossInflatedTerms as an exact

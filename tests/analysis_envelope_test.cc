@@ -16,6 +16,7 @@
 #include "src/analysis/envelope.h"
 #include "src/apps/suite.h"
 #include "src/mincut/push_relabel.h"
+#include "src/mincut/relabel_to_front.h"
 #include "src/support/rng.h"
 #include "tests/oracles/envelope_oracle.h"
 #include "tests/oracles/fleet_oracle.h"
@@ -106,8 +107,9 @@ std::vector<bool> ExactCutAt(const CutEnvelope& envelope, const LambdaRatio& lam
   }
   network.Finalize();
   PushRelabelSolver solver;
-  solver.Solve(network, ConcreteGraph::kClientNode, ConcreteGraph::kServerNode);
-  return network.ResidualReachable(ConcreteGraph::kClientNode);
+  const CapUnits flow =
+      solver.Solve(network, ConcreteGraph::kClientNode, ConcreteGraph::kServerNode);
+  return network.ExtractCut(ConcreteGraph::kClientNode, flow).in_source_side;
 }
 
 // A link whose λ is exactly num/den (both below 2^53).
@@ -340,10 +342,26 @@ TEST(EnvelopeTest, BenchmarkProfileHasFourCutsFromSevenSolves) {
   }
 }
 
+// The flow network Analyze cuts for `profile` at `link`: its concrete
+// graph, one undirected edge per concrete edge.
+CompactFlowNetwork AnalyzedNetwork(const IccProfile& profile, const NetworkProfile& link) {
+  const ConcreteGraph graph = ConcreteGraph::Build(AbstractIccGraph::FromProfile(profile), link,
+                                                   LocationConstraints::FromProfile(profile));
+  CompactFlowNetwork network(graph.node_count());
+  for (const ConcreteEdge& edge : graph.edges()) {
+    network.AddEdge(edge.a, edge.b, edge.Capacity());
+  }
+  network.Finalize();
+  return network;
+}
+
 // The production cut solves the constraint quotient; relabel-to-front
 // solves the whole network. On the benchmark profile and one PhotoDraw and
 // one Benefits scenario, at every network preset, Analyze must return the
 // same cut value, placement and cut edges (with their seconds) both ways.
+// Both results come from one assembly, which reads the value off the side,
+// so the value must also equal the raw solver's maximum flow on the same
+// network.
 TEST(QuotientCutTest, ScenarioProfilesCutAsRelabelToFrontCutsThemWhole) {
   AnalysisOptions whole_network;
   whole_network.algorithm = CutAlgorithm::kRelabelToFront;
@@ -364,6 +382,10 @@ TEST(QuotientCutTest, ScenarioProfilesCutAsRelabelToFrontCutsThemWhole) {
       ASSERT_TRUE(actual.ok()) << actual.status().ToString();
       EXPECT_FALSE(actual->cut_edges.empty());
       EXPECT_EQ(fleet_oracle::DiffAnalysis(*expected, *actual), "");
+      const CutResult raw = MinCutRelabelToFront(AnalyzedNetwork(profile, link),
+                                                 ConcreteGraph::kClientNode,
+                                                 ConcreteGraph::kServerNode);
+      EXPECT_EQ(actual->cut_value_units, raw.cut_value);
     }
   }
 }
@@ -377,13 +399,7 @@ TEST(QuotientCutTest, AnalyzeSolvesTheConstraintQuotient) {
   MinCutSession session;
   ASSERT_TRUE(ProfileAnalysisEngine().Analyze(profile, link, &session).ok());
 
-  const ConcreteGraph graph = ConcreteGraph::Build(AbstractIccGraph::FromProfile(profile), link,
-                                                   LocationConstraints::FromProfile(profile));
-  CompactFlowNetwork network(graph.node_count());
-  for (const ConcreteEdge& edge : graph.edges()) {
-    network.AddEdge(edge.a, edge.b, edge.Capacity());
-  }
-  network.Finalize();
+  CompactFlowNetwork network = AnalyzedNetwork(profile, link);
   PushRelabelSolver whole;
   whole.Solve(network, ConcreteGraph::kClientNode, ConcreteGraph::kServerNode);
   EXPECT_GT(session.stats().pushes, 0u);

@@ -58,21 +58,24 @@ std::vector<FleetClient> TestFleet(int clients, uint64_t seed = 42) {
   return GenerateFleet(options, seed);
 }
 
-TEST(FleetLinkTest, InflateForLossChargesExpectedRetransmissions) {
-  const NetworkModel base = NetworkModel::TenBaseT();
-  const NetworkModel inflated = InflateForLoss(base, 0.5);
+TEST(FleetLinkTest, LossInflatedTermsChargeExpectedRetransmissions) {
+  FleetClient client;
+  client.network = NetworkModel::TenBaseT();
+  client.fault_rates.drop = 0.5;
+  const LinkTerms inflated = LossInflatedTerms(client);
   // p = 0.5 doubles the expected attempts per delivery: latency doubles,
   // effective bandwidth halves.
-  EXPECT_DOUBLE_EQ(inflated.per_message_seconds, base.per_message_seconds * 2.0);
-  EXPECT_DOUBLE_EQ(inflated.bytes_per_second, base.bytes_per_second / 2.0);
+  EXPECT_DOUBLE_EQ(inflated.per_message_seconds, client.network.per_message_seconds * 2.0);
+  EXPECT_DOUBLE_EQ(inflated.seconds_per_byte, 2.0 / client.network.bytes_per_second);
   // Zero loss is the identity.
-  const NetworkModel untouched = InflateForLoss(base, 0.0);
-  EXPECT_DOUBLE_EQ(untouched.per_message_seconds, base.per_message_seconds);
-  EXPECT_DOUBLE_EQ(untouched.bytes_per_second, base.bytes_per_second);
+  client.fault_rates.drop = 0.0;
+  const LinkTerms untouched = LossInflatedTerms(client);
+  EXPECT_DOUBLE_EQ(untouched.per_message_seconds, client.network.per_message_seconds);
+  EXPECT_DOUBLE_EQ(untouched.seconds_per_byte, 1.0 / client.network.bytes_per_second);
 }
 
 TEST(FleetLinkTest, LossInflationNeverMovesACut) {
-  // InflateForLoss scales both network terms by 1/(1-p), so every edge's
+  // LossInflatedTerms scales both network terms by 1/(1-p), so every edge's
   // predicted time scales by the same factor and the minimum cut cannot
   // move: the fleet serves a lossy client the cut of its clean link's λ.
   // Checked at each lossy client's own link, inflated and clean.

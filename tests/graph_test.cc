@@ -168,7 +168,6 @@ TEST(ConcreteGraphTest, BuildWiresTerminalsClassificationsAndConstraints) {
   // Constraints: gui pin, store pin, and the non-remotable pair.
   EXPECT_EQ(constraint_edges, 3);
   EXPECT_EQ(comm_edges, 3);
-  EXPECT_GT(graph.TotalCommunicationSeconds(), 0.0);
 }
 
 TEST(ConcreteGraphTest, DriverEdgesAttachToClientTerminal) {

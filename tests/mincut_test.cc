@@ -30,6 +30,18 @@ CutResult WholeNetworkPushRelabel(const CompactFlowNetwork& network, int source,
   return working.ExtractCut(source, flow);
 }
 
+// Edges whose endpoints the cut separates, counted off its side.
+int CrossingEdges(const CompactFlowNetwork& network, const CutResult& cut) {
+  int crossing = 0;
+  for (const CompactFlowNetwork::Edge& edge : network.edges()) {
+    if (cut.in_source_side[static_cast<size_t>(edge.from)] !=
+        cut.in_source_side[static_cast<size_t>(edge.to)]) {
+      ++crossing;
+    }
+  }
+  return crossing;
+}
+
 struct AlgorithmParam {
   const char* name;
   CutFn fn;
@@ -45,7 +57,7 @@ TEST_P(MinCutAlgorithmTest, SingleEdge) {
   EXPECT_EQ(cut.cut_value, 5);
   EXPECT_TRUE(cut.in_source_side[0]);
   EXPECT_FALSE(cut.in_source_side[1]);
-  ASSERT_EQ(cut.cut_edges.size(), 1u);
+  EXPECT_EQ(CrossingEdges(network, cut), 1);
 }
 
 TEST_P(MinCutAlgorithmTest, DisconnectedTerminalsHaveZeroCut) {
@@ -55,7 +67,7 @@ TEST_P(MinCutAlgorithmTest, DisconnectedTerminalsHaveZeroCut) {
   network.Finalize();
   const CutResult cut = GetParam().fn(network, 0, 1);
   EXPECT_EQ(cut.cut_value, 0);
-  EXPECT_TRUE(cut.cut_edges.empty());
+  EXPECT_EQ(CrossingEdges(network, cut), 0);
 }
 
 TEST_P(MinCutAlgorithmTest, ClassicClrsExample) {
@@ -294,7 +306,7 @@ TEST(FlowNetworkTest, CutsDoNotMutateTheInputNetwork) {
   EXPECT_EQ(pushed.in_source_side, first.in_source_side);
 }
 
-TEST(FlowNetworkTest, ExtractCutListsSaturatedCrossingEdges) {
+TEST(FlowNetworkTest, ExtractCutStopsAtSaturatedEdges) {
   CompactFlowNetwork network(4);
   network.AddEdge(0, 1, 1);
   network.AddEdge(0, 2, 1);
@@ -303,13 +315,16 @@ TEST(FlowNetworkTest, ExtractCutListsSaturatedCrossingEdges) {
   network.Finalize();
   const CutResult cut = MinCutRelabelToFront(network, 0, 3);
   EXPECT_EQ(cut.cut_value, 2);
-  EXPECT_EQ(cut.cut_edges.size(), 2u);
   // Both unit-capacity source edges saturate; only the source remains on
-  // the source side.
+  // the source side, and exactly those two edges cross.
   EXPECT_EQ(cut.SourceSideCount(), 1);
-  for (const auto& [from, to] : cut.cut_edges) {
-    EXPECT_EQ(from, 0);
-    EXPECT_TRUE(to == 1 || to == 2);
+  EXPECT_EQ(CrossingEdges(network, cut), 2);
+  for (const CompactFlowNetwork::Edge& edge : network.edges()) {
+    if (cut.in_source_side[static_cast<size_t>(edge.from)] !=
+        cut.in_source_side[static_cast<size_t>(edge.to)]) {
+      EXPECT_EQ(edge.from, 0);
+      EXPECT_TRUE(edge.to == 1 || edge.to == 2);
+    }
   }
 }
 

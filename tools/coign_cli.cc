@@ -48,6 +48,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/dot_export.h"
@@ -500,56 +501,80 @@ int CmdMeasure(const Flags& flags) {
   return 0;
 }
 
-int CmdOnline(const Flags& flags) {
-  if (flags.input_base.empty() || flags.scenarios.empty()) {
-    return Usage();
-  }
+// What `coign online` and `coign chaos` replay: the first scenario's
+// application, <base>.profile, the distribution in <base>.dist, and run
+// options on the named network priced at its profiled fit (re-cut with
+// relabel-to-front under --cold-cuts).
+struct OnlineInputs {
+  std::unique_ptr<Application> app;
+  IccProfile profile;
+  ConfigurationRecord config;
+  OnlineMeasurementOptions options;
+};
+
+// Loads the inputs, or prints why it could not and returns null.
+std::unique_ptr<OnlineInputs> LoadOnlineInputs(const Flags& flags) {
   Result<std::unique_ptr<Application>> app =
       BuildApplicationForScenario(flags.scenarios.front());
   if (!app.ok()) {
     std::fprintf(stderr, "%s\n", app.status().ToString().c_str());
-    return 1;
+    return nullptr;
   }
   Result<IccProfile> profile = ReadProfileFile(flags.input_base + ".profile");
   if (!profile.ok()) {
     std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
-    return 1;
+    return nullptr;
   }
   Result<std::string> dist_text =
       ReadFile(flags.input_base + ".dist", "distribution record");
   if (!dist_text.ok()) {
     std::fprintf(stderr, "%s (run `coign analyze` first)\n",
                  dist_text.status().ToString().c_str());
-    return 1;
+    return nullptr;
   }
   Result<ConfigurationRecord> config = ConfigurationRecord::Parse(*dist_text);
   if (!config.ok()) {
     std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
-    return 1;
+    return nullptr;
   }
   Result<NetworkModel> network = NetworkByName(flags.network);
   if (!network.ok()) {
     std::fprintf(stderr, "%s\n", network.status().ToString().c_str());
-    return 1;
+    return nullptr;
   }
 
+  auto inputs = std::make_unique<OnlineInputs>();
+  inputs->app = std::move(*app);
+  inputs->profile = std::move(*profile);
+  inputs->config = std::move(*config);
   Rng rng(23);
-  OnlineMeasurementOptions options;
-  options.network = *network;
-  options.fitted = ProfileNetwork(Transport(*network), rng);
+  inputs->options.network = *network;
+  inputs->options.fitted = ProfileNetwork(Transport(*network), rng);
   if (flags.cold_cuts) {
-    options.online.analysis.algorithm = CutAlgorithm::kRelabelToFront;
+    inputs->options.online.analysis.algorithm = CutAlgorithm::kRelabelToFront;
   }
+  return inputs;
+}
+
+int CmdOnline(const Flags& flags) {
+  if (flags.input_base.empty() || flags.scenarios.empty()) {
+    return Usage();
+  }
+  const std::unique_ptr<OnlineInputs> inputs = LoadOnlineInputs(flags);
+  if (inputs == nullptr) {
+    return 1;
+  }
+  OnlineMeasurementOptions& options = inputs->options;
 
   const std::vector<OnlinePhase> workload =
       CyclicWorkload(flags.scenarios, flags.reps, flags.cycles);
   std::printf("workload: %zu scenario(s) x %d rep(s) x %d cycle(s) = %zu epochs on %s\n",
               flags.scenarios.size(), flags.reps, flags.cycles, workload.size() *
-                  static_cast<size_t>(flags.reps), network->name.c_str());
+                  static_cast<size_t>(flags.reps), options.network.name.c_str());
 
   options.adaptive = false;
   Result<OnlineRunResult> fixed =
-      MeasureOnlineRun(**app, workload, *config, *profile, options);
+      MeasureOnlineRun(*inputs->app, workload, inputs->config, inputs->profile, options);
   if (!fixed.ok()) {
     std::fprintf(stderr, "static run: %s\n", fixed.status().ToString().c_str());
     return 1;
@@ -560,7 +585,7 @@ int CmdOnline(const Flags& flags) {
   options.adaptive = true;
   options.obs = obs.get();
   Result<OnlineRunResult> adaptive =
-      MeasureOnlineRun(**app, workload, *config, *profile, options);
+      MeasureOnlineRun(*inputs->app, workload, inputs->config, inputs->profile, options);
   if (!adaptive.ok()) {
     std::fprintf(stderr, "adaptive run: %s\n", adaptive.status().ToString().c_str());
     return 1;
@@ -590,43 +615,12 @@ int CmdChaos(const Flags& flags) {
   if (flags.input_base.empty() || flags.scenarios.empty()) {
     return Usage();
   }
-  Result<std::unique_ptr<Application>> app =
-      BuildApplicationForScenario(flags.scenarios.front());
-  if (!app.ok()) {
-    std::fprintf(stderr, "%s\n", app.status().ToString().c_str());
+  const std::unique_ptr<OnlineInputs> inputs = LoadOnlineInputs(flags);
+  if (inputs == nullptr) {
     return 1;
   }
-  Result<IccProfile> profile = ReadProfileFile(flags.input_base + ".profile");
-  if (!profile.ok()) {
-    std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
-    return 1;
-  }
-  Result<std::string> dist_text =
-      ReadFile(flags.input_base + ".dist", "distribution record");
-  if (!dist_text.ok()) {
-    std::fprintf(stderr, "%s (run `coign analyze` first)\n",
-                 dist_text.status().ToString().c_str());
-    return 1;
-  }
-  Result<ConfigurationRecord> config = ConfigurationRecord::Parse(*dist_text);
-  if (!config.ok()) {
-    std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
-    return 1;
-  }
-  Result<NetworkModel> network = NetworkByName(flags.network);
-  if (!network.ok()) {
-    std::fprintf(stderr, "%s\n", network.status().ToString().c_str());
-    return 1;
-  }
-
-  Rng rng(23);
-  OnlineMeasurementOptions options;
-  options.network = *network;
-  options.fitted = ProfileNetwork(Transport(*network), rng);
-  options.retry = SuggestedRetryPolicy(*network);
-  if (flags.cold_cuts) {
-    options.online.analysis.algorithm = CutAlgorithm::kRelabelToFront;
-  }
+  OnlineMeasurementOptions& options = inputs->options;
+  options.retry = SuggestedRetryPolicy(options.network);
 
   const std::vector<OnlinePhase> workload =
       CyclicWorkload(flags.scenarios, flags.reps, flags.cycles);
@@ -634,7 +628,7 @@ int CmdChaos(const Flags& flags) {
   // The fault-free static run sizes the schedule horizon in modeled time.
   options.adaptive = false;
   Result<OnlineRunResult> clean_static =
-      MeasureOnlineRun(**app, workload, *config, *profile, options);
+      MeasureOnlineRun(*inputs->app, workload, inputs->config, inputs->profile, options);
   if (!clean_static.ok()) {
     std::fprintf(stderr, "fault-free static run: %s\n",
                  clean_static.status().ToString().c_str());
@@ -642,7 +636,7 @@ int CmdChaos(const Flags& flags) {
   }
   options.adaptive = true;
   Result<OnlineRunResult> clean_adaptive =
-      MeasureOnlineRun(**app, workload, *config, *profile, options);
+      MeasureOnlineRun(*inputs->app, workload, inputs->config, inputs->profile, options);
   if (!clean_adaptive.ok()) {
     std::fprintf(stderr, "fault-free adaptive run: %s\n",
                  clean_adaptive.status().ToString().c_str());
@@ -670,7 +664,7 @@ int CmdChaos(const Flags& flags) {
   background.drop = flags.drop;
 
   std::printf("chaos seed %llu on %s%s: %zu episode(s), background drop %.1f%%",
-              static_cast<unsigned long long>(flags.seed), network->name.c_str(),
+              static_cast<unsigned long long>(flags.seed), options.network.name.c_str(),
               flags.storm ? " (crash storm)" : "",
               schedule.episodes().size(), 100.0 * flags.drop);
   if (flags.corrupt_rate > 0.0) {
@@ -739,7 +733,7 @@ int CmdChaos(const Flags& flags) {
       };
     }
     Result<OnlineRunResult> result =
-        MeasureOnlineRun(**app, workload, *config, *profile, run_options);
+        MeasureOnlineRun(*inputs->app, workload, inputs->config, inputs->profile, run_options);
     if (result.ok() && adaptive && quarantine) {
       std::printf("faults: %s\n", injector.stats().ToString().c_str());
     }
