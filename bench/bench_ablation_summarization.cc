@@ -62,10 +62,11 @@ Result<SummarizationStats> Measure(const std::string& scenario_id, int repeats =
                   event.request_bytes, event.reply_bytes);
   }
   stats.exact_records = exact.size();
-  const IccProfile& profile = runtime.profiling_logger()->profile();
+  const IccProfile profile = runtime.profiling_logger()->profile();
+  const auto count_bucket = [&stats](int, uint64_t, uint64_t) { ++stats.bucket_records; };
   for (const auto& [key, summary] : profile.calls()) {
-    stats.bucket_records +=
-        summary.requests.NonEmptyBuckets().size() + summary.replies.NonEmptyBuckets().size();
+    summary.requests.ForEachBucket(count_bucket);
+    summary.replies.ForEachBucket(count_bucket);
   }
   return stats;
 }

@@ -46,10 +46,10 @@ int main() {
   options.storage_machine = 2;
   // The administrator anchors the trusted business logic to the middle
   // tier (absolute constraints, paper §4.3); Coign places everything else.
-  for (const auto& [id, info] : profile->classifications()) {
+  for (const ClassificationInfo& info : profile->classifications()) {
     if (info.class_name == "BN.SessionMgr" || info.class_name == "BN.BizRules" ||
         info.class_name == "BN.Validator") {
-      options.extra_pins.emplace_back(id, 1);
+      options.extra_pins.emplace_back(info.id, 1);
     }
   }
   Result<MultiwayAnalysisResult> threeway = AnalyzeMultiway(*profile, network, options);

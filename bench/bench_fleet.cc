@@ -12,12 +12,14 @@
 // equals its own analysis.
 //
 // It then splits Plan() into its stages over 11 repetitions, each of which
-// times a plan, the envelope search (Envelope) and the segment assembly
-// (one AnalyzeSegment per occupied segment, at a member's link) back to
-// back. The client pass (validation, λ keys, segment lookup and median
-// selection) is a repetition's plan less its other two stages, so a
-// change in host speed between repetitions cancels. Each column is the
-// median over the repetitions. Beside the split it prints the size of the
+// times a plan, the envelope search (Envelope), the segment assembly (one
+// AnalyzeSegment per occupied segment, at a member's link) and the client
+// pass back to back. The client pass is replayed from Plan's public
+// pieces: each client's loss-inflated λ key (LossInflatedTerms,
+// LambdaKey), its segment (CutEnvelope::SegmentOf) and each occupied
+// segment's median member by CompareLambda; Plan's per-client validation
+// is the one step it leaves out. The replay must put every client in its
+// plan's segment. Each column is the median over the repetitions. Beside the split it prints the size of the
 // constraint quotient the envelope's probes solve: the concrete graph's
 // nodes and edges against its constraint groups, the communication edges
 // between them and the group pairs those edges join.
@@ -67,6 +69,42 @@ struct StageSplit {
   std::vector<double> client_pass_ms;
 };
 
+// What Plan's client pass decides: each occupied segment's members and
+// its median member in (λ, id) order, in segment order.
+struct ClientPass {
+  std::vector<std::vector<uint32_t>> members;
+  std::vector<uint32_t> medians;
+};
+
+// Plan's client pass: λ keys, segment lookup and median selection.
+ClientPass ReplayClientPass(const std::vector<FleetClient>& fleet, const CutEnvelope& envelope) {
+  std::vector<LambdaKey> keys;
+  keys.reserve(fleet.size());
+  for (const FleetClient& client : fleet) {
+    const LinkTerms link = LossInflatedTerms(client);
+    keys.emplace_back(link.seconds_per_byte, link.per_message_seconds);
+  }
+  std::vector<std::vector<uint32_t>> members(envelope.segments().size());
+  for (uint32_t id = 0; id < fleet.size(); ++id) {
+    members[envelope.SegmentOf(keys[id])].push_back(id);
+  }
+  ClientPass pass;
+  for (std::vector<uint32_t>& segment : members) {
+    if (segment.empty()) {
+      continue;
+    }
+    std::vector<uint32_t> order = segment;
+    const auto median = order.begin() + static_cast<std::ptrdiff_t>((order.size() - 1) / 2);
+    std::nth_element(order.begin(), median, order.end(), [&](uint32_t a, uint32_t b) {
+      const int by_lambda = CompareLambda(keys[a], keys[b]);
+      return by_lambda != 0 ? by_lambda < 0 : a < b;
+    });
+    pass.medians.push_back(*median);
+    pass.members.push_back(std::move(segment));
+  }
+  return pass;
+}
+
 }  // namespace
 
 int main() {
@@ -113,6 +151,7 @@ int main() {
       occupied.emplace_back(s, LossInflatedLink(fleet[plan.members.front()]));
     }
     std::vector<AnalysisResult> assembled(occupied.size());
+    ClientPass replayed;
     StageSplit split;
     split.clients = clients;
     for (int rep = 0; rep < kRepetitions; ++rep) {
@@ -124,12 +163,27 @@ int main() {
                                                occupied[i].second);
         }
       });
+      const double client_pass_ms =
+          1e3 * SecondsOf([&] { replayed = ReplayClientPass(fleet, *envelope); });
       split.plan_ms.push_back(plan_ms);
       split.envelope_ms.push_back(envelope_ms);
       split.assembly_ms.push_back(assembly_ms);
-      split.client_pass_ms.push_back(plan_ms - envelope_ms - assembly_ms);
+      split.client_pass_ms.push_back(client_pass_ms);
     }
     splits.push_back(split);
+    // The replay did the plan's work: the same members in every segment,
+    // each median one of them.
+    bool same_members = replayed.members.size() == planned->plans.size();
+    for (size_t i = 0; same_members && i < replayed.members.size(); ++i) {
+      const std::vector<uint32_t>& members = replayed.members[i];
+      same_members = members == planned->plans[i].members &&
+                     std::find(members.begin(), members.end(), replayed.medians[i]) !=
+                         members.end();
+    }
+    if (!same_members) {
+      std::fprintf(stderr, "client pass replay: segment members differ from Plan's\n");
+      return 1;
+    }
 
     // The naive service: every client's own cut, compared with its plan.
     Result<std::vector<std::string>> misplaced(InternalError("unset"));

@@ -111,7 +111,7 @@ int main() {
   // ratios below are read against real per-instance costs, not one number.
   const uint64_t flat_bytes = base.online.policy.state_bytes_per_instance;
   uint64_t min_state = ~0ull, max_state = 0, sum_state = 0, profiled_classes = 0;
-  for (const auto& [id, info] : profile->classifications()) {
+  for (const ClassificationInfo& info : profile->classifications()) {
     if (info.allocation_bytes == 0) {
       continue;
     }

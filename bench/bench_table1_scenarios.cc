@@ -32,7 +32,7 @@ int main() {
       return 1;
     }
     uint64_t components = 0;
-    for (const auto& [cid, info] : profile->classifications()) {
+    for (const ClassificationInfo& info : profile->classifications()) {
       if (!(*app)->IsInfrastructureClass(info.class_name)) {
         components += info.instance_count;
       }

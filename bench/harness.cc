@@ -115,12 +115,12 @@ Result<AnalysisResult> AnalyzeScenario(Application& app, const std::string& scen
 FigureCounts CountFigureInstances(const Application& app, const IccProfile& profile,
                                   const Distribution& distribution) {
   FigureCounts counts;
-  for (const auto& [id, info] : profile.classifications()) {
+  for (const ClassificationInfo& info : profile.classifications()) {
     if (app.IsInfrastructureClass(info.class_name)) {
       continue;
     }
     counts.total += info.instance_count;
-    if (distribution.MachineFor(id) == kServerMachine) {
+    if (distribution.MachineFor(info.id) == kServerMachine) {
       counts.on_server += info.instance_count;
     }
   }

@@ -39,9 +39,9 @@ T Check(Result<T> result, const char* what) {
 std::vector<ClassificationId> ClassificationsWithPrefix(const IccProfile& profile,
                                                         const std::string& prefix) {
   std::vector<ClassificationId> out;
-  for (const auto& [id, info] : profile.classifications()) {
+  for (const ClassificationInfo& info : profile.classifications()) {
     if (info.class_name.rfind(prefix, 0) == 0) {
-      out.push_back(id);
+      out.push_back(info.id);
     }
   }
   return out;

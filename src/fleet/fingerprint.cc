@@ -32,11 +32,11 @@ void FoldString(uint64_t* hash, std::string_view text) {
 }
 
 void FoldHistogram(uint64_t* hash, const ExponentialHistogram& histogram) {
-  for (int bucket : histogram.NonEmptyBuckets()) {
+  histogram.ForEachBucket([hash](int bucket, uint64_t count, uint64_t bytes) {
     FoldU64(hash, static_cast<uint64_t>(static_cast<int64_t>(bucket)));
-    FoldU64(hash, histogram.CountAt(bucket));
-    FoldU64(hash, histogram.BytesAt(bucket));
-  }
+    FoldU64(hash, count);
+    FoldU64(hash, bytes);
+  });
   FoldU64(hash, histogram.total_count());
   FoldU64(hash, histogram.total_bytes());
 }
@@ -46,38 +46,39 @@ void FoldHistogram(uint64_t* hash, const ExponentialHistogram& histogram) {
 uint64_t ProfileFingerprint(const IccProfile& profile) {
   uint64_t hash = kFnvOffset;
 
-  for (ClassificationId id : profile.SortedClassificationIds()) {
-    const ClassificationInfo* info = profile.FindClassification(id);
-    FoldU64(&hash, info->id);
-    FoldU64(&hash, info->clsid.hi);
-    FoldU64(&hash, info->clsid.lo);
-    FoldU64(&hash, info->api_usage);
-    FoldU64(&hash, info->instance_count);
-    FoldString(&hash, info->class_name);
-    FoldDouble(&hash, profile.ComputeSecondsOf(id));
+  for (const ClassificationInfo& info : profile.classifications()) {
+    FoldU64(&hash, info.id);
+    FoldU64(&hash, info.clsid.hi);
+    FoldU64(&hash, info.clsid.lo);
+    FoldU64(&hash, info.api_usage);
+    FoldU64(&hash, info.instance_count);
+    FoldString(&hash, info.class_name);
+    FoldDouble(&hash, profile.ComputeSecondsOf(info.id));
   }
 
-  std::vector<const std::pair<const CallKey, CallSummary>*> calls;
+  // Folded in (src, dst, iid, method) order, not the profile's pair-major
+  // order: the fingerprints `coign fleet` prints are pinned to it.
+  std::vector<const CallRecord*> calls;
   calls.reserve(profile.calls().size());
-  for (const auto& entry : profile.calls()) {
-    calls.push_back(&entry);
+  for (const CallRecord& row : profile.calls()) {
+    calls.push_back(&row);
   }
-  std::sort(calls.begin(), calls.end(), [](const auto* a, const auto* b) {
-    const CallKey& x = a->first;
-    const CallKey& y = b->first;
+  std::sort(calls.begin(), calls.end(), [](const CallRecord* a, const CallRecord* b) {
+    const CallKey& x = a->key;
+    const CallKey& y = b->key;
     return std::tie(x.src, x.dst, x.iid.hi, x.iid.lo, x.method) <
            std::tie(y.src, y.dst, y.iid.hi, y.iid.lo, y.method);
   });
-  for (const auto* entry : calls) {
-    const CallKey& key = entry->first;
+  for (const CallRecord* row : calls) {
+    const CallKey& key = row->key;
     FoldU64(&hash, key.src);
     FoldU64(&hash, key.dst);
     FoldU64(&hash, key.iid.hi);
     FoldU64(&hash, key.iid.lo);
     FoldU64(&hash, key.method);
-    FoldU64(&hash, entry->second.non_remotable_calls);
-    FoldHistogram(&hash, entry->second.requests);
-    FoldHistogram(&hash, entry->second.replies);
+    FoldU64(&hash, row->summary.non_remotable_calls);
+    FoldHistogram(&hash, row->summary.requests);
+    FoldHistogram(&hash, row->summary.replies);
   }
   return hash;
 }

@@ -6,15 +6,15 @@ namespace coign {
 
 LocationConstraints LocationConstraints::FromProfile(const IccProfile& profile) {
   LocationConstraints constraints;
-  for (const auto& [id, info] : profile.classifications()) {
+  for (const ClassificationInfo& info : profile.classifications()) {
     if (info.api_usage & kApiGui) {
       // GUI components interact with the user: client.
-      constraints.PinAbsolute(id, kClientMachine);
+      constraints.PinAbsolute(info.id, kClientMachine);
     } else if (info.api_usage & kApiStorage) {
       // Storage components read data files, which live on the server in the
       // paper's experiments ("for both distributions, data files are placed
       // on the server").
-      constraints.PinAbsolute(id, kServerMachine);
+      constraints.PinAbsolute(info.id, kServerMachine);
     }
   }
   return constraints;

@@ -9,30 +9,21 @@ AbstractIccGraph AbstractIccGraph::FromProfile(const IccProfile& profile) {
   graph.nodes_ = profile.SortedClassificationIds();
   std::vector<Edge>& edges = graph.edges_;
   edges.reserve(profile.calls().size());
+  // Pair-major rows: each pair's call keys are adjacent, pairs ascending.
   for (const auto& [key, summary] : profile.calls()) {
     if (key.src == key.dst) {
       continue;  // Intra-classification calls never cross the wire.
     }
-    edges.push_back(Edge{std::min(key.src, key.dst), std::max(key.src, key.dst),
-                         summary.requests.total_count() + summary.replies.total_count(),
-                         summary.total_bytes(), summary.non_remotable_calls});
-  }
-  std::sort(edges.begin(), edges.end(), [](const Edge& x, const Edge& y) {
-    return x.a != y.a ? x.a < y.a : x.b < y.b;
-  });
-  // Fold each pair's call keys, now adjacent, into one edge.
-  size_t pairs = 0;
-  for (const Edge& edge : edges) {
-    Edge* last = pairs > 0 ? &edges[pairs - 1] : nullptr;
-    if (last != nullptr && last->a == edge.a && last->b == edge.b) {
-      last->messages += edge.messages;
-      last->bytes += edge.bytes;
-      last->non_remotable_calls += edge.non_remotable_calls;
-    } else {
-      edges[pairs++] = edge;
+    const ClassificationId a = std::min(key.src, key.dst);
+    const ClassificationId b = std::max(key.src, key.dst);
+    if (edges.empty() || edges.back().a != a || edges.back().b != b) {
+      edges.push_back(Edge{a, b, 0, 0, 0});
     }
+    Edge& edge = edges.back();
+    edge.messages += summary.requests.total_count() + summary.replies.total_count();
+    edge.bytes += summary.total_bytes();
+    edge.non_remotable_calls += summary.non_remotable_calls;
   }
-  edges.resize(pairs);
   return graph;
 }
 

@@ -7,6 +7,10 @@
 // totals are all any network needs to price them). Nodes are instance
 // classifications; the application driver (GUI thread, the user) is the
 // pseudo-node kNoClassification and always lives on the client.
+//
+// A profile keeps its call rows in pair-major order (icc_profile.h), the
+// order of this graph's edges, so building the graph sorts nothing: it
+// folds each run of adjacent rows of one pair into that pair's edge.
 
 #ifndef COIGN_SRC_GRAPH_ICC_GRAPH_H_
 #define COIGN_SRC_GRAPH_ICC_GRAPH_H_
@@ -36,6 +40,8 @@ class AbstractIccGraph {
     bool MustColocate() const { return non_remotable_calls > 0; }
   };
 
+  // One pass over the profile's pair-major call rows, folding each pair's
+  // adjacent keys into its edge.
   static AbstractIccGraph FromProfile(const IccProfile& profile);
 
   // The profile's classification ids, ascending, whether or not they call.

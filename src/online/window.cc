@@ -1,6 +1,10 @@
 #include "src/online/window.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <utility>
+#include <vector>
 
 namespace coign {
 namespace {
@@ -15,16 +19,21 @@ constexpr uint64_t kUnprofiledMessageBytes = 64;
 // decayed weight, preserving the profiled size distribution.
 ExponentialHistogram ScaleHistogram(const ExponentialHistogram& h, double ratio) {
   ExponentialHistogram scaled;
-  for (int bucket : h.NonEmptyBuckets()) {
-    const uint64_t count =
-        static_cast<uint64_t>(std::llround(static_cast<double>(h.CountAt(bucket)) * ratio));
-    const uint64_t bytes =
-        static_cast<uint64_t>(std::llround(static_cast<double>(h.BytesAt(bucket)) * ratio));
-    if (count > 0) {
-      scaled.AddBucket(bucket, count, bytes);
+  h.ForEachBucket([&scaled, ratio](int bucket, uint64_t count, uint64_t bytes) {
+    const uint64_t scaled_count =
+        static_cast<uint64_t>(std::llround(static_cast<double>(count) * ratio));
+    const uint64_t scaled_bytes =
+        static_cast<uint64_t>(std::llround(static_cast<double>(bytes) * ratio));
+    if (scaled_count > 0) {
+      scaled.AddBucket(bucket, scaled_count, scaled_bytes);
     }
-  }
+  });
   return scaled;
+}
+
+template <typename Row>
+bool ById(const Row& x, const Row& y) {
+  return x.id < y.id;
 }
 
 }  // namespace
@@ -108,19 +117,29 @@ IccProfile SlidingWindowGraph::WindowedProfile(
     const IccProfile& base,
     const std::unordered_map<ClassificationId, ClassificationInfo>& live_classifications)
     const {
-  IccProfile windowed;
-  for (const auto& [id, info] : base.classifications()) {
-    windowed.RecordClassification(info);
-  }
+  // The base's classifications, then the live-only ones merged in by id.
+  std::vector<ClassificationInfo> classifications = base.classifications();
+  const auto profiled_end = static_cast<std::ptrdiff_t>(classifications.size());
   for (const auto& [id, info] : live_classifications) {
     if (base.FindClassification(id) == nullptr) {
-      windowed.RecordClassification(info);
+      classifications.push_back(info);
     }
   }
-  auto known = [&](ClassificationId id) {
-    return id == kNoClassification || base.FindClassification(id) != nullptr ||
-           live_classifications.find(id) != live_classifications.end();
+  std::sort(classifications.begin() + profiled_end, classifications.end(),
+            ById<ClassificationInfo>);
+  std::inplace_merge(classifications.begin(), classifications.begin() + profiled_end,
+                     classifications.end(), ById<ClassificationInfo>);
+  auto known = [&classifications](ClassificationId id) {
+    return id == kNoClassification || FindById(classifications, id) != nullptr;
   };
+
+  // The window's keys in pair-major order, walked beside the base's rows.
+  struct Tracked {
+    CallKey key;
+    const Cell* cell;
+  };
+  std::vector<Tracked> tracked;
+  tracked.reserve(window_.size());
   for (const auto& [key, cell] : window_) {
     if (cell.weight < kPruneWeight) {
       continue;
@@ -128,33 +147,50 @@ IccProfile SlidingWindowGraph::WindowedProfile(
     if (!known(key.src) || !known(key.dst)) {
       continue;  // No metadata to place these by; drift still sees them.
     }
+    tracked.push_back(Tracked{key, &cell});
+  }
+  std::sort(tracked.begin(), tracked.end(), [](const Tracked& x, const Tracked& y) {
+    return PairMajorLess(x.key, y.key);
+  });
+  std::vector<CallRecord> calls;
+  calls.reserve(tracked.size());
+  auto profiled = base.calls().begin();
+  const auto profiled_calls_end = base.calls().end();
+  for (const auto& [key, cell] : tracked) {
+    while (profiled != profiled_calls_end && PairMajorLess(profiled->key, key)) {
+      ++profiled;
+    }
     // The live remotability observation is ground truth for both profiled
     // and unprofiled keys.
     const uint64_t non_remotable =
-        static_cast<uint64_t>(std::llround(cell.non_remotable));
-    auto it = base.calls().find(key);
-    if (it != base.calls().end() && it->second.call_count() > 0) {
-      const CallSummary& profiled = it->second;
-      const double ratio = cell.weight / static_cast<double>(profiled.call_count());
-      windowed.InjectCallSummary(key, ScaleHistogram(profiled.requests, ratio),
-                                 ScaleHistogram(profiled.replies, ratio), non_remotable);
+        static_cast<uint64_t>(std::llround(cell->non_remotable));
+    if (profiled != profiled_calls_end && profiled->key == key &&
+        profiled->summary.call_count() > 0) {
+      const CallSummary& summary = profiled->summary;
+      const double ratio = cell->weight / static_cast<double>(summary.call_count());
+      calls.push_back(CallRecord{key, CallSummary{ScaleHistogram(summary.requests, ratio),
+                                                  ScaleHistogram(summary.replies, ratio),
+                                                  non_remotable}});
     } else {
-      const uint64_t calls = static_cast<uint64_t>(std::llround(cell.weight));
-      if (calls == 0) {
+      const uint64_t count = static_cast<uint64_t>(std::llround(cell->weight));
+      if (count == 0) {
         continue;
       }
       ExponentialHistogram h;
-      h.AddBucket(ExponentialHistogram::BucketFor(kUnprofiledMessageBytes), calls,
-                  calls * kUnprofiledMessageBytes);
-      windowed.InjectCallSummary(key, h, h, non_remotable);
+      h.AddBucket(ExponentialHistogram::BucketFor(kUnprofiledMessageBytes), count,
+                  count * kUnprofiledMessageBytes);
+      calls.push_back(CallRecord{key, CallSummary{h, h, non_remotable}});
     }
   }
+
+  std::vector<ComputeRecord> compute;
   for (const auto& [id, seconds] : compute_window_) {
     if (seconds > 0.0) {
-      windowed.RecordCompute(id, seconds);
+      compute.push_back(ComputeRecord{id, seconds});
     }
   }
-  return windowed;
+  std::sort(compute.begin(), compute.end(), ById<ComputeRecord>);
+  return IccProfile(std::move(classifications), std::move(compute), std::move(calls));
 }
 
 void SlidingWindowGraph::Clear() {

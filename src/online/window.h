@@ -66,6 +66,9 @@ class SlidingWindowGraph {
   // endpoint classifications carry metadata — from `base` or from
   // `live_classifications`, the registry of classifications first seen
   // during live execution (usage the profiling scenarios never covered).
+  // The profile's tables are written in order: the base's classification
+  // table merged with the live ones, and the window's keys sorted once and
+  // walked beside the base's pair-major rows, so no key is looked up.
   IccProfile WindowedProfile(
       const IccProfile& base,
       const std::unordered_map<ClassificationId, ClassificationInfo>& live_classifications =

@@ -15,6 +15,15 @@
 //   call <src> <dst> <iid> <method> <non_remotable>
 //        req [<bucket>:<count>:<bytes>]... ; rep [<bucket>:<count>:<bytes>]... ;
 //
+// The writer's order is canonical: each classification by ascending id,
+// followed by its alloc and compute records, then one call record per key
+// in the profile's pair-major order (PairMajorLess), buckets ascending. So
+// SerializeProfile(*ParseProfile(log)) == log for every log it writes.
+// The parser takes the records in any order that declares each
+// classification before a record names it: a log whose call records are
+// out of order (every log written before the order was fixed) or repeat
+// a key loads the same profile, at the cost of one sort at the end.
+//
 // Both directions are one pass over a text buffer, with std::to_chars and
 // std::from_chars; DESIGN.md ("Profile log format") lists what the parser
 // rejects.

@@ -5,7 +5,7 @@ namespace coign {
 void ProfilingLogger::OnEvent(const ProfileEvent& event) {
   switch (event.kind) {
     case EventKind::kComponentInstantiation:
-      profile_.RecordInstantiation(event.subject_classification);
+      builder_.RecordInstantiation(event.subject_classification);
       return;
     case EventKind::kInterfaceCall: {
       CallKey key;
@@ -13,7 +13,7 @@ void ProfilingLogger::OnEvent(const ProfileEvent& event) {
       key.dst = event.subject_classification;
       key.iid = event.iid;
       key.method = event.method;
-      profile_.RecordCall(key, event.request_bytes, event.reply_bytes, event.remotable);
+      builder_.RecordCall(key, event.request_bytes, event.reply_bytes, event.remotable);
       // Instance-level weights for classifier evaluation: total bytes that
       // would cross the wire between the two instances.
       comm_.Add(event.caller, event.subject,
@@ -28,11 +28,11 @@ void ProfilingLogger::OnEvent(const ProfileEvent& event) {
 }
 
 void ProfilingLogger::OnCompute(ClassificationId classification, double seconds) {
-  profile_.RecordCompute(classification, seconds);
+  builder_.RecordCompute(classification, seconds);
 }
 
 void ProfilingLogger::OnAllocate(ClassificationId classification, uint64_t bytes) {
-  profile_.RecordAllocation(classification, bytes);
+  builder_.RecordAllocation(classification, bytes);
 }
 
 void EventLogger::OnEvent(const ProfileEvent& event) {

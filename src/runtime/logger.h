@@ -8,8 +8,9 @@
 //
 // Three implementations, as in the paper:
 //   * ProfilingLogger — summarizes ICC into an IccProfile (exponential
-//     size-range histograms) plus the per-instance communication matrix
-//     used for classifier evaluation.
+//     size-range histograms), recorded through an IccProfileBuilder, plus
+//     the per-instance communication matrix used for classifier
+//     evaluation.
 //   * EventLogger — keeps the full ordered event trace.
 //   * NullLogger — used during distributed execution; ignores everything.
 
@@ -50,10 +51,11 @@ class ProfilingLogger : public InformationLogger {
   // Registers classification metadata (called by the RTE when a new
   // classification appears).
   void RecordClassification(const ClassificationInfo& info) {
-    profile_.RecordClassification(info);
+    builder_.RecordClassification(info);
   }
 
-  const IccProfile& profile() const { return profile_; }
+  // The profile recorded so far, its tables sorted.
+  IccProfile profile() const { return builder_.Build(); }
   // Instance-level communication of the current execution.
   const CommMatrix& comm_matrix() const { return comm_; }
 
@@ -62,7 +64,7 @@ class ProfilingLogger : public InformationLogger {
   void BeginExecution() { comm_.Clear(); }
 
  private:
-  IccProfile profile_;
+  IccProfileBuilder builder_;
   CommMatrix comm_;
 };
 

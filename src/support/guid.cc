@@ -68,17 +68,21 @@ std::string Guid::ToString() const {
 }
 
 void Guid::AppendTo(std::string* out) const {
+  char buf[kTextSize];
+  out->append(buf, WriteTo(buf));
+}
+
+char* Guid::WriteTo(char* out) const {
   constexpr char kDigits[] = "0123456789abcdef";
-  char buf[35];
-  buf[0] = '{';
-  buf[17] = '-';
-  buf[34] = '}';
+  out[0] = '{';
+  out[17] = '-';
+  out[34] = '}';
   for (int i = 0; i < 16; ++i) {
     const int shift = 60 - 4 * i;
-    buf[1 + i] = kDigits[(hi >> shift) & 0xf];
-    buf[18 + i] = kDigits[(lo >> shift) & 0xf];
+    out[1 + i] = kDigits[(hi >> shift) & 0xf];
+    out[18 + i] = kDigits[(lo >> shift) & 0xf];
   }
-  out->append(buf, sizeof(buf));
+  return out + kTextSize;
 }
 
 Result<Guid> Guid::Parse(std::string_view text) {

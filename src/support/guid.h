@@ -29,6 +29,10 @@ struct Guid {
   std::string ToString() const;
   // Appends the ToString() form to *out.
   void AppendTo(std::string* out) const;
+  // Length of the ToString() form.
+  static constexpr size_t kTextSize = 35;
+  // Writes the ToString() form to out[0, kTextSize); returns the end.
+  char* WriteTo(char* out) const;
   static Result<Guid> Parse(std::string_view text);
 
   friend constexpr bool operator==(const Guid& a, const Guid& b) {

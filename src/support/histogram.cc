@@ -42,49 +42,56 @@ bool ExponentialHistogram::CanHold(int bucket, uint64_t count, uint64_t bytes) {
 }
 
 ExponentialHistogram::Bucket& ExponentialHistogram::FindOrInsert(int bucket) {
-  auto it = std::lower_bound(
-      buckets_.begin(), buckets_.end(), bucket,
-      [](const auto& entry, int b) { return entry.first < b; });
-  if (it == buckets_.end() || it->first != bucket) {
-    it = buckets_.insert(it, {bucket, Bucket{}});
+  if (first_.index < 0 || bucket == first_.index) {
+    first_.index = bucket;
+    return first_;
   }
-  return it->second;
+  if (bucket < first_.index) {
+    more_.insert(more_.begin(), first_);
+    first_ = Bucket{bucket, 0, 0};
+    return first_;
+  }
+  auto it = std::lower_bound(more_.begin(), more_.end(), bucket,
+                             [](const Bucket& b, int index) { return b.index < index; });
+  if (it == more_.end() || it->index != bucket) {
+    it = more_.insert(it, Bucket{bucket, 0, 0});
+  }
+  return *it;
 }
 
 const ExponentialHistogram::Bucket* ExponentialHistogram::Find(int bucket) const {
-  auto it = std::lower_bound(
-      buckets_.begin(), buckets_.end(), bucket,
-      [](const auto& entry, int b) { return entry.first < b; });
-  if (it == buckets_.end() || it->first != bucket) {
-    return nullptr;
+  if (bucket == first_.index) {
+    return &first_;
   }
-  return &it->second;
+  auto it = std::lower_bound(more_.begin(), more_.end(), bucket,
+                             [](const Bucket& b, int index) { return b.index < index; });
+  return it != more_.end() && it->index == bucket ? &*it : nullptr;
 }
 
 void ExponentialHistogram::Add(uint64_t bytes) {
   Bucket& b = FindOrInsert(BucketFor(bytes));
   b.count += 1;
   b.bytes += bytes;
-  total_count_ += 1;
-  total_bytes_ += bytes;
 }
 
 void ExponentialHistogram::AddBucket(int bucket, uint64_t count, uint64_t bytes) {
   Bucket& b = FindOrInsert(bucket);
   b.count += count;
   b.bytes += bytes;
-  total_count_ += count;
-  total_bytes_ += bytes;
 }
 
 void ExponentialHistogram::Merge(const ExponentialHistogram& other) {
-  for (const auto& [index, bucket] : other.buckets_) {
-    Bucket& mine = FindOrInsert(index);
-    mine.count += bucket.count;
-    mine.bytes += bucket.bytes;
+  const auto merge_one = [this](const Bucket& theirs) {
+    if (theirs.index >= 0) {
+      Bucket& mine = FindOrInsert(theirs.index);
+      mine.count += theirs.count;
+      mine.bytes += theirs.bytes;
+    }
+  };
+  merge_one(other.first_);
+  for (const Bucket& theirs : other.more_) {
+    merge_one(theirs);
   }
-  total_count_ += other.total_count_;
-  total_bytes_ += other.total_bytes_;
 }
 
 uint64_t ExponentialHistogram::CountAt(int bucket) const {
@@ -105,25 +112,19 @@ double ExponentialHistogram::MeanSizeAt(int bucket) const {
   return static_cast<double>(b->bytes) / static_cast<double>(b->count);
 }
 
-std::vector<int> ExponentialHistogram::NonEmptyBuckets() const {
-  std::vector<int> out;
-  out.reserve(buckets_.size());
-  for (const auto& [index, bucket] : buckets_) {
-    if (bucket.count > 0) {
-      out.push_back(index);
-    }
-  }
-  return out;
-}
-
 std::string ExponentialHistogram::ToString() const {
   std::string out = StrFormat("hist{n=%llu, bytes=%llu",
-                              static_cast<unsigned long long>(total_count_),
-                              static_cast<unsigned long long>(total_bytes_));
-  for (const auto& [index, bucket] : buckets_) {
-    out += StrFormat(", [%llu+)=%llu",
-                     static_cast<unsigned long long>(BucketLowerBound(index)),
-                     static_cast<unsigned long long>(bucket.count));
+                              static_cast<unsigned long long>(total_count()),
+                              static_cast<unsigned long long>(total_bytes()));
+  const auto print = [&out](const Bucket& b) {
+    out += StrFormat(", [%llu+)=%llu", static_cast<unsigned long long>(BucketLowerBound(b.index)),
+                     static_cast<unsigned long long>(b.count));
+  };
+  if (first_.index >= 0) {
+    print(first_);
+  }
+  for (const Bucket& b : more_) {
+    print(b);
   }
   out += "}";
   return out;

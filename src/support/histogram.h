@@ -2,6 +2,13 @@
 // structure (Section 3.3): message sizes are summarized in ranges whose
 // widths grow exponentially, so storage does not grow with execution time
 // while the summary stays network-independent.
+//
+// A profiled call key's sizes almost always fall in one range (every
+// histogram of the Octarine analysis log holds one bucket, and none of
+// any scenario log holds more than three), so the lowest bucket lives
+// inline and only the rest go to the heap: a one-bucket histogram
+// allocates nothing, and ForEachBucket reads any histogram without
+// allocating.
 
 #ifndef COIGN_SRC_SUPPORT_HISTOGRAM_H_
 #define COIGN_SRC_SUPPORT_HISTOGRAM_H_
@@ -32,8 +39,22 @@ class ExponentialHistogram {
   void AddBucket(int bucket, uint64_t count, uint64_t bytes);
   void Merge(const ExponentialHistogram& other);
 
-  uint64_t total_count() const { return total_count_; }
-  uint64_t total_bytes() const { return total_bytes_; }
+  // Sums over the buckets, which keep no separate totals: a profile holds
+  // thousands of histograms, nearly all of one bucket.
+  uint64_t total_count() const {
+    uint64_t count = first_.count;
+    for (const Bucket& b : more_) {
+      count += b.count;
+    }
+    return count;
+  }
+  uint64_t total_bytes() const {
+    uint64_t bytes = first_.bytes;
+    for (const Bucket& b : more_) {
+      bytes += b.bytes;
+    }
+    return bytes;
+  }
 
   // Count of messages recorded in the given bucket.
   uint64_t CountAt(int bucket) const;
@@ -43,10 +64,23 @@ class ExponentialHistogram {
   // Mean message size within the bucket; 0 if the bucket is empty.
   double MeanSizeAt(int bucket) const;
 
-  // Indices of non-empty buckets, ascending.
-  std::vector<int> NonEmptyBuckets() const;
+  // Calls visit(bucket, count, bytes) for each non-empty bucket, ascending.
+  template <typename Visit>
+  void ForEachBucket(Visit&& visit) const {
+    if (first_.count > 0) {
+      visit(first_.index, first_.count, first_.bytes);
+    }
+    for (const Bucket& b : more_) {
+      if (b.count > 0) {
+        visit(b.index, b.count, b.bytes);
+      }
+    }
+  }
 
-  bool empty() const { return total_count_ == 0; }
+  bool empty() const { return total_count() == 0; }
+  // Buckets held, empty ones included: at least as many as ForEachBucket
+  // visits.
+  size_t bucket_count() const { return (first_.index >= 0 ? 1 : 0) + more_.size(); }
 
   std::string ToString() const;
 
@@ -55,16 +89,15 @@ class ExponentialHistogram {
 
  private:
   struct Bucket {
+    int index = -1;  // -1: no bucket (first_ of a histogram that holds none).
     uint64_t count = 0;
     uint64_t bytes = 0;
     friend bool operator==(const Bucket&, const Bucket&) = default;
   };
 
-  // Sparse storage: most (pair, method) histograms touch a handful of
-  // buckets. Sorted by index.
-  std::vector<std::pair<int, Bucket>> buckets_;
-  uint64_t total_count_ = 0;
-  uint64_t total_bytes_ = 0;
+  // The lowest bucket, and the others ascending.
+  Bucket first_;
+  std::vector<Bucket> more_;
 
   Bucket& FindOrInsert(int bucket);
   const Bucket* Find(int bucket) const;

@@ -35,7 +35,7 @@ CallKey Call(ClassificationId src, ClassificationId dst) {
   return key;
 }
 
-void Declare(IccProfile& profile, ClassificationId id, uint32_t api) {
+void Declare(IccProfileBuilder& profile, ClassificationId id, uint32_t api) {
   ClassificationInfo info;
   info.id = id;
   info.clsid = Guid::FromName("clsid:" + std::to_string(id));
@@ -52,7 +52,7 @@ void Declare(IccProfile& profile, ClassificationId id, uint32_t api) {
 // by edge and envelopes have several cuts.
 IccProfile RandomProfile(uint64_t seed) {
   Rng rng(seed);
-  IccProfile profile;
+  IccProfileBuilder profile;
   const int count = static_cast<int>(rng.UniformInt(1, 10));
   std::vector<ClassificationId> ids;
   for (int i = 0; i < count; ++i) {
@@ -85,7 +85,7 @@ IccProfile RandomProfile(uint64_t seed) {
       }
     }
   }
-  return profile;
+  return profile.Build();
 }
 
 // λ strictly inside (a, b): (wa·a + wb·b) as a weighted mediant.
@@ -185,19 +185,19 @@ TEST(EnvelopeTest, MatchesTheBruteForceEnvelopeOnRandomProfiles) {
 // and finds the combination with both on the server, a line that touches
 // the envelope at that single λ.
 TEST(EnvelopeTest, ALineTouchingTheEnvelopeAtOnePointOwnsNoSegment) {
-  IccProfile profile;
+  IccProfileBuilder recording;
   const ClassificationId store = 0, x = 1, y = 2, z = 3, w = 4;
-  Declare(profile, store, kApiStorage);
+  Declare(recording, store, kApiStorage);
   for (ClassificationId id : {x, y, z, w}) {
-    Declare(profile, id, kApiNone);
+    Declare(recording, id, kApiNone);
   }
   // (client-side calls of 100+100 bytes to Store, zero-byte driver calls)
   const auto wire = [&](ClassificationId id, int store_calls, int driver_calls) {
     for (int i = 0; i < store_calls; ++i) {
-      profile.RecordCall(Call(id, store), 100, 100, true);
+      recording.RecordCall(Call(id, store), 100, 100, true);
     }
     for (int i = 0; i < driver_calls; ++i) {
-      profile.RecordCall(Call(kNoClassification, id), 0, 0, true);
+      recording.RecordCall(Call(kNoClassification, id), 0, 0, true);
     }
   };
   wire(x, 1, 11);  // Client (2, 200), server (22, 0): switches at 1/10.
@@ -205,9 +205,10 @@ TEST(EnvelopeTest, ALineTouchingTheEnvelopeAtOnePointOwnsNoSegment) {
   wire(w, 1, 20);  // Client (2, 200), server (40, 0): at 19/100.
   // Y pays bytes on the server instead: client (22, 0), server (2, 200).
   for (int i = 0; i < 11; ++i) {
-    profile.RecordCall(Call(y, store), 0, 0, true);
+    recording.RecordCall(Call(y, store), 0, 0, true);
   }
-  profile.RecordCall(Call(kNoClassification, y), 100, 100, true);
+  recording.RecordCall(Call(kNoClassification, y), 100, 100, true);
+  const IccProfile profile = recording.Build();
 
   Result<CutEnvelope> envelope = ProfileAnalysisEngine().Envelope(profile);
   ASSERT_TRUE(envelope.ok()) << envelope.status().ToString();
@@ -232,7 +233,7 @@ TEST(EnvelopeTest, ALineTouchingTheEnvelopeAtOnePointOwnsNoSegment) {
 TEST(EnvelopeTest, ALinkOnABreakpointTakesTheRightHandSegment) {
   // Gui (client) -chatty- Worker -bulky- Store (server): Worker joins the
   // client at small λ and the server at large λ.
-  IccProfile profile;
+  IccProfileBuilder profile;
   Declare(profile, 0, kApiGui);
   Declare(profile, 1, kApiNone);
   Declare(profile, 2, kApiStorage);
@@ -240,7 +241,7 @@ TEST(EnvelopeTest, ALinkOnABreakpointTakesTheRightHandSegment) {
     profile.RecordCall(Call(0, 1), 8, 8, true);
   }
   profile.RecordCall(Call(1, 2), 4000, 8, true);
-  Result<CutEnvelope> envelope = ProfileAnalysisEngine().Envelope(profile);
+  Result<CutEnvelope> envelope = ProfileAnalysisEngine().Envelope(profile.Build());
   ASSERT_TRUE(envelope.ok());
   ASSERT_EQ(envelope->segments().size(), 2u);
   EXPECT_EQ(envelope->solves(), 3u);
@@ -289,11 +290,11 @@ TEST(EnvelopeTest, CompareLambdaIsExact) {
 }
 
 TEST(EnvelopeTest, TrafficTooLargeToPriceExactlyIsOutOfRange) {
-  IccProfile profile;
+  IccProfileBuilder profile;
   Declare(profile, 0, kApiNone);
   Declare(profile, 1, kApiStorage);
   profile.RecordCall(Call(0, 1), uint64_t{1} << 62, 8, true);
-  Result<CutEnvelope> envelope = ProfileAnalysisEngine().Envelope(profile);
+  Result<CutEnvelope> envelope = ProfileAnalysisEngine().Envelope(profile.Build());
   ASSERT_FALSE(envelope.ok());
   EXPECT_EQ(envelope.status().code(), StatusCode::kOutOfRange);
   EXPECT_NE(envelope.status().message().find("2 messages"), std::string::npos)
@@ -434,7 +435,7 @@ double Ulps(double x, int ulps) {
 // the rounded terms lands one ulp below RN(β): a key bracket of an ulp or
 // less misplaces links within an ulp of β.
 IccProfile HugeTrafficProfile() {
-  IccProfile profile;
+  IccProfileBuilder profile;
   Declare(profile, 0, kApiStorage);
   const uint64_t request_bytes[3] = {(uint64_t{1} << 54) + 2, (uint64_t{1} << 54) + 10,
                                      (uint64_t{1} << 54) + 18};
@@ -446,7 +447,7 @@ IccProfile HugeTrafficProfile() {
       profile.RecordCall(Call(kNoClassification, id), 0, 0, true);
     }
   }
-  return profile;
+  return profile.Build();
 }
 
 TEST(EnvelopeTest, KeyFirstLookupMatchesTheReferenceOnAndAroundEveryBreakpoint) {

@@ -22,6 +22,7 @@ struct RandomProfile {
 
 RandomProfile MakeRandomProfile(Rng& rng) {
   RandomProfile out;
+  IccProfileBuilder recording;
   const int n = static_cast<int>(rng.UniformInt(3, 9));
   for (int i = 0; i < n; ++i) {
     ClassificationInfo info;
@@ -32,7 +33,7 @@ RandomProfile MakeRandomProfile(Rng& rng) {
     // pin), the rest free.
     info.api_usage = i == 0 ? kApiGui : i == 1 ? kApiStorage : kApiNone;
     info.instance_count = 1;
-    out.profile.RecordClassification(info);
+    recording.RecordClassification(info);
     if (info.api_usage == kApiNone) {
       out.free_ids.push_back(info.id);
     }
@@ -49,11 +50,12 @@ RandomProfile MakeRandomProfile(Rng& rng) {
       key.iid = Guid::FromName("iid:IRand");
       const int calls = static_cast<int>(rng.UniformInt(1, 20));
       for (int c = 0; c < calls; ++c) {
-        out.profile.RecordCall(key, static_cast<uint64_t>(rng.UniformInt(16, 4096)),
-                               static_cast<uint64_t>(rng.UniformInt(16, 4096)), true);
+        recording.RecordCall(key, static_cast<uint64_t>(rng.UniformInt(16, 4096)),
+                             static_cast<uint64_t>(rng.UniformInt(16, 4096)), true);
       }
     }
   }
+  out.profile = recording.Build();
   return out;
 }
 

@@ -16,7 +16,7 @@ CallKey MakeKey(ClassificationId src, ClassificationId dst) {
   return key;
 }
 
-void AddClassification(IccProfile* profile, ClassificationId id, const std::string& name,
+void AddClassification(IccProfileBuilder* profile, ClassificationId id, const std::string& name,
                        uint32_t api = kApiNone, uint64_t instances = 1) {
   ClassificationInfo info;
   info.id = id;
@@ -37,14 +37,14 @@ NetworkProfile FastNetwork() {
 // The canonical shape: Gui (pinned client) <-chatty-> Worker <-bulk-> Store
 // (pinned server). Worker should land wherever its traffic is heavier.
 IccProfile WorkerProfile(uint64_t gui_side_bytes, uint64_t store_side_bytes) {
-  IccProfile profile;
+  IccProfileBuilder profile;
   AddClassification(&profile, 0, "Gui", kApiGui, 2);
   AddClassification(&profile, 1, "Worker", kApiNone, 4);
   AddClassification(&profile, 2, "Store", kApiStorage, 1);
   profile.RecordCall(MakeKey(0, 1), gui_side_bytes, 64, true);
   profile.RecordCall(MakeKey(1, 2), store_side_bytes, 64, true);
   profile.RecordCompute(1, 0.25);
-  return profile;
+  return profile.Build();
 }
 
 TEST(AnalysisEngineTest, WorkerFollowsTheHeavierEdge) {
@@ -91,7 +91,7 @@ TEST(AnalysisEngineTest, PredictedCommMatchesCutEdges) {
 }
 
 TEST(AnalysisEngineTest, NonRemotableEdgeForcesColocation) {
-  IccProfile profile;
+  IccProfileBuilder profile;
   AddClassification(&profile, 0, "Gui", kApiGui);
   AddClassification(&profile, 1, "Sprite", kApiNone);
   AddClassification(&profile, 2, "Store", kApiStorage);
@@ -99,21 +99,21 @@ TEST(AnalysisEngineTest, NonRemotableEdgeForcesColocation) {
   profile.RecordCall(MakeKey(0, 1), 10, 10, /*remotable=*/false);
   profile.RecordCall(MakeKey(1, 2), 1000000, 64, true);
   ProfileAnalysisEngine engine;
-  Result<AnalysisResult> result = engine.Analyze(profile, FastNetwork());
+  Result<AnalysisResult> result = engine.Analyze(profile.Build(), FastNetwork());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->distribution.MachineFor(1), kClientMachine);
   EXPECT_EQ(result->non_remotable_pairs, 1u);
 }
 
 TEST(AnalysisEngineTest, ContradictoryConstraintsReported) {
-  IccProfile profile;
+  IccProfileBuilder profile;
   AddClassification(&profile, 0, "Gui", kApiGui);
   AddClassification(&profile, 1, "Store", kApiStorage);
   // A non-remotable interface between a client-pinned and a server-pinned
   // classification cannot be satisfied.
   profile.RecordCall(MakeKey(0, 1), 10, 10, /*remotable=*/false);
   ProfileAnalysisEngine engine;
-  Result<AnalysisResult> result = engine.Analyze(profile, FastNetwork());
+  Result<AnalysisResult> result = engine.Analyze(profile.Build(), FastNetwork());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -228,9 +228,10 @@ TEST(PredictionTest, ExecutionTimeAddsCompute) {
 }
 
 TEST(PredictionTest, DriverCountsAsClient) {
-  IccProfile profile;
-  AddClassification(&profile, 0, "Free");
-  profile.RecordCall(MakeKey(kNoClassification, 0), 100, 100, true);
+  IccProfileBuilder recording;
+  AddClassification(&recording, 0, "Free");
+  recording.RecordCall(MakeKey(kNoClassification, 0), 100, 100, true);
+  const IccProfile profile = recording.Build();
   Distribution server_only;
   server_only.placement[0] = kServerMachine;
   EXPECT_GT(PredictCommunicationSeconds(profile, server_only, FastNetwork()), 0.0);

@@ -172,16 +172,16 @@ TEST(MultiMachineExecutionTest, ThreeTierDistributionRunsAndMatchesPrediction) {
   ASSERT_TRUE(scenario.ok());
   ASSERT_TRUE(scenario->run(profiling_system, rng).ok());
   profiling_system.DestroyAll();
-  const IccProfile& profile = profiler_runtime.profiling_logger()->profile();
+  const IccProfile profile = profiler_runtime.profiling_logger()->profile();
   const std::vector<Descriptor> table = profiler_runtime.classifier().ExportDescriptors();
 
   // Three-way analysis with the session manager anchored to the middle.
   MultiwayOptions options;
   options.machine_count = 3;
   options.storage_machine = 2;
-  for (const auto& [id, info] : profile.classifications()) {
+  for (const ClassificationInfo& info : profile.classifications()) {
     if (info.class_name == "BN.SessionMgr") {
-      options.extra_pins.emplace_back(id, 1);
+      options.extra_pins.emplace_back(info.id, 1);
     }
   }
   const NetworkProfile exact = NetworkProfile::Exact(NetworkModel::TenBaseT());

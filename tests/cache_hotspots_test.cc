@@ -127,7 +127,7 @@ TEST_F(CacheTest, ClearAndDetach) {
 // --- Hot spots -----------------------------------------------------------------
 
 IccProfile HotProfile() {
-  IccProfile profile;
+  IccProfileBuilder profile;
   auto add = [&profile](ClassificationId id, const std::string& name) {
     ClassificationInfo info;
     info.id = id;
@@ -156,7 +156,7 @@ IccProfile HotProfile() {
   for (int i = 0; i < 1000; ++i) {
     profile.RecordCall(internal, 5000, 50, true);
   }
-  return profile;
+  return profile.Build();
 }
 
 TEST(HotSpotTest, OnlyCrossingCallsRankedBySeconds) {

@@ -10,7 +10,7 @@ namespace coign {
 namespace {
 
 IccProfile SmallProfile() {
-  IccProfile profile;
+  IccProfileBuilder profile;
   auto add = [&profile](ClassificationId id, const std::string& name, uint64_t instances) {
     ClassificationInfo info;
     info.id = id;
@@ -32,7 +32,7 @@ IccProfile SmallProfile() {
   pair.iid = key.iid;
   profile.RecordCall(pair, 4000, 50, true);
   profile.RecordCall(pair, 10, 10, /*remotable=*/false);
-  return profile;
+  return profile.Build();
 }
 
 AnalysisResult SmallResult() {

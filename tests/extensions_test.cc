@@ -85,7 +85,7 @@ TEST(ClassifierTableTest, ConfigRecordRoundTripsTable) {
 // --- Drift detection ----------------------------------------------------------
 
 IccProfile TrainedProfile() {
-  IccProfile profile;
+  IccProfileBuilder profile;
   CallKey gui_worker;
   gui_worker.src = 0;
   gui_worker.dst = 1;
@@ -99,7 +99,7 @@ IccProfile TrainedProfile() {
   for (int i = 0; i < 100; ++i) {
     profile.RecordCall(worker_store, 1000, 50, true);
   }
-  return profile;
+  return profile.Build();
 }
 
 TEST(DriftTest, MessageCountsAreDirectionless) {
@@ -169,7 +169,7 @@ TEST(DriftTest, ReportToStringReadable) {
 // --- Multiway analysis ----------------------------------------------------------
 
 IccProfile ThreeTierProfile() {
-  IccProfile profile;
+  IccProfileBuilder profile;
   auto add = [&profile](ClassificationId id, const std::string& name, uint32_t api) {
     ClassificationInfo info;
     info.id = id;
@@ -196,7 +196,7 @@ IccProfile ThreeTierProfile() {
   call(0, 1, 200, 100);  // GUI <-> cache: chatty.
   call(1, 2, 500, 5);    // Cache <-> logic: light.
   call(2, 3, 4000, 50);  // Logic <-> db: heavy.
-  return profile;
+  return profile.Build();
 }
 
 NetworkProfile FastNet() {

@@ -24,8 +24,8 @@ namespace {
 // (pinned server); Worker follows the heavier edge, which flips as the
 // network's relative costs move — so different clients really can get
 // different cuts.
-IccProfile TestProfile(uint64_t gui_bytes = 200, uint64_t store_bytes = 100000) {
-  IccProfile profile;
+IccProfileBuilder TestRecording(uint64_t gui_bytes = 200, uint64_t store_bytes = 100000) {
+  IccProfileBuilder profile;
   const auto add = [&](ClassificationId id, const std::string& name, uint32_t api,
                        uint64_t instances) {
     ClassificationInfo info;
@@ -50,6 +50,10 @@ IccProfile TestProfile(uint64_t gui_bytes = 200, uint64_t store_bytes = 100000) 
   profile.RecordCall(worker_store, store_bytes, 64, true);
   profile.RecordCompute(1, 0.25);
   return profile;
+}
+
+IccProfile TestProfile(uint64_t gui_bytes = 200, uint64_t store_bytes = 100000) {
+  return TestRecording(gui_bytes, store_bytes).Build();
 }
 
 std::vector<FleetClient> TestFleet(int clients, uint64_t seed = 42) {
@@ -86,14 +90,15 @@ TEST(FleetLinkTest, LossInflationNeverMovesACut) {
   // Gui <-chatty-> Worker <-bulk-> Store: Worker's side depends on the
   // link's latency-bandwidth product, which the fleet spreads over two
   // decades.
-  IccProfile profile = TestProfile(/*gui_bytes=*/64, /*store_bytes=*/180000);
+  IccProfileBuilder recording = TestRecording(/*gui_bytes=*/64, /*store_bytes=*/180000);
   CallKey chatty;
   chatty.src = 0;
   chatty.dst = 1;
   chatty.iid = Guid::FromName("iid:IFleetTest");
   for (int call = 1; call < 100; ++call) {
-    profile.RecordCall(chatty, 64, 64, true);
+    recording.RecordCall(chatty, 64, 64, true);
   }
+  const IccProfile profile = recording.Build();
   const ProfileAnalysisEngine engine;
   size_t lossy = 0;
   std::set<MachineId> worker_sides;
@@ -243,7 +248,7 @@ TEST(FleetServiceTest, RejectsLinksThatLossInflatesOutOfRange) {
 // with remotable calls from outside any classification to each. No cut
 // can honour every constraint.
 IccProfile UnsatisfiableProfile(int chain) {
-  IccProfile profile;
+  IccProfileBuilder profile;
   const ClassificationId store = static_cast<ClassificationId>(chain + 1);
   for (ClassificationId id = 0; id <= store; ++id) {
     ClassificationInfo info;
@@ -263,7 +268,7 @@ IccProfile UnsatisfiableProfile(int chain) {
       profile.RecordCall(key, 16, 16, /*remotable=*/false);
     }
   }
-  return profile;
+  return profile.Build();
 }
 
 TEST(FleetServiceTest, UnsatisfiableConstraintsFailEveryEntryPoint) {
@@ -348,14 +353,15 @@ TEST(FleetServiceTest, AClientOnABreakpointIsServedTheRightHandSegment) {
   // (2, 4064) with Worker on the client and (18, 200) with it on the
   // server meet at λ = 16/3864. A link of 3864·2^-30 s per message and
   // 2^26 bytes per second sits exactly there.
-  IccProfile profile = TestProfile(/*gui_bytes=*/8, /*store_bytes=*/4000);
+  IccProfileBuilder recording = TestRecording(/*gui_bytes=*/8, /*store_bytes=*/4000);
   CallKey chatty;
   chatty.src = 0;
   chatty.dst = 1;
   chatty.iid = Guid::FromName("iid:IFleetTest");
   for (int call = 1; call < 9; ++call) {
-    profile.RecordCall(chatty, 8, 8, true);
+    recording.RecordCall(chatty, 8, 8, true);
   }
+  const IccProfile profile = recording.Build();
   std::vector<FleetClient> fleet(1);
   fleet[0].network.per_message_seconds = std::ldexp(3864.0, -30);
   fleet[0].network.bytes_per_second = std::ldexp(1.0, 26);
@@ -376,7 +382,7 @@ TEST(FleetServiceTest, AClientOnABreakpointIsServedTheRightHandSegment) {
 // three switch points, 8e-4, 1.2e-3 and 7.8e-3, sit inside a generated
 // fleet's λ range, and each Analyze is a five-node cut.
 IccProfile SwitchingProfile() {
-  IccProfile profile;
+  IccProfileBuilder profile;
   const auto add = [&](ClassificationId id, uint32_t api) {
     ClassificationInfo info;
     info.id = id;
@@ -401,7 +407,7 @@ IccProfile SwitchingProfile() {
       profile.RecordCall(key, 0, 0, true);
     }
   }
-  return profile;
+  return profile.Build();
 }
 
 // Checks `planned` against the exact λ reference: every member is in the

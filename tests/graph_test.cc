@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <iterator>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "bench/harness.h"
 #include "src/com/class_registry.h"
@@ -10,6 +12,7 @@
 #include "src/graph/constraints.h"
 #include "src/graph/distribution.h"
 #include "src/graph/icc_graph.h"
+#include "src/support/rng.h"
 #include "src/support/str_util.h"
 
 namespace coign {
@@ -24,7 +27,7 @@ CallKey MakeKey(ClassificationId src, ClassificationId dst, MethodIndex method =
   return key;
 }
 
-void AddClassification(IccProfile* profile, ClassificationId id, const std::string& name,
+void AddClassification(IccProfileBuilder* profile, ClassificationId id, const std::string& name,
                        uint32_t api = kApiNone, uint64_t instances = 1) {
   ClassificationInfo info;
   info.id = id;
@@ -51,17 +54,18 @@ TEST(DistributionTest, PlacementLookupAndCounts) {
 }
 
 TEST(AbstractIccGraphTest, MergesDirectionsAndMethodsPerPair) {
-  IccProfile profile;
-  AddClassification(&profile, 0, "A");
-  AddClassification(&profile, 1, "B");
-  profile.RecordCall(MakeKey(0, 1, 0), 100, 10, true);
-  profile.RecordCall(MakeKey(1, 0, 2), 50, 5, true);   // Reverse direction.
-  profile.RecordCall(MakeKey(0, 1, 3), 25, 25, false);  // Another method.
-  profile.RecordCall(MakeKey(1, 1, 0), 9, 9, true);     // Intra: dropped.
+  IccProfileBuilder recording;
+  AddClassification(&recording, 0, "A");
+  AddClassification(&recording, 1, "B");
+  recording.RecordCall(MakeKey(0, 1, 0), 100, 10, true);
+  recording.RecordCall(MakeKey(1, 0, 2), 50, 5, true);   // Reverse direction.
+  recording.RecordCall(MakeKey(0, 1, 3), 25, 25, false);  // Another method.
+  recording.RecordCall(MakeKey(1, 1, 0), 9, 9, true);     // Intra: dropped.
   // A key whose histograms are empty (a window can scale them to 0) still
   // makes its pair an edge, with no traffic.
-  AddClassification(&profile, 2, "C");
-  profile.InjectCallSummary(MakeKey(2, 0), ExponentialHistogram(), ExponentialHistogram(), 0);
+  AddClassification(&recording, 2, "C");
+  recording.InjectCallSummary(MakeKey(2, 0), ExponentialHistogram(), ExponentialHistogram(), 0);
+  const IccProfile profile = recording.Build();
 
   const AbstractIccGraph graph = AbstractIccGraph::FromProfile(profile);
   ASSERT_EQ(graph.edges().size(), 2u);
@@ -82,11 +86,12 @@ TEST(AbstractIccGraphTest, MergesDirectionsAndMethodsPerPair) {
 }
 
 TEST(AbstractIccGraphTest, NodesAreEveryClassificationAscending) {
-  IccProfile profile;
-  AddClassification(&profile, 7, "Late");
-  AddClassification(&profile, 3, "Early");
-  AddClassification(&profile, 5, "Quiet");  // Makes no call.
-  profile.RecordCall(MakeKey(7, 3), 10, 10, true);
+  IccProfileBuilder recording;
+  AddClassification(&recording, 7, "Late");
+  AddClassification(&recording, 3, "Early");
+  AddClassification(&recording, 5, "Quiet");  // Makes no call.
+  recording.RecordCall(MakeKey(7, 3), 10, 10, true);
+  const IccProfile profile = recording.Build();
   const AbstractIccGraph graph = AbstractIccGraph::FromProfile(profile);
   EXPECT_EQ(graph.nodes(), (std::vector<ClassificationId>{3, 5, 7}));
   ASSERT_EQ(graph.edges().size(), 1u);
@@ -95,21 +100,118 @@ TEST(AbstractIccGraphTest, NodesAreEveryClassificationAscending) {
 }
 
 TEST(AbstractIccGraphTest, DriverPairUsesNoClassification) {
-  IccProfile profile;
-  AddClassification(&profile, 0, "A");
-  profile.RecordCall(MakeKey(kNoClassification, 0), 10, 10, true);
+  IccProfileBuilder recording;
+  AddClassification(&recording, 0, "A");
+  recording.RecordCall(MakeKey(kNoClassification, 0), 10, 10, true);
+  const IccProfile profile = recording.Build();
   const AbstractIccGraph graph = AbstractIccGraph::FromProfile(profile);
   ASSERT_EQ(graph.edges().size(), 1u);
   EXPECT_EQ(graph.edges()[0].a, 0u);
   EXPECT_EQ(graph.edges()[0].b, kNoClassification);
 }
 
+// The abstract graph as a sort-and-fold over the call rows in any order:
+// the edge list the one-pass fold over pair-major rows must equal.
+std::vector<AbstractIccGraph::Edge> SortAndFold(const IccProfile& profile) {
+  std::vector<AbstractIccGraph::Edge> edges;
+  for (const auto& [key, summary] : profile.calls()) {
+    if (key.src != key.dst) {
+      edges.push_back({std::min(key.src, key.dst), std::max(key.src, key.dst),
+                       summary.requests.total_count() + summary.replies.total_count(),
+                       summary.total_bytes(), summary.non_remotable_calls});
+    }
+  }
+  std::sort(edges.begin(), edges.end(), [](const auto& x, const auto& y) {
+    return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+  });
+  std::vector<AbstractIccGraph::Edge> folded;
+  for (const AbstractIccGraph::Edge& edge : edges) {
+    if (!folded.empty() && folded.back().a == edge.a && folded.back().b == edge.b) {
+      folded.back().messages += edge.messages;
+      folded.back().bytes += edge.bytes;
+      folded.back().non_remotable_calls += edge.non_remotable_calls;
+    } else {
+      folded.push_back(edge);
+    }
+  }
+  return folded;
+}
+
+// Two recordings of random calls merged: self-calls, driver endpoints,
+// both directions of a pair, zero-traffic keys and keys both recordings
+// hold, which Merge adds together.
+IccProfile RandomMergedProfile(Rng& rng, std::vector<ClassificationId>* ids) {
+  IccProfileBuilder recordings[2];
+  const int count = static_cast<int>(rng.UniformInt(1, 12));
+  for (int i = 0; i < count; ++i) {
+    // Dense ids with a few gaps.
+    const ClassificationId id = static_cast<ClassificationId>(i + (rng.Bernoulli(0.2) ? 20 : 0));
+    if (std::find(ids->begin(), ids->end(), id) != ids->end()) {
+      continue;
+    }
+    ids->push_back(id);
+    AddClassification(&recordings[rng.UniformInt(0, 1)], id, "C" + std::to_string(id));
+  }
+  const auto endpoint = [&] {
+    return rng.Bernoulli(0.15) ? kNoClassification
+                               : (*ids)[static_cast<size_t>(
+                                     rng.UniformInt(0, static_cast<int64_t>(ids->size()) - 1))];
+  };
+  const int keys = static_cast<int>(rng.UniformInt(0, 40));
+  for (int k = 0; k < keys; ++k) {
+    const CallKey key = MakeKey(endpoint(), endpoint(),
+                                static_cast<MethodIndex>(rng.UniformInt(0, 3)));
+    IccProfileBuilder& recording = recordings[rng.UniformInt(0, 1)];
+    if (rng.Bernoulli(0.1)) {
+      recording.InjectCallSummary(key, ExponentialHistogram(), ExponentialHistogram(), 0);
+      continue;
+    }
+    const int64_t calls = rng.UniformInt(1, 3);
+    for (int64_t c = 0; c < calls; ++c) {
+      recording.RecordCall(key, static_cast<uint64_t>(rng.UniformInt(0, 5000)),
+                           static_cast<uint64_t>(rng.UniformInt(0, 70)), !rng.Bernoulli(0.1));
+    }
+  }
+  IccProfile profile = recordings[0].Build();
+  profile.Merge(recordings[1].Build());
+  std::sort(ids->begin(), ids->end());
+  return profile;
+}
+
+TEST(AbstractIccGraphTest, FoldMatchesSortAndFoldOnRandomProfiles) {
+  constexpr int kProfiles = 600;
+  size_t merged_edges = 0;
+  for (int seed = 1; seed <= kProfiles; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed));
+    std::vector<ClassificationId> ids;
+    const IccProfile profile = RandomMergedProfile(rng, &ids);
+    for (size_t i = 1; i < profile.calls().size(); ++i) {
+      ASSERT_TRUE(PairMajorLess(profile.calls()[i - 1].key, profile.calls()[i].key))
+          << "seed " << seed << " row " << i;
+    }
+    const AbstractIccGraph graph = AbstractIccGraph::FromProfile(profile);
+    EXPECT_EQ(graph.nodes(), ids) << "seed " << seed;
+    const std::vector<AbstractIccGraph::Edge> expected = SortAndFold(profile);
+    ASSERT_EQ(graph.edges().size(), expected.size()) << "seed " << seed;
+    for (size_t e = 0; e < expected.size(); ++e) {
+      const AbstractIccGraph::Edge& got = graph.edges()[e];
+      EXPECT_TRUE(got.a == expected[e].a && got.b == expected[e].b &&
+                  got.messages == expected[e].messages && got.bytes == expected[e].bytes &&
+                  got.non_remotable_calls == expected[e].non_remotable_calls)
+          << "seed " << seed << " edge " << e;
+    }
+    merged_edges += expected.size();
+  }
+  EXPECT_GT(merged_edges, static_cast<size_t>(kProfiles) * 5);
+}
+
 TEST(ConstraintsTest, FromProfileDerivesApiPins) {
-  IccProfile profile;
-  AddClassification(&profile, 0, "Gui", kApiGui);
-  AddClassification(&profile, 1, "Store", kApiStorage);
-  AddClassification(&profile, 2, "Free", kApiNone);
-  AddClassification(&profile, 3, "Db", kApiOdbc | kApiStorage);
+  IccProfileBuilder recording;
+  AddClassification(&recording, 0, "Gui", kApiGui);
+  AddClassification(&recording, 1, "Store", kApiStorage);
+  AddClassification(&recording, 2, "Free", kApiNone);
+  AddClassification(&recording, 3, "Db", kApiOdbc | kApiStorage);
+  const IccProfile profile = recording.Build();
   const LocationConstraints constraints = LocationConstraints::FromProfile(profile);
   ASSERT_NE(constraints.PinOf(0), nullptr);
   EXPECT_EQ(*constraints.PinOf(0), kClientMachine);
@@ -129,13 +231,14 @@ TEST(ConstraintsTest, ExplicitConstraintsAccumulate) {
 }
 
 TEST(ConcreteGraphTest, BuildWiresTerminalsClassificationsAndConstraints) {
-  IccProfile profile;
-  AddClassification(&profile, 0, "Gui", kApiGui, 3);
-  AddClassification(&profile, 1, "Store", kApiStorage, 1);
-  AddClassification(&profile, 2, "Free", kApiNone, 5);
-  profile.RecordCall(MakeKey(kNoClassification, 2), 500, 100, true);  // Driver <-> Free.
-  profile.RecordCall(MakeKey(2, 1), 200, 1000, true);                  // Free <-> Store.
-  profile.RecordCall(MakeKey(2, 0), 10, 10, false);                    // Non-remotable.
+  IccProfileBuilder recording;
+  AddClassification(&recording, 0, "Gui", kApiGui, 3);
+  AddClassification(&recording, 1, "Store", kApiStorage, 1);
+  AddClassification(&recording, 2, "Free", kApiNone, 5);
+  recording.RecordCall(MakeKey(kNoClassification, 2), 500, 100, true);  // Driver <-> Free.
+  recording.RecordCall(MakeKey(2, 1), 200, 1000, true);                  // Free <-> Store.
+  recording.RecordCall(MakeKey(2, 0), 10, 10, false);                    // Non-remotable.
+  const IccProfile profile = recording.Build();
 
   const AbstractIccGraph abstract = AbstractIccGraph::FromProfile(profile);
   const LocationConstraints constraints = LocationConstraints::FromProfile(profile);
@@ -171,9 +274,10 @@ TEST(ConcreteGraphTest, BuildWiresTerminalsClassificationsAndConstraints) {
 }
 
 TEST(ConcreteGraphTest, DriverEdgesAttachToClientTerminal) {
-  IccProfile profile;
-  AddClassification(&profile, 0, "Free");
-  profile.RecordCall(MakeKey(kNoClassification, 0), 100, 100, true);
+  IccProfileBuilder recording;
+  AddClassification(&recording, 0, "Free");
+  recording.RecordCall(MakeKey(kNoClassification, 0), 100, 100, true);
+  const IccProfile profile = recording.Build();
   const AbstractIccGraph abstract = AbstractIccGraph::FromProfile(profile);
   const ConcreteGraph graph =
       ConcreteGraph::Build(abstract, NetworkProfile::Exact(NetworkModel::TenBaseT()),

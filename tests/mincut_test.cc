@@ -328,5 +328,47 @@ TEST(FlowNetworkTest, ExtractCutStopsAtSaturatedEdges) {
   }
 }
 
+// A sentinel (constraint) arc that is saturated and leaves the residual
+// side means every cut severs a constraint: ExtractCut reports exactly
+// kInfiniteCapacity whatever finite flow value it was handed, and only
+// then. The flows are set by hand, since a solver that saturates a
+// sentinel arc also saturates its own flow value.
+TEST(FlowNetworkTest, ExtractCutPromotesASaturatedSentinelLeavingTheSide) {
+  const auto saturate_sentinel = [](CompactFlowNetwork& network, int from, int to) {
+    for (int a = network.first_out(from); a < network.first_out(from + 1); ++a) {
+      CompactArc& arc = network.arc(a);
+      if (arc.to == to && arc.capacity == kInfiniteCapacity) {
+        arc.flow = kInfiniteCapacity;
+        network.arc(arc.reverse).flow = -kInfiniteCapacity;
+        return;
+      }
+    }
+    ADD_FAILURE() << "no sentinel arc " << from << " -> " << to;
+  };
+  // Source 0 -sentinel-> 1 -5-> sink 2: the saturated sentinel is the only
+  // way out of the source, so it crosses the cut.
+  CompactFlowNetwork crossing(3);
+  crossing.AddArc(0, 1, kInfiniteCapacity);
+  crossing.AddEdge(1, 2, 5);
+  crossing.Finalize();
+  saturate_sentinel(crossing, 0, 1);
+  const CutResult promoted = crossing.ExtractCut(0, 5);
+  EXPECT_EQ(promoted.cut_value, kInfiniteCapacity);
+  EXPECT_EQ(promoted.in_source_side, (std::vector<bool>{true, false, false}));
+
+  // The same saturated sentinel, but its head is reached through a finite
+  // edge with residual left: it stays inside the side, and the value
+  // stands.
+  CompactFlowNetwork inside(3);
+  inside.AddArc(0, 1, kInfiniteCapacity);
+  inside.AddEdge(0, 1, 3);
+  inside.AddEdge(1, 2, 5);
+  inside.Finalize();
+  saturate_sentinel(inside, 0, 1);
+  const CutResult kept = inside.ExtractCut(0, 5);
+  EXPECT_EQ(kept.cut_value, 5);
+  EXPECT_EQ(kept.in_source_side, (std::vector<bool>{true, true, true}));
+}
+
 }  // namespace
 }  // namespace coign

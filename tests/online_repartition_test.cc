@@ -83,29 +83,31 @@ TEST(SlidingWindowTest, PruningBoundsMemory) {
 }
 
 TEST(SlidingWindowTest, WindowedProfileScalesProfiledKeys) {
-  IccProfile base;
-  base.RecordClassification(InfoOf(1, "A"));
-  base.RecordClassification(InfoOf(2, "B"));
+  IccProfileBuilder recording;
+  recording.RecordClassification(InfoOf(1, "A"));
+  recording.RecordClassification(InfoOf(2, "B"));
   const CallKey key = KeyOf(1, 2);
   for (int i = 0; i < 10; ++i) {
-    base.RecordCall(key, 100, 50, /*remotable=*/true);
+    recording.RecordCall(key, 100, 50, /*remotable=*/true);
   }
+  const IccProfile base = recording.Build();
 
   SlidingWindowGraph window;
   window.Record(key, 20);  // Twice the profiled rate.
   window.AdvanceEpoch();
 
   const IccProfile windowed = window.WindowedProfile(base);
-  auto it = windowed.calls().find(key);
-  ASSERT_NE(it, windowed.calls().end());
-  EXPECT_EQ(it->second.call_count(), 20u);
+  const CallSummary* summary = windowed.FindCall(key);
+  ASSERT_NE(summary, nullptr);
+  EXPECT_EQ(summary->call_count(), 20u);
   // Size distribution preserved: 150 bytes round-trip per call.
-  EXPECT_EQ(it->second.total_bytes(), 20u * 150u);
+  EXPECT_EQ(summary->total_bytes(), 20u * 150u);
 }
 
 TEST(SlidingWindowTest, UnprofiledKeysNeedLiveRegistry) {
-  IccProfile base;
-  base.RecordClassification(InfoOf(1, "A"));
+  IccProfileBuilder recording;
+  recording.RecordClassification(InfoOf(1, "A"));
+  const IccProfile base = recording.Build();
   const CallKey key = KeyOf(1, 9);  // Classification 9 unknown to the profile.
 
   SlidingWindowGraph window;
@@ -120,10 +122,10 @@ TEST(SlidingWindowTest, UnprofiledKeysNeedLiveRegistry) {
   std::unordered_map<ClassificationId, ClassificationInfo> live;
   live.emplace(9, InfoOf(9, "LiveOnly"));
   const IccProfile windowed = window.WindowedProfile(base, live);
-  auto it = windowed.calls().find(key);
-  ASSERT_NE(it, windowed.calls().end());
-  EXPECT_EQ(it->second.call_count(), 50u);
-  EXPECT_EQ(it->second.non_remotable_calls, 50u);
+  const CallSummary* summary = windowed.FindCall(key);
+  ASSERT_NE(summary, nullptr);
+  EXPECT_EQ(summary->call_count(), 50u);
+  EXPECT_EQ(summary->non_remotable_calls, 50u);
   ASSERT_NE(windowed.FindClassification(9), nullptr);
   EXPECT_EQ(windowed.FindClassification(9)->class_name, "LiveOnly");
 }
@@ -131,8 +133,8 @@ TEST(SlidingWindowTest, UnprofiledKeysNeedLiveRegistry) {
 // --- RepartitionPolicy ------------------------------------------------------
 
 // A profile with one hot pair: A (client) talking to B over the wire.
-IccProfile HotPairProfile(uint64_t calls) {
-  IccProfile profile;
+IccProfileBuilder HotPairRecording(uint64_t calls) {
+  IccProfileBuilder profile;
   profile.RecordClassification(InfoOf(1, "A"));
   profile.RecordClassification(InfoOf(2, "B"));
   const CallKey key = KeyOf(1, 2);
@@ -141,6 +143,8 @@ IccProfile HotPairProfile(uint64_t calls) {
   }
   return profile;
 }
+
+IccProfile HotPairProfile(uint64_t calls) { return HotPairRecording(calls).Build(); }
 
 Distribution SplitAB() {
   Distribution current;
@@ -243,8 +247,9 @@ TEST(RepartitionPolicyTest, IdleClassificationsKeepTheirPlacement) {
   // Window sees only the A-B pair; classification 3 exists in the profile
   // but has no traffic — a disconnected node the min cut would place
   // arbitrarily. The policy must keep it where it is (server).
-  IccProfile windowed = HotPairProfile(500);
-  windowed.RecordClassification(InfoOf(3, "Idle"));
+  IccProfileBuilder recording = HotPairRecording(500);
+  recording.RecordClassification(InfoOf(3, "Idle"));
+  const IccProfile windowed = recording.Build();
   Distribution current = SplitAB();
   current.placement[3] = kServerMachine;
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
 #include "src/support/str_util.h"
 
@@ -14,11 +15,10 @@ constexpr char kMagic[] = "coign-profile v1";
 
 std::string HistogramFields(const ExponentialHistogram& h) {
   std::string out;
-  for (int bucket : h.NonEmptyBuckets()) {
-    out += StrFormat(" %d:%llu:%llu", bucket,
-                     static_cast<unsigned long long>(h.CountAt(bucket)),
-                     static_cast<unsigned long long>(h.BytesAt(bucket)));
-  }
+  h.ForEachBucket([&out](int bucket, uint64_t count, uint64_t bytes) {
+    out += StrFormat(" %d:%llu:%llu", bucket, static_cast<unsigned long long>(count),
+                     static_cast<unsigned long long>(bytes));
+  });
   return out;
 }
 
@@ -43,6 +43,119 @@ Status ParseHistogramFields(std::istringstream& in, ExponentialHistogram* h) {
     h->AddBucket(bucket, count, bytes);
   }
   return Status::Ok();
+}
+
+// --- The one-pass parser's hash-map build --------------------------------
+
+// A record that breaks the format: a missing, extra or unreadable field,
+// or a structural error (see ParseRecord).
+Status MalformedRecordAt(int line_number, std::string_view keyword) {
+  return InvalidArgumentError("profile line " + std::to_string(line_number) +
+                              ": malformed '" + std::string(keyword) + "' record");
+}
+
+bool ReadGuid(FieldReader* fields, Guid* out) {
+  std::string_view text;
+  if (!fields->Read(&text)) {
+    return false;
+  }
+  Result<Guid> guid = Guid::Parse(text);
+  if (!guid.ok()) {
+    return false;
+  }
+  *out = *guid;
+  return true;
+}
+
+// Reads "bucket:count:bytes" fields up to the closing ";". The writer skips
+// empty buckets, so a count of 0 is damage, as are bytes the count's
+// messages could not carry in that bucket.
+bool ReadHistogram(FieldReader* fields, ExponentialHistogram* h) {
+  std::string_view field;
+  while (fields->Read(&field)) {
+    if (field == ";") {
+      return true;
+    }
+    int bucket = 0;
+    uint64_t count = 0;
+    uint64_t bytes = 0;
+    if (!ParseColonTriple(field, &bucket, &count, &bytes) || count == 0 ||
+        !ExponentialHistogram::CanHold(bucket, count, bytes)) {
+      return false;
+    }
+    h->AddBucket(bucket, count, bytes);
+  }
+  return false;
+}
+
+bool IsDeclared(const IccProfileBuilder& profile, ClassificationId id) {
+  return profile.FindClassification(id) != nullptr;
+}
+
+// A call endpoint: a declared classification or the driver.
+bool IsEndpoint(const IccProfileBuilder& profile, ClassificationId id) {
+  return id == kNoClassification || IsDeclared(profile, id);
+}
+
+// Parses one record into *profile, through the recording calls the writer
+// inverts. Besides its fields reading whole, a record must name only
+// classifications declared on an earlier line and declare each one once.
+bool ParseRecord(std::string_view keyword, FieldReader* fields, IccProfileBuilder* profile) {
+  if (keyword == "classification") {
+    ClassificationInfo info;
+    if (!fields->Read(&info.id) || !ReadGuid(fields, &info.clsid) ||
+        !fields->Read(&info.api_usage) || !fields->Read(&info.instance_count) ||
+        IsDeclared(*profile, info.id)) {
+      return false;
+    }
+    // The class name is the rest of the line after one space; it may
+    // hold spaces of its own.
+    std::string_view name = fields->rest();
+    if (!name.empty() && name.front() == ' ') {
+      name.remove_prefix(1);
+    }
+    info.class_name = name;
+    profile->RecordClassification(info);
+    return true;
+  }
+  if (keyword == "alloc") {
+    ClassificationId id = kNoClassification;
+    uint64_t bytes = 0;
+    if (!fields->Read(&id) || !fields->Read(&bytes) || !fields->AtEnd() ||
+        !IsDeclared(*profile, id)) {
+      return false;
+    }
+    profile->RecordAllocation(id, bytes);
+    return true;
+  }
+  if (keyword == "compute") {
+    ClassificationId id = kNoClassification;
+    double seconds = 0.0;
+    if (!fields->Read(&id) || !fields->Read(&seconds) || !fields->AtEnd() ||
+        !std::isfinite(seconds) || seconds < 0.0 || !IsDeclared(*profile, id)) {
+      return false;
+    }
+    profile->RecordCompute(id, seconds);
+    return true;
+  }
+  if (keyword == "call") {
+    CallKey key;
+    uint64_t non_remotable = 0;
+    std::string_view marker;
+    ExponentialHistogram requests;
+    ExponentialHistogram replies;
+    if (!fields->Read(&key.src) || !fields->Read(&key.dst) || !ReadGuid(fields, &key.iid) ||
+        !fields->Read(&key.method) || !fields->Read(&non_remotable) ||
+        !IsEndpoint(*profile, key.src) || !IsEndpoint(*profile, key.dst) ||
+        !fields->Read(&marker) || marker != "req" || !ReadHistogram(fields, &requests) ||
+        !fields->Read(&marker) || marker != "rep" || !ReadHistogram(fields, &replies) ||
+        !fields->AtEnd()) {
+      return false;
+    }
+    profile->InjectCallSummary(key, requests, replies, non_remotable);
+    return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -76,7 +189,7 @@ std::string SerializeProfile(const IccProfile& profile) {
 }
 
 Result<IccProfile> ParseProfile(const std::string& text) {
-  IccProfile profile;
+  IccProfileBuilder profile;
   std::istringstream lines(text);
   std::string line;
   if (!std::getline(lines, line) || line != kMagic) {
@@ -151,7 +264,30 @@ Result<IccProfile> ParseProfile(const std::string& text) {
       return InvalidArgumentError("unknown profile keyword: " + keyword);
     }
   }
-  return profile;
+  return profile.Build();
+}
+
+Result<IccProfile> HashMapParseProfile(std::string_view text) {
+  LineReader lines(text);
+  std::string_view line;
+  if (!lines.Next(&line) || line != kMagic) {
+    return InvalidArgumentError("missing profile magic header");
+  }
+  IccProfileBuilder profile;
+  int line_number = 1;
+  while (lines.Next(&line)) {
+    ++line_number;
+    if (line.empty()) {
+      continue;
+    }
+    FieldReader fields(line);
+    std::string_view keyword;
+    fields.Read(&keyword);
+    if (!ParseRecord(keyword, &fields, &profile)) {
+      return MalformedRecordAt(line_number, keyword);
+    }
+  }
+  return profile.Build();
 }
 
 }  // namespace coign::profile_log_oracle

@@ -1,23 +1,34 @@
-// Differential test of the one-pass profile log codec against its oracle,
-// the stream-and-printf codec it replaced (tests/oracles).
+// Differential test of the profile log codec against its oracles
+// (tests/oracles): the stream-and-printf codec the one-pass codec replaced,
+// and the one-pass parser's hash-map build that the sorted-table loader
+// replaced.
 //
 // On every scenario log of the three applications, the multi-scenario sets
-// and the hand-built sample, the codec must write the oracle's bytes, and
-// its parse must re-serialize to the bytes of the oracle's parse (which
-// pins calls() order too). On damaged logs the property is one-sided: the
-// codec may reject more, but whatever it accepts the oracle accepts, and
-// the two parses re-serialize to the same bytes.
+// and the hand-built sample, the codec must write the stream codec's
+// bytes, and every log it writes is canonical: parsing and re-serializing
+// it gives it back, with its call lines strictly ascending in pair-major
+// order. Against the hash-map parser the property is exact on every input
+// (pristine logs, their call lines reversed, shuffled or repeated, and
+// every damaged log): the loader accepts what it accepts, rejects with the
+// same message, and loads an equal profile. Against the stream parser it
+// is one-sided: the codec may reject more, but whatever it accepts the
+// stream parser accepts, and the two parses re-serialize to the same
+// bytes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
 #include "src/apps/octarine.h"
 #include "src/apps/suite.h"
 #include "src/profile/log_file.h"
+#include "src/support/guid.h"
 #include "src/support/rng.h"
 #include "src/support/str_util.h"
 #include "tests/oracles/profile_log_oracle.h"
@@ -40,7 +51,7 @@ IccProfile Profiled(Application& app, const std::vector<std::string>& ids) {
 // The sample with an alloc record and a driver call, so the small log has
 // every record kind.
 IccProfile SmallProfile() {
-  IccProfile profile = SampleProfile();
+  IccProfileBuilder profile = SampleRecording();
   profile.RecordAllocation(3, 4096);
   CallKey key;
   key.src = kNoClassification;
@@ -48,7 +59,7 @@ IccProfile SmallProfile() {
   key.iid = Guid::FromName("iid:IOpen");
   key.method = 1;
   profile.RecordCall(key, 40, 8, true);
-  return profile;
+  return profile.Build();
 }
 
 std::vector<NamedProfile> BuildCorpus() {
@@ -119,26 +130,161 @@ TEST(ProfileLogEquivalenceTest, ParseReserializesLikeTheOracle) {
   }
 }
 
-// The one-sided property on one (possibly damaged) log. Returns whether
-// the codec accepted it.
+// The key of a call line, or false for any other line.
+bool CallKeyOf(std::string_view line, CallKey* key) {
+  FieldReader fields(line);
+  std::string_view keyword;
+  std::string_view iid;
+  if (!fields.Read(&keyword) || keyword != "call" || !fields.Read(&key->src) ||
+      !fields.Read(&key->dst) || !fields.Read(&iid) || !fields.Read(&key->method)) {
+    return false;
+  }
+  Result<Guid> guid = Guid::Parse(iid);
+  EXPECT_TRUE(guid.ok()) << line;
+  key->iid = guid.ok() ? *guid : Guid();
+  return true;
+}
+
+TEST(ProfileLogEquivalenceTest, EveryWrittenLogIsCanonical) {
+  for (const NamedProfile& entry : Corpus()) {
+    const std::string log = SerializeProfile(entry.profile);
+    Result<IccProfile> parsed = ParseProfile(log);
+    ASSERT_TRUE(parsed.ok()) << entry.name << ": " << parsed.status().ToString();
+    EXPECT_EQ(SerializeProfile(*parsed), log) << entry.name;
+    size_t calls = 0;
+    CallKey previous;
+    for (const std::string& line : SplitString(log, '\n')) {
+      CallKey key;
+      if (!CallKeyOf(line, &key)) {
+        continue;
+      }
+      EXPECT_TRUE(calls == 0 || PairMajorLess(previous, key)) << entry.name << ": " << line;
+      previous = key;
+      ++calls;
+    }
+    EXPECT_EQ(calls, entry.profile.calls().size()) << entry.name;
+  }
+}
+
+// The profile's tables and totals, exactly.
+void ExpectSameProfile(const IccProfile& a, const IccProfile& b, const std::string& what) {
+  EXPECT_EQ(SerializeProfile(a), SerializeProfile(b)) << what;
+  ASSERT_EQ(a.classifications().size(), b.classifications().size()) << what;
+  for (size_t i = 0; i < a.classifications().size(); ++i) {
+    const ClassificationInfo& x = a.classifications()[i];
+    const ClassificationInfo& y = b.classifications()[i];
+    EXPECT_TRUE(x.id == y.id && x.clsid == y.clsid && x.class_name == y.class_name &&
+                x.api_usage == y.api_usage && x.instance_count == y.instance_count &&
+                x.allocation_bytes == y.allocation_bytes)
+        << what << ": classification row " << i;
+  }
+  ASSERT_EQ(a.compute().size(), b.compute().size()) << what;
+  for (size_t i = 0; i < a.compute().size(); ++i) {
+    EXPECT_EQ(a.compute()[i].id, b.compute()[i].id) << what;
+    EXPECT_EQ(a.compute()[i].seconds, b.compute()[i].seconds) << what;
+  }
+  ASSERT_EQ(a.calls().size(), b.calls().size()) << what;
+  for (size_t i = 0; i < a.calls().size(); ++i) {
+    const CallRecord& x = a.calls()[i];
+    const CallRecord& y = b.calls()[i];
+    EXPECT_TRUE(x.key == y.key && x.summary.requests == y.summary.requests &&
+                x.summary.replies == y.summary.replies &&
+                x.summary.non_remotable_calls == y.summary.non_remotable_calls)
+        << what << ": call row " << i;
+  }
+  EXPECT_EQ(a.total_calls(), b.total_calls()) << what;
+  EXPECT_EQ(a.total_bytes(), b.total_bytes()) << what;
+  EXPECT_EQ(a.total_compute_seconds(), b.total_compute_seconds()) << what;
+}
+
+// The loader against both oracles on one (possibly damaged or
+// non-canonical) log. Returns whether the loader accepted it.
 bool ExpectAgreement(const std::string& text, const std::string& what) {
   Result<IccProfile> fresh = ParseProfile(text);
+  Result<IccProfile> hash_map = profile_log_oracle::HashMapParseProfile(text);
+  EXPECT_EQ(fresh.ok(), hash_map.ok())
+      << what << ": " << (fresh.ok() ? hash_map.status() : fresh.status()).ToString();
   if (!fresh.ok()) {
     EXPECT_EQ(fresh.status().code(), StatusCode::kInvalidArgument) << what;
     const std::string& message = fresh.status().message();
     EXPECT_TRUE(StartsWith(message, "profile line ") ||
                 message == "missing profile magic header")
         << what << ": " << message;
+    if (!hash_map.ok()) {
+      EXPECT_EQ(fresh.status().ToString(), hash_map.status().ToString()) << what;
+    }
     return false;
   }
-  Result<IccProfile> reference = profile_log_oracle::ParseProfile(text);
-  EXPECT_TRUE(reference.ok()) << what << ": the codec accepts what the oracle rejects";
-  if (reference.ok()) {
+  if (hash_map.ok()) {
+    ExpectSameProfile(*fresh, *hash_map, what);
+  }
+  Result<IccProfile> stream = profile_log_oracle::ParseProfile(text);
+  EXPECT_TRUE(stream.ok()) << what << ": the codec accepts what the stream parser rejects";
+  if (stream.ok()) {
     const std::string written = SerializeProfile(*fresh);
-    EXPECT_EQ(written, profile_log_oracle::SerializeProfile(*reference)) << what;
+    EXPECT_EQ(written, profile_log_oracle::SerializeProfile(*stream)) << what;
     EXPECT_EQ(written, profile_log_oracle::SerializeProfile(*fresh)) << what;
   }
   return true;
+}
+
+// The log with its call lines (all after the header and classification
+// records) reordered by `reorder`.
+std::string WithCallLines(const std::string& log,
+                          const std::function<void(std::vector<std::string>*)>& reorder) {
+  std::vector<std::string> head;
+  std::vector<std::string> calls;
+  for (std::string& line : SplitString(log, '\n')) {
+    (StartsWith(line, "call ") ? calls : head).push_back(std::move(line));
+  }
+  reorder(&calls);
+  std::string out;
+  for (const std::vector<std::string>* lines : {&head, &calls}) {
+    for (const std::string& line : *lines) {
+      if (!line.empty()) {
+        out += line + "\n";
+      }
+    }
+  }
+  return out;
+}
+
+// Logs whose call lines are out of order load the profile the canonical
+// log holds; a call line repeated far from its twin adds into it.
+TEST(ProfileLogEquivalenceTest, NonCanonicalCallOrderLoadsTheSameProfile) {
+  Rng rng(23);
+  for (const NamedProfile& entry : Corpus()) {
+    const std::string log = SerializeProfile(entry.profile);
+    const std::string reversed = WithCallLines(
+        log, [](std::vector<std::string>* calls) { std::reverse(calls->begin(), calls->end()); });
+    const std::string shuffled = WithCallLines(log, [&rng](std::vector<std::string>* calls) {
+      for (size_t i = calls->size(); i > 1; --i) {
+        std::swap((*calls)[i - 1],
+                  (*calls)[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(i) - 1))]);
+      }
+    });
+    const std::string repeated = WithCallLines(log, [](std::vector<std::string>* calls) {
+      if (!calls->empty()) {
+        calls->push_back(calls->front());
+      }
+    });
+    EXPECT_TRUE(ExpectAgreement(reversed, entry.name + " reversed"));
+    EXPECT_TRUE(ExpectAgreement(shuffled, entry.name + " shuffled"));
+    EXPECT_TRUE(ExpectAgreement(repeated, entry.name + " repeated"));
+    Result<IccProfile> from_reversed = ParseProfile(reversed);
+    Result<IccProfile> from_shuffled = ParseProfile(shuffled);
+    Result<IccProfile> from_repeated = ParseProfile(repeated);
+    ASSERT_TRUE(from_reversed.ok() && from_shuffled.ok() && from_repeated.ok()) << entry.name;
+    EXPECT_EQ(SerializeProfile(*from_reversed), log) << entry.name;
+    EXPECT_EQ(SerializeProfile(*from_shuffled), log) << entry.name;
+    EXPECT_EQ(from_repeated->calls().size(), entry.profile.calls().size()) << entry.name;
+    if (!entry.profile.calls().empty()) {
+      const CallRecord& first = entry.profile.calls().front();
+      const CallSummary* summary = from_repeated->FindCall(first.key);
+      ASSERT_NE(summary, nullptr) << entry.name;
+      EXPECT_EQ(summary->call_count(), 2 * first.summary.call_count()) << entry.name;
+    }
+  }
 }
 
 // Replacement and insertion bytes: separators, signs, line ends, NUL,
@@ -261,6 +407,33 @@ TEST(ProfileLogEquivalenceTest, RandomMultiDamageAgrees) {
   }
   EXPECT_GT(tally.accepted, 0);
   EXPECT_GT(tally.rejected, kVariants / 2);
+}
+
+// A few seeded multi-damages of every corpus log, canonical and with its
+// call lines reversed.
+TEST(ProfileLogEquivalenceTest, EveryCorpusLogDamageAgrees) {
+  constexpr int kVariantsPerLog = 4;
+  Rng rng(2027);
+  Tally tally;
+  for (const NamedProfile& entry : Corpus()) {
+    const std::string log = SerializeProfile(entry.profile);
+    const std::string reversed = WithCallLines(
+        log, [](std::vector<std::string>* calls) { std::reverse(calls->begin(), calls->end()); });
+    for (const std::string* pristine : {&log, &reversed}) {
+      for (int v = 0; v < kVariantsPerLog; ++v) {
+        std::string what = entry.name + (pristine == &log ? "" : " reversed") + " variant " +
+                           std::to_string(v) + ":";
+        std::string text = *pristine;
+        const int64_t damages = rng.UniformInt(1, 3);
+        for (int64_t d = 0; d < damages; ++d) {
+          text = Damage(std::move(text), rng, &what);
+        }
+        tally.Count(ExpectAgreement(text, what));
+      }
+    }
+  }
+  EXPECT_GT(tally.accepted, 0);
+  EXPECT_GT(tally.rejected, 0);
 }
 
 }  // namespace

@@ -95,7 +95,7 @@ TEST(ProfilingLoggerTest, SummarizesCallsIntoProfile) {
   EXPECT_EQ(logger.profile().total_calls(), 3u);
   EXPECT_EQ(logger.profile().total_bytes(), 430u);
   ASSERT_EQ(logger.profile().calls().size(), 1u);
-  EXPECT_EQ(logger.profile().calls().begin()->second.non_remotable_calls, 1u);
+  EXPECT_EQ(logger.profile().calls().front().summary.non_remotable_calls, 1u);
   // Comm matrix tracks instances symmetrically.
   EXPECT_DOUBLE_EQ(logger.comm_matrix().RowOf(1).at(2), 430.0);
 }

@@ -101,7 +101,7 @@ TEST_F(RteTest, ProfilingModeSummarizesCommunication) {
   ASSERT_TRUE(RunUi(5).ok());
 
   ASSERT_NE(runtime.profiling_logger(), nullptr);
-  const IccProfile& profile = runtime.profiling_logger()->profile();
+  const IccProfile profile = runtime.profiling_logger()->profile();
   EXPECT_EQ(profile.classifications().size(), 3u);  // Ui, Worker, Store.
   // Calls observed: Ui.Run + Worker.Run + 5 pulls.
   EXPECT_EQ(runtime.calls_observed(), 7u);
@@ -111,7 +111,7 @@ TEST_F(RteTest, ProfilingModeSummarizesCommunication) {
 
   // API usage metadata captured for constraints.
   bool saw_gui = false, saw_storage = false;
-  for (const auto& [id, info] : profile.classifications()) {
+  for (const ClassificationInfo& info : profile.classifications()) {
     saw_gui |= (info.api_usage & kApiGui) != 0;
     saw_storage |= (info.api_usage & kApiStorage) != 0;
     EXPECT_EQ(info.instance_count, 1u);
@@ -143,9 +143,9 @@ TEST_F(RteTest, DistributedModeRelocatesInstantiations) {
     runtime.BeginScenario();
     ASSERT_TRUE(RunUi(3).ok());
     // Build a distribution by class name: Store and Worker to the server.
-    const IccProfile& profile = runtime.profiling_logger()->profile();
-    for (const auto& [id, info] : profile.classifications()) {
-      distribution.placement[id] =
+    const IccProfile profile = runtime.profiling_logger()->profile();
+    for (const ClassificationInfo& info : profile.classifications()) {
+      distribution.placement[info.id] =
           (info.class_name == "Mini.Ui") ? kClientMachine : kServerMachine;
     }
     system_.DestroyAll();

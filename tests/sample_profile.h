@@ -8,8 +8,9 @@
 
 namespace coign {
 
-inline IccProfile SampleProfile() {
-  IccProfile profile;
+// Recorded through the builder, so tests can add records before Build().
+inline IccProfileBuilder SampleRecording() {
+  IccProfileBuilder profile;
   ClassificationInfo info;
   info.id = 0;
   info.clsid = Guid::FromName("clsid:Reader");
@@ -34,6 +35,8 @@ inline IccProfile SampleProfile() {
   profile.RecordCompute(0, 0.125);
   return profile;
 }
+
+inline IccProfile SampleProfile() { return SampleRecording().Build(); }
 
 }  // namespace coign
 

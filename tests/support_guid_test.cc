@@ -43,7 +43,8 @@ TEST(GuidTest, ToStringFormat) {
 }
 
 // The formatter is hand-rolled; it must write exactly printf's
-// "{%016llx-%016llx}", and AppendTo must only append.
+// "{%016llx-%016llx}", AppendTo must only append, and WriteTo must write
+// kTextSize bytes and no more.
 TEST(GuidTest, ToStringAndAppendToMatchPrintf) {
   Rng rng(7);
   for (int i = 0; i < 1000; ++i) {
@@ -55,6 +56,11 @@ TEST(GuidTest, ToStringAndAppendToMatchPrintf) {
     std::string appended = "x";
     g.AppendTo(&appended);
     EXPECT_EQ(appended, std::string("x") + expected);
+    char written[Guid::kTextSize + 1];
+    written[Guid::kTextSize] = '#';
+    EXPECT_EQ(g.WriteTo(written), written + Guid::kTextSize);
+    EXPECT_EQ(std::string_view(written, Guid::kTextSize), expected);
+    EXPECT_EQ(written[Guid::kTextSize], '#');
   }
 }
 

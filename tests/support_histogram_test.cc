@@ -2,10 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/support/rng.h"
 
 namespace coign {
 namespace {
+
+struct BucketRow {
+  int bucket = 0;
+  uint64_t count = 0;
+  uint64_t bytes = 0;
+  friend bool operator==(const BucketRow&, const BucketRow&) = default;
+};
+
+// The histogram's non-empty buckets as ForEachBucket visits them.
+std::vector<BucketRow> Buckets(const ExponentialHistogram& h) {
+  std::vector<BucketRow> out;
+  h.ForEachBucket([&out](int bucket, uint64_t count, uint64_t bytes) {
+    out.push_back({bucket, count, bytes});
+  });
+  return out;
+}
 
 TEST(HistogramTest, BucketBoundaries) {
   EXPECT_EQ(ExponentialHistogram::BucketFor(0), 0);
@@ -48,8 +69,8 @@ TEST(HistogramTest, CanHoldIsTheBucketSizeRange) {
   for (int i = 0; i < 4000; ++i) {
     h.Add(rng.NextUint64() >> rng.UniformInt(20, 63));
   }
-  for (int b : h.NonEmptyBuckets()) {
-    EXPECT_TRUE(H::CanHold(b, h.CountAt(b), h.BytesAt(b))) << b;
+  for (const BucketRow& row : Buckets(h)) {
+    EXPECT_TRUE(H::CanHold(row.bucket, row.count, row.bytes)) << row.bucket;
   }
 }
 
@@ -72,7 +93,7 @@ TEST(HistogramTest, EmptyBucketsReadAsZero) {
   EXPECT_EQ(h.CountAt(3), 0u);
   EXPECT_EQ(h.BytesAt(3), 0u);
   EXPECT_EQ(h.MeanSizeAt(3), 0.0);
-  EXPECT_TRUE(h.NonEmptyBuckets().empty());
+  EXPECT_TRUE(Buckets(h).empty());
 }
 
 TEST(HistogramTest, MergePreservesTotals) {
@@ -95,14 +116,121 @@ TEST(HistogramTest, AddBucketInjectsRawData) {
   EXPECT_EQ(h.CountAt(5), 7u);
 }
 
-TEST(HistogramTest, NonEmptyBucketsAscending) {
+TEST(HistogramTest, BucketsVisitedAscending) {
   ExponentialHistogram h;
   h.Add(100000);
   h.Add(2);
   h.Add(500);
-  const std::vector<int> buckets = h.NonEmptyBuckets();
+  const std::vector<BucketRow> buckets = Buckets(h);
   ASSERT_EQ(buckets.size(), 3u);
-  EXPECT_TRUE(buckets[0] < buckets[1] && buckets[1] < buckets[2]);
+  EXPECT_TRUE(buckets[0].bucket < buckets[1].bucket && buckets[1].bucket < buckets[2].bucket);
+  EXPECT_EQ(buckets[0], (BucketRow{1, 1, 2}));
+  EXPECT_EQ(buckets[2], (BucketRow{16, 1, 100000}));
+}
+
+// The lowest bucket lives inline and the rest on the heap; every operation
+// must read the same across that boundary. Each histogram with n buckets
+// gets them in a scrambled order, so a new lowest bucket displaces the
+// inline one.
+ExponentialHistogram WithBuckets(int n, uint64_t scale = 1) {
+  ExponentialHistogram h;
+  for (int i = 0; i < n; ++i) {
+    const int bucket = (i * 17 + 30) % (ExponentialHistogram::kMaxBucket + 1);
+    h.AddBucket(bucket, scale * static_cast<uint64_t>(i + 1),
+                scale * ExponentialHistogram::BucketLowerBound(bucket) *
+                    static_cast<uint64_t>(i + 1));
+  }
+  return h;
+}
+
+std::vector<BucketRow> Expected(int n, uint64_t scale = 1) {
+  std::vector<BucketRow> out;
+  for (int i = 0; i < n; ++i) {
+    const int bucket = (i * 17 + 30) % (ExponentialHistogram::kMaxBucket + 1);
+    out.push_back({bucket, scale * static_cast<uint64_t>(i + 1),
+                   scale * ExponentialHistogram::BucketLowerBound(bucket) *
+                       static_cast<uint64_t>(i + 1)});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const BucketRow& a, const BucketRow& b) { return a.bucket < b.bucket; });
+  return out;
+}
+
+TEST(HistogramTest, InlineAndHeapBucketsReadAlike) {
+  for (int n : {0, 1, 2, 3, ExponentialHistogram::kMaxBucket + 1}) {
+    SCOPED_TRACE(n);
+    const ExponentialHistogram h = WithBuckets(n);
+    const std::vector<BucketRow> expected = Expected(n);
+    EXPECT_EQ(Buckets(h), expected);
+    uint64_t count = 0;
+    uint64_t bytes = 0;
+    for (const BucketRow& row : expected) {
+      EXPECT_EQ(h.CountAt(row.bucket), row.count);
+      EXPECT_EQ(h.BytesAt(row.bucket), row.bytes);
+      count += row.count;
+      bytes += row.bytes;
+    }
+    EXPECT_EQ(h.total_count(), count);
+    EXPECT_EQ(h.total_bytes(), bytes);
+    EXPECT_EQ(h.empty(), n == 0);
+
+    // Copy and move keep every bucket; a moved-to histogram equals the
+    // original.
+    ExponentialHistogram copy = h;
+    EXPECT_EQ(copy, h);
+    EXPECT_EQ(Buckets(copy), expected);
+    ExponentialHistogram moved = std::move(copy);
+    EXPECT_EQ(moved, h);
+    ExponentialHistogram assigned;
+    assigned.Add(3);
+    assigned = moved;
+    EXPECT_EQ(assigned, h);
+    ExponentialHistogram move_assigned;
+    move_assigned.Add(3);
+    move_assigned = std::move(assigned);
+    EXPECT_EQ(move_assigned, h);
+
+    // The same buckets added in another order are equal; one more message
+    // anywhere is not.
+    ExponentialHistogram reversed;
+    for (auto it = expected.rbegin(); it != expected.rend(); ++it) {
+      reversed.AddBucket(it->bucket, it->count, it->bytes);
+    }
+    EXPECT_EQ(reversed, h);
+    for (int extra : {0, 7, ExponentialHistogram::kMaxBucket}) {
+      ExponentialHistogram more = h;
+      more.AddBucket(extra, 1, ExponentialHistogram::BucketLowerBound(extra));
+      EXPECT_FALSE(more == h) << extra;
+    }
+  }
+}
+
+TEST(HistogramTest, MergeAcrossTheInlineBoundary) {
+  for (int a : {0, 1, 2, 3, ExponentialHistogram::kMaxBucket + 1}) {
+    for (int b : {0, 1, 2, 3, ExponentialHistogram::kMaxBucket + 1}) {
+      SCOPED_TRACE(std::to_string(a) + " + " + std::to_string(b));
+      ExponentialHistogram merged = WithBuckets(a);
+      merged.Merge(WithBuckets(b, 1000));
+      // Merging is adding each of the other's buckets.
+      ExponentialHistogram added = WithBuckets(a);
+      for (const BucketRow& row : Expected(b, 1000)) {
+        added.AddBucket(row.bucket, row.count, row.bytes);
+      }
+      EXPECT_EQ(merged, added);
+      EXPECT_EQ(merged.total_count(), WithBuckets(a).total_count() +
+                                          WithBuckets(b, 1000).total_count());
+      std::vector<BucketRow> rows = Buckets(merged);
+      EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end(),
+                                 [](const BucketRow& x, const BucketRow& y) {
+                                   return x.bucket < y.bucket;
+                                 }));
+      EXPECT_EQ(rows.size(), static_cast<size_t>(std::max(a, b)));
+    }
+  }
+  // A histogram merged into itself doubles.
+  ExponentialHistogram twice = WithBuckets(3);
+  twice.Merge(twice);
+  EXPECT_EQ(twice, WithBuckets(3, 2));
 }
 
 TEST(HistogramTest, EqualityAndToString) {
@@ -136,7 +264,8 @@ TEST_P(HistogramPropertyTest, TotalsExactUnderRandomLoad) {
   EXPECT_EQ(h.total_bytes(), expected_bytes);
   // Per-bucket sums must re-aggregate to the totals.
   uint64_t count = 0, bytes = 0;
-  for (int bucket : h.NonEmptyBuckets()) {
+  for (const BucketRow& row : Buckets(h)) {
+    const int bucket = row.bucket;
     count += h.CountAt(bucket);
     bytes += h.BytesAt(bucket);
     // Mean size of each bucket lies within the bucket's bounds.

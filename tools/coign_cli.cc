@@ -338,7 +338,7 @@ int CmdProfile(const Flags& flags) {
     std::printf("profiled %s\n", id.c_str());
   }
 
-  const IccProfile& profile = (*runtime)->profiling_logger()->profile();
+  const IccProfile profile = (*runtime)->profiling_logger()->profile();
   const Status wrote_profile =
       WriteProfileFile(profile, flags.output_base + ".profile");
   if (!wrote_profile.ok()) {
